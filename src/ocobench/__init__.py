@@ -6,14 +6,15 @@ from .baselines import (BaselineConfig, BaselineState, cl_step, czp_step,
                         mosp_step, ny_step, paper_baseline_config,
                         run_baseline)
 from .core import (Box, ConvergenceError, EuclideanBall,
-                   InfeasibleProblemError, ProblemConstants, RoundOracle,
-                   SupNormBall, Trajectory, UnsupportedProblemError, contains,
-                   diameter, project, project_psd)
+                   InfeasibleProblemError, ProblemArgumentError,
+                   ProblemConstants, RoundOracle, SupNormBall, Trajectory,
+                   UnsupportedProblemError, contains, diameter, project,
+                   project_psd)
 from .harness import (ALGO_IDS, PRESETS, ExperimentConfig, generate_problem,
                       run_cell, run_experiment, sweep)
 from .malm import (InnerSolverConfig, MalmConfig, aug_lagrangian,
                    closed_form_linearized_p1, multiplier_update, run_malm,
-                   run_malm_no_delay, solve_subproblem, subproblem_objective)
+                   solve_subproblem, subproblem_objective)
 from .metrics import (MetricsSeries, full_series, lambda_norm_series,
                       min_psi_bound, multiplier_bound_holds, psi_bound,
                       psi_kappas, regret_series, violation_series)
@@ -30,7 +31,7 @@ __all__ = [
     "ALGO_IDS", "BaselineConfig", "BaselineState", "Box", "ConvergenceError",
     "EuclideanBall", "ExperimentConfig", "InfeasibleProblemError",
     "InnerSolverConfig", "LINEARIZED", "MODEL_KINDS", "MalmConfig",
-    "MetricsSeries", "ModelAt", "PLAIN", "PRESETS", "ProblemConstants",
+    "MetricsSeries", "ModelAt", "PLAIN", "PRESETS", "ProblemArgumentError", "ProblemConstants",
     "ProblemInstance", "QUADRATIC_LINEARIZED", "RoundOracle", "SupNormBall",
     "TRUNCATED", "Trajectory", "UnsupportedProblemError", "aug_lagrangian",
     "build_linearized", "build_plain", "build_quadratic_linearized",
@@ -41,6 +42,6 @@ __all__ = [
     "multiplier_update", "ny_step", "paper_baseline_config", "project",
     "project_l1_box", "project_psd", "psi_bound", "psi_kappas",
     "regret_series", "run_baseline", "run_cell", "run_experiment", "run_malm",
-    "run_malm_no_delay", "solve_comparator", "solve_subproblem", "sweep",
+    "solve_comparator", "solve_subproblem", "sweep",
     "subproblem_objective", "violation_series",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -107,20 +107,3 @@ def fista(x0: Array,
             residual=res_best, iterations=it)
     return x_best, res_best, it
 
-
-def bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float,
-                      tol: float, max_iters: int = 200) -> float:
-    """Root of a nonincreasing scalar function on [lo, hi].
-
-    Assumes fn(lo) >= 0 >= fn(hi); returns a point within ``tol`` of the
-    sign change.
-    """
-    for _ in range(int(max_iters)):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Array, FeasibleSet, RoundOracle, Trajectory,
-                   UnsupportedProblemError, project)
+                   UnsupportedProblemError, project, run_schedule)
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,11 @@ def run_baseline(problem, config: BaselineConfig) -> Trajectory:
     project(C, 0), zero initial multipliers, oracle t - tau consumed at step
     t.  Decisions 0..T-1 are returned with the full multiplier sequence.
     """
-    algo, T, tau = config.algo, config.T, config.tau
+    algo, tau = config.algo, config.tau
     if algo in ("mosp", "cl") and tau != 0:
         raise UnsupportedProblemError(f"{algo} has no delayed variant")
 
-    x0 = project(problem.set, np.zeros(problem.n))
-    xs = np.empty((tau + T + 1, problem.n))
-    xs[: tau + 1] = x0
-    lambdas = np.zeros((tau + T + 1, problem.p))
-
-    for t in range(tau, tau + T):
-        oracle = problem.rounds[t - tau]
+    def step(t, oracle, xs, lambdas):
         state = BaselineState(xs[t], lambdas[t])
         delayed = BaselineState(xs[t - tau], lambdas[t - tau])
         if algo == "mosp":
@@ -169,7 +163,7 @@ def run_baseline(problem, config: BaselineConfig) -> Trajectory:
                            config.delta)
         else:
             raise ValueError(f"unknown baseline {algo!r}")
-        xs[t + 1] = new.x
-        lambdas[t + 1] = new.lam
+        return new.x, new.lam
 
-    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, algo=algo, tau=tau)
+    return run_schedule(problem, config.T, tau,
+                        project(problem.set, np.zeros(problem.n)), step, algo)

@@ -11,7 +11,8 @@ import configparser
 import sys
 from dataclasses import replace
 
-from .core import ConvergenceError, InfeasibleProblemError
+from .core import (ConvergenceError, InfeasibleProblemError,
+                   ProblemArgumentError, UnsupportedProblemError)
 from .harness import PRESETS, ExperimentConfig, run_experiment
 
 
@@ -39,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="FILE",
                         help="INI config file (sections: experiment, problem, malm)")
     parser.add_argument("--problem", choices=("nra", "olr", "oqcqp"))
-    parser.add_argument("--algo", metavar="A[,B...]",
+    parser.add_argument("--algo", type=_split, metavar="A[,B...]",
                         help="comma-separated algorithms: malm,mosp,cl,ny,czp")
     parser.add_argument("--T", type=int, help="number of rounds")
     parser.add_argument("--tau", type=_int_list, metavar="T0[,T1...]",
@@ -115,26 +116,22 @@ def _file_updates(path: str) -> dict:
     return updates
 
 
+# Flag (argparse dest, parsed by its ``type``) -> ExperimentConfig field.
+_FLAG_FIELDS = {
+    "problem": "problem",
+    "algo": "algos",
+    "T": "T",
+    "tau": "taus",
+    "seed": "seeds",
+    "out": "out",
+    "tol_inner": "tol_inner",
+    "tol_comparator": "tol_comparator",
+}
+
+
 def _cli_updates(args: argparse.Namespace) -> dict:
-    updates: dict = {}
-    if args.problem:
-        updates["problem"] = args.problem
-    if args.algo:
-        updates["algos"] = tuple(a.strip() for a in args.algo.split(",")
-                                 if a.strip())
-    if args.T is not None:
-        updates["T"] = args.T
-    if args.tau is not None:
-        updates["taus"] = args.tau
-    if args.seed is not None:
-        updates["seeds"] = args.seed
-    if args.out:
-        updates["out"] = args.out
-    if args.tol_inner is not None:
-        updates["tol_inner"] = args.tol_inner
-    if args.tol_comparator is not None:
-        updates["tol_comparator"] = args.tol_comparator
-    return updates
+    return {field: getattr(args, dest) for dest, field in _FLAG_FIELDS.items()
+            if getattr(args, dest) is not None}
 
 
 def assemble_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -143,7 +140,14 @@ def assemble_config(args: argparse.Namespace) -> ExperimentConfig:
         updates.update(_file_updates(args.config))
     updates.update(_cli_updates(args))
     if args.preset:
-        return replace(PRESETS[args.preset], **updates)
+        preset = PRESETS[args.preset]
+        if "problem_params" in updates \
+                and updates.get("problem", preset.problem) == preset.problem:
+            # Same generator: the file's [problem] keys override the
+            # preset's one by one.
+            updates["problem_params"] = {**preset.problem_params,
+                                         **updates["problem_params"]}
+        return replace(preset, **updates)
     problem = updates.pop("problem", None)
     if problem is None:
         raise ValueError("no problem selected: pass --problem, --preset, "
@@ -160,16 +164,23 @@ def main(argv=None) -> int:
         parser.error(str(err))
     try:
         path = run_experiment(config)
-    except ConvergenceError as err:
-        where = getattr(err, "round_index", None)
-        at = f" (round {where})" if where is not None else ""
-        print(f"ocobench: numeric failure{at}: {err}", file=sys.stderr)
-        return 3
-    except InfeasibleProblemError as err:
-        print(f"ocobench: numeric failure: {err}", file=sys.stderr)
+    except (UnsupportedProblemError, ProblemArgumentError) as err:
+        parser.error(str(err))
+    except (ConvergenceError, InfeasibleProblemError) as err:
+        print(f"ocobench: numeric failure{_where(err)}: {err}", file=sys.stderr)
         return 3
     print(path)
     return 0
+
+
+def _where(err) -> str:
+    """' (problem P, algo A, seed S, tau U, round R)' for the known parts."""
+    parts = dict(err.cell or {})
+    if getattr(err, "round_index", None) is not None:
+        parts["round"] = err.round_index
+    if not parts:
+        return ""
+    return " (" + ", ".join(f"{key} {val}" for key, val in parts.items()) + ")"
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -14,7 +14,8 @@ class ConvergenceError(RuntimeError):
     """An iterative solver stopped before reaching its tolerance.
 
     Carries the final residual and, when raised from an online run, the
-    round index at which the failure occurred.
+    round index at which the failure occurred.  ``cell`` names the
+    experiment cell (problem, algo, seed, tau) when the harness ran it.
     """
 
     def __init__(self, message: str, residual: float = np.nan,
@@ -23,14 +24,25 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
         self.iterations = iterations
         self.round_index = round_index
+        self.cell: Optional[dict] = None
 
 
 class InfeasibleProblemError(RuntimeError):
-    """The offline comparator problem has no feasible point."""
+    """The offline comparator problem has no feasible point.
+
+    ``cell`` names the experiment cell (problem, seed) when the harness ran
+    it.
+    """
+
+    cell: Optional[dict] = None
 
 
 class UnsupportedProblemError(ValueError):
     """An algorithm was asked to run on a problem class it cannot handle."""
+
+
+class ProblemArgumentError(ValueError):
+    """A problem generator was given an argument outside its domain."""
 
 
 def _check_vector(x: Array, n: int, name: str = "point") -> Array:
@@ -159,9 +171,10 @@ class RoundOracle:
     """Per-round bundle of the loss f_t and constraint map g_t.
 
     ``eval_f``/``subgrad_f`` give the loss value and a subgradient;
-    ``eval_g`` returns the p-vector of constraint values, ``subgrad_g(x, i)``
-    a subgradient of component i.  At kinks the generators return the zero
-    subgradient choice (``np.sign`` convention for the l1 norm).
+    ``eval_g`` returns the p-vector of constraint values and ``jac_g`` the
+    (p, n) matrix whose row i is a subgradient of component i.  At kinks the
+    generators return the zero subgradient choice (``np.sign`` convention
+    for the l1 norm).
 
     ``linear_g`` marks exactly-affine constraints (enables algorithms that
     require them), ``l1_g`` marks the structure g(x) = ||x||_1 + const with
@@ -175,8 +188,7 @@ class RoundOracle:
     eval_f: Callable[[Array], float]
     subgrad_f: Callable[[Array], Array]
     eval_g: Callable[[Array], Array]
-    subgrad_g: Callable[[Array, int], Array]
-    jac_g: Optional[Callable[[Array], Array]] = None
+    jac_g: Callable[[Array], Array]
     linear_g: bool = False
     l1_g: bool = False
     smooth_f: bool = True
@@ -184,9 +196,7 @@ class RoundOracle:
 
     def constraint_jacobian(self, x: Array) -> Array:
         """Rows are constraint subgradients; shape (p, n)."""
-        if self.jac_g is not None:
-            return self.jac_g(x)
-        return np.stack([self.subgrad_g(x, i) for i in range(self.p)])
+        return self.jac_g(x)
 
 
 @dataclass(frozen=True)
@@ -226,3 +236,28 @@ class Trajectory:
     @property
     def T(self) -> int:
         return self.xs.shape[0]
+
+
+def run_schedule(problem, T: int, tau: int, x0: Array, step,
+                 algo: str) -> Trajectory:
+    """Drive an online algorithm over the delayed-feedback schedule.
+
+    The first tau + 1 decisions are the blind initial action ``x0`` and the
+    multipliers start at zero.  At each step t = tau .. tau+T-1 the oracle
+    of round t - tau arrives and ``step(t, oracle, xs, lambdas)`` returns the
+    decision and multiplier for step t + 1; tau = 0 is the undelayed
+    schedule.  A ConvergenceError from the step gets the round index
+    t - tau.  Decisions 0..T-1 are returned with the full multiplier
+    sequence.
+    """
+    xs = np.empty((tau + T + 1, problem.n))
+    xs[: tau + 1] = x0
+    lambdas = np.zeros((tau + T + 1, problem.p))
+    for t in range(tau, tau + T):
+        try:
+            xs[t + 1], lambdas[t + 1] = step(t, problem.rounds[t - tau],
+                                             xs, lambdas)
+        except ConvergenceError as err:
+            err.round_index = t - tau
+            raise
+    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, algo=algo, tau=tau)

@@ -11,13 +11,14 @@ import csv
 import math
 import os
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .baselines import BaselineConfig, paper_baseline_config, run_baseline
-from .core import Trajectory
+from .core import ConvergenceError, InfeasibleProblemError, Trajectory
 from .malm import InnerSolverConfig, MalmConfig, run_malm
 from .metrics import MetricsSeries, full_series
 from .models import LINEARIZED, MODEL_KINDS, PLAIN
@@ -73,9 +74,17 @@ class ExperimentConfig:
         if self.problem not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem {self.problem!r}")
         _check_problem_params(self.problem, self.problem_params)
+        if not self.algos:
+            raise ValueError("need at least one algorithm")
         for algo in self.algos:
             if algo not in ALGO_IDS:
                 raise ValueError(f"unknown algorithm {algo!r}")
+        if not self.out:
+            raise ValueError("need an output path")
+        for name in ("tol_inner", "tol_comparator", "malm_alpha", "malm_sigma"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if not self.taus:
@@ -194,6 +203,16 @@ def run_experiment(config: ExperimentConfig) -> str:
     return config.out
 
 
+@contextmanager
+def _naming_cell(**cell):
+    """Attach ``cell`` to a numeric failure raised inside, for the CLI."""
+    try:
+        yield
+    except (ConvergenceError, InfeasibleProblemError) as err:
+        err.cell = cell
+        raise
+
+
 def _write_grid(config: ExperimentConfig, path: str) -> None:
     problems: dict = {}
     comparators: dict = {}
@@ -204,14 +223,17 @@ def _write_grid(config: ExperimentConfig, path: str) -> None:
             for algo in config.algos:
                 for seed in config.seeds:
                     if seed not in problems:
-                        problems[seed] = generate_problem(config, seed)
-                        comparators[seed] = solve_comparator(
-                            problems[seed], config.tol_comparator)
+                        with _naming_cell(problem=config.problem, seed=seed):
+                            problems[seed] = generate_problem(config, seed)
+                            comparators[seed] = solve_comparator(
+                                problems[seed], config.tol_comparator)
                     problem = problems[seed]
                     if first:
                         writer.writerow(csv_header(problem.p))
                         first = False
-                    traj = run_cell(config, problem, algo, tau)
+                    with _naming_cell(problem=config.problem, algo=algo,
+                                      seed=seed, tau=tau):
+                        traj = run_cell(config, problem, algo, tau)
                     series = full_series(traj, problem, comparators[seed])
                     _write_rows(writer, config, algo, seed, tau, series)
 

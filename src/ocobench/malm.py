@@ -21,7 +21,7 @@ import numpy as np
 
 from ._apg import fista
 from .core import (Array, Box, ConvergenceError, FeasibleSet, SupNormBall,
-                   Trajectory, UnsupportedProblemError, project)
+                   Trajectory, UnsupportedProblemError, project, run_schedule)
 from .models import (LINEARIZED, MODEL_KINDS, PLAIN, QUADRATIC_LINEARIZED,
                      TRUNCATED, ModelAt, make_model)
 
@@ -108,34 +108,23 @@ def closed_form_linearized_p1(a: Array, b: Array, gamma: float,
     return project(feasible_set, xbar)
 
 
-def _smooth_parts(model: ModelAt, prox_center: Array, lam: Array,
-                  alpha: float, sigma: float, mu_f: Optional[float] = None):
-    """Value and gradient closures of the (smoothed) subproblem objective.
+def _smooth_grad(model: ModelAt, prox_center: Array, lam: Array,
+                 alpha: float, sigma: float, mu_f: Optional[float] = None):
+    """Gradient closure of the (smoothed) subproblem objective.
 
     ``mu_f`` replaces a truncated model's hinge by the fixed combination
-    mu_f * (linearization); None means use model.eval_F directly.
+    mu_f * (linearization); None means use model.subgrad_F directly.
     """
     lam = np.asarray(lam, dtype=float)
-    lam_sq = float(lam @ lam)
     center = np.asarray(prox_center, dtype=float)
 
     if mu_f is None:
-        eval_F, grad_F = model.eval_F, model.subgrad_F
+        grad_F = model.subgrad_F
     else:
-        anchor, f_anchor, u = model.anchor, model.f_anchor, model.u
-
-        def eval_F(x: Array) -> float:
-            return mu_f * (f_anchor + float(u @ (x - anchor)))
+        u = model.u
 
         def grad_F(x: Array) -> Array:
             return mu_f * u
-
-    def value(x: Array) -> float:
-        shifted = np.maximum(lam + sigma * model.eval_G(x), 0.0)
-        d = x - center
-        return (float(eval_F(x))
-                + (float(shifted @ shifted) - lam_sq) / (2.0 * sigma)
-                + 0.5 * alpha * float(d @ d))
 
     def grad(x: Array) -> Array:
         shifted = np.maximum(lam + sigma * model.eval_G(x), 0.0)
@@ -143,7 +132,7 @@ def _smooth_parts(model: ModelAt, prox_center: Array, lam: Array,
                 + model.jac_G(x).T @ shifted
                 + alpha * (x - center))
 
-    return value, grad
+    return grad
 
 
 def _initial_lipschitz(model: ModelAt, prox_center: Array, alpha: float,
@@ -156,7 +145,7 @@ def _solve_smooth(model: ModelAt, prox_center: Array, lam: Array,
                   cfg: MalmConfig, feasible_set: FeasibleSet,
                   x_start: Optional[Array] = None, mu_f: Optional[float] = None,
                   tol: Optional[float] = None):
-    _, grad = _smooth_parts(model, prox_center, lam, cfg.alpha, cfg.sigma, mu_f)
+    grad = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma, mu_f)
 
     def prox(z: Array, step: float) -> Array:
         return project(feasible_set, z)
@@ -180,16 +169,19 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     inner_tol = 0.25 * tol
     anchor, f_anchor, u = model.anchor, model.f_anchor, model.u
 
-    def hinge_arg(x: Array) -> float:
+    def hinge_arg(mu: float, x: Array) -> float:
         return f_anchor + float(u @ (x - anchor))
 
-    x_lo, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set,
-                               mu_f=0.0, tol=inner_tol)
-    if hinge_arg(x_lo) <= 0.0:
+    def solve_inner(mu: float, x_start: Optional[Array]) -> Array:
+        x, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set,
+                                x_start=x_start, mu_f=mu, tol=inner_tol)
+        return x
+
+    x_lo = solve_inner(0.0, None)
+    if hinge_arg(0.0, x_lo) <= 0.0:
         return _certify_truncated(model, prox_center, lam, cfg, feasible_set, x_lo, 0.0)
-    x_hi, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set,
-                               x_start=x_lo, mu_f=1.0, tol=inner_tol)
-    if hinge_arg(x_hi) >= 0.0:
+    x_hi = solve_inner(1.0, x_lo)
+    if hinge_arg(1.0, x_hi) >= 0.0:
         return _certify_truncated(model, prox_center, lam, cfg, feasible_set, x_hi, 1.0)
 
     # Dual derivative changes sign inside (0, 1): bisect it until the hinge
@@ -199,26 +191,39 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     u_norm = float(np.linalg.norm(u))
     width_target = min(tol / (4.0 * (1.0 + u_norm)), 1e-12)
     h_floor = 4.0 * u_norm * inner_tol / cfg.alpha + 1e-15 * (1.0 + abs(f_anchor))
-    lo, hi = 0.0, 1.0
-    x_warm = x_hi
+    mu, x_fin = _bisect_dual(solve_inner, hinge_arg, 1.0, x_hi, width_target,
+                             lambda h: abs(h) <= h_floor)
+    return _certify_truncated(model, prox_center, lam, cfg, feasible_set, x_fin, mu)
+
+
+def _bisect_dual(solve_inner, slope, hi: float, x_start: Array,
+                 width_target: float, at_floor):
+    """Bisect a concave scalar dual on [0, hi] by the sign of its slope.
+
+    ``solve_inner(mu, x_warm)`` is the warm-started inner minimizer for the
+    dual variable mu and ``slope(mu, x)`` the dual derivative there, which is
+    nonnegative at 0 and negative at ``hi``.  The search stops when the
+    interval is ``width_target`` wide or when ``at_floor(slope)`` says the
+    slope is within the inner solver's noise floor.  Returns mu and the
+    inner solution at mu.
+    """
+    lo = 0.0
+    x_warm = x_start
     for _ in range(200):
         if hi - lo <= width_target:
             break
         mid = 0.5 * (lo + hi)
-        x_warm, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set,
-                                     x_start=x_warm, mu_f=mid, tol=inner_tol)
-        h = hinge_arg(x_warm)
-        if abs(h) <= h_floor:
+        x_warm = solve_inner(mid, x_warm)
+        s = slope(mid, x_warm)
+        if at_floor(s):
             lo = hi = mid
             break
-        if h >= 0.0:
+        if s >= 0.0:
             lo = mid
         else:
             hi = mid
     mu = 0.5 * (lo + hi)
-    x_fin, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set,
-                                x_start=x_warm, mu_f=mu, tol=inner_tol)
-    return _certify_truncated(model, prox_center, lam, cfg, feasible_set, x_fin, mu)
+    return mu, solve_inner(mu, x_warm)
 
 
 def _certify_truncated(model: ModelAt, prox_center: Array, lam: Array,
@@ -226,7 +231,7 @@ def _certify_truncated(model: ModelAt, prox_center: Array, lam: Array,
                        x: Array, mu: float) -> Array:
     # Residual of the true objective using the dual-informed subgradient
     # mu * u of the hinge (a valid selection at the crease).
-    _, grad_mu = _smooth_parts(model, prox_center, lam, cfg.alpha, cfg.sigma, mu_f=mu)
+    grad_mu = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma, mu_f=mu)
     res = float(np.linalg.norm(x - project(feasible_set, x - grad_mu(x))))
     if res <= cfg.inner.tol:
         return x
@@ -297,24 +302,9 @@ def _solve_plain_l1(model: ModelAt, prox_center: Array, lam: Array,
     n = oracle.n
     slope_floor = (4.0 * np.sqrt(n) * inner_tol / alpha
                    + tol / (4.0 * sigma * np.sqrt(n)))
-    width_target = 1e-13 * (1.0 + mu_hi)
-    lo, hi = 0.0, mu_hi
-    x_warm = x_hi
-    for _ in range(200):
-        if hi - lo <= width_target:
-            break
-        mid = 0.5 * (lo + hi)
-        x_warm = solve_inner(mid, x_warm)
-        slope = dual_slope(mid, x_warm)
-        if abs(slope) * sigma <= slope_floor:
-            lo = hi = mid
-            break
-        if slope >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    x_fin = solve_inner(mu, x_warm)
+    mu, x_fin = _bisect_dual(solve_inner, dual_slope, mu_hi, x_hi,
+                             1e-13 * (1.0 + mu_hi),
+                             lambda slope: abs(slope) * sigma <= slope_floor)
     return _certify_plain_l1(x_fin, mu, smooth_grad, lo_b, hi_b, tol)
 
 
@@ -357,7 +347,7 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
                  - float(model.V[0] @ model.anchor))
         x_cf = closed_form_linearized_p1(a, b, gamma, cfg.alpha, cfg.sigma,
                                          feasible_set)
-        _, grad = _smooth_parts(model, prox_center, lam, cfg.alpha, cfg.sigma)
+        grad = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma)
         res = float(np.linalg.norm(x_cf - project(feasible_set, x_cf - grad(x_cf))))
         if res <= cfg.inner.tol:
             return x_cf
@@ -388,7 +378,7 @@ def _default_x0(problem, cfg: MalmConfig) -> Array:
 
 
 def run_malm(problem, cfg: MalmConfig) -> Trajectory:
-    """Delayed-feedback schedule (reduces to the undelayed one at tau = 0).
+    """MALM on the delayed-feedback schedule (undelayed at tau = 0).
 
     The first tau + 1 decisions are the blind initial action; at each step
     t = tau .. tau+T-1 the oracle of round t - tau arrives, the model is
@@ -396,55 +386,17 @@ def run_malm(problem, cfg: MalmConfig) -> Trajectory:
     updated with the model value at the new decision.  Decisions 0..T-1 are
     returned with the full multiplier sequence.
     """
-    tau, T = cfg.tau, cfg.T
-    x0 = _default_x0(problem, cfg)
-    xs = np.empty((tau + T + 1, problem.n))
-    xs[: tau + 1] = x0
-    lambdas = np.zeros((tau + T + 1, problem.p))
+    tau = cfg.tau
     nu_g = problem.constants.nu_g if problem.constants is not None else None
 
-    for t in range(tau, tau + T):
-        oracle = problem.rounds[t - tau]
+    def step(t, oracle, xs, lambdas):
         anchor = xs[t - tau]
         iota = 0.0
         if cfg.model_kind == QUADRATIC_LINEARIZED and problem.strong_convexity is not None:
             iota = problem.strong_convexity(t - tau)
         model = make_model(oracle, anchor, cfg.model_kind, nu_g=nu_g, iota=iota)
-        try:
-            x_next = solve_subproblem(model, anchor, lambdas[t], cfg, problem.set)
-        except ConvergenceError as err:
-            err.round_index = t - tau
-            raise
-        xs[t + 1] = x_next
-        lambdas[t + 1] = multiplier_update(lambdas[t], model, x_next, cfg.sigma)
+        x_next = solve_subproblem(model, anchor, lambdas[t], cfg, problem.set)
+        return x_next, multiplier_update(lambdas[t], model, x_next, cfg.sigma)
 
-    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, algo="malm", tau=tau)
-
-
-def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
-    """Undelayed schedule: oracle t anchors and updates round t directly."""
-    if cfg.tau != 0:
-        raise ValueError("the undelayed schedule requires tau = 0")
-    T = cfg.T
-    x0 = _default_x0(problem, cfg)
-    xs = np.empty((T + 1, problem.n))
-    xs[0] = x0
-    lambdas = np.zeros((T + 1, problem.p))
-    nu_g = problem.constants.nu_g if problem.constants is not None else None
-
-    for t in range(T):
-        oracle = problem.rounds[t]
-        anchor = xs[t]
-        iota = 0.0
-        if cfg.model_kind == QUADRATIC_LINEARIZED and problem.strong_convexity is not None:
-            iota = problem.strong_convexity(t)
-        model = make_model(oracle, anchor, cfg.model_kind, nu_g=nu_g, iota=iota)
-        try:
-            x_next = solve_subproblem(model, anchor, lambdas[t], cfg, problem.set)
-        except ConvergenceError as err:
-            err.round_index = t
-            raise
-        xs[t + 1] = x_next
-        lambdas[t + 1] = multiplier_update(lambdas[t], model, x_next, cfg.sigma)
-
-    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, algo="malm", tau=0)
+    return run_schedule(problem, cfg.T, tau, _default_x0(problem, cfg), step,
+                        "malm")

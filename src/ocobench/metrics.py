@@ -114,8 +114,11 @@ def psi_kappas(constants: ProblemConstants):
     k2 = nu_g ** 2 / eps0 - nu_g
     k3 = 2.0 * nu_g + eps0 / 2.0 \
         + (8.0 * nu_g ** 2 / eps0) * math.log(32.0 * nu_g ** 2 / eps0 ** 2)
-    # nu_g >= eps0 always (the Slater point itself certifies it).
-    assert k2 >= 0.0, "bound coefficient k2 must be nonnegative"
+    # nu_g >= eps0 whenever nu_g truly bounds ||G|| (the Slater point
+    # certifies it), which is what makes k2 nonnegative.
+    if not k2 >= 0.0:
+        raise ValueError(f"multiplier bound needs nu_g >= eps0, got nu_g "
+                         f"{nu_g:.3e} below eps0 {eps0:.3e}")
     return k0, k1, k2, k3
 
 
@@ -156,8 +159,7 @@ def min_psi_bound(constants: ProblemConstants, sigma: float, alpha: float,
     k0, k1, k2, k3 = psi_kappas(constants)
     s_max = 2 * math.ceil(math.sqrt(T * (tau + 1)))
     s = np.arange(1, max(s_max, 1) + 1, dtype=float)
-    vals = k0 + (tau + 1) * k1 * (alpha / s) + k2 * sigma + k3 * sigma * s
-    return float(vals.min())
+    return float(psi_from_kappas(k0, k1, k2, k3, sigma, alpha, tau, s).min())
 
 
 def multiplier_bound_holds(trajectory: Trajectory, constants: ProblemConstants,

@@ -3,13 +3,13 @@
 A model (F, G) lower-bounds the round's (f_t, g_t) on the feasible set and
 agrees with it at the anchor point.  The subproblem solvers rely on the
 structured fields (anchor values, chosen subgradients) rather than the
-generic callables, so the builders capture those at construction time.
+generic methods, so the builders capture those at construction time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,20 +30,16 @@ class ModelAt:
     For the linearized family, ``f_anchor``/``u`` and ``g_anchor``/``V``
     hold the captured values and subgradients at the anchor (V rows are the
     constraint subgradients), and ``iota`` is the curvature of the quadratic
-    variant.  For the plain model those fields stay None and the oracle is
-    used directly.  ``nu_g`` is an upper bound on ||G(y)|| over the feasible
-    set when the caller supplies one (generators do; handmade oracles may
-    leave it None).
+    variant; the truncated model hinges the tangent plane of f at zero.  For
+    the plain model those fields stay None and the methods pass straight
+    through to the oracle.  ``nu_g`` is an upper bound on ||G(y)|| over the
+    feasible set when the caller supplies one (generators do; handmade
+    oracles may leave it None).
     """
 
     kind: str
     anchor: Optional[Array]
     p: int
-    eval_F: Callable[[Array], float]
-    subgrad_F: Callable[[Array], Array]
-    eval_G: Callable[[Array], Array]
-    subgrad_G: Callable[[Array, int], Array]
-    jac_G: Callable[[Array], Array]
     oracle: Optional[RoundOracle] = None
     f_anchor: Optional[float] = None
     u: Optional[Array] = None
@@ -52,46 +48,51 @@ class ModelAt:
     iota: float = 0.0
     nu_g: Optional[float] = None
 
+    def eval_F(self, x: Array) -> float:
+        if self.kind == PLAIN:
+            return float(self.oracle.eval_f(x))
+        d = np.asarray(x, float) - self.anchor
+        lin = self.f_anchor + float(self.u @ d)
+        if self.kind == QUADRATIC_LINEARIZED:
+            return lin + 0.5 * self.iota * float(d @ d)
+        return max(lin, 0.0) if self.kind == TRUNCATED else lin
 
-def _capture_anchor(oracle: RoundOracle, anchor: Array):
+    def subgrad_F(self, x: Array) -> Array:
+        if self.kind == PLAIN:
+            return np.asarray(self.oracle.subgrad_f(x), dtype=float)
+        if self.kind == QUADRATIC_LINEARIZED:
+            return self.u + self.iota * (np.asarray(x, float) - self.anchor)
+        if self.kind == TRUNCATED and not self.eval_F(x) > 0.0:
+            return np.zeros_like(self.u)
+        return self.u.copy()
+
+    def eval_G(self, x: Array) -> Array:
+        if self.kind == PLAIN:
+            return np.asarray(self.oracle.eval_g(x), dtype=float)
+        return self.g_anchor + self.V @ (np.asarray(x, float) - self.anchor)
+
+    def jac_G(self, x: Array) -> Array:
+        if self.kind == PLAIN:
+            return self.oracle.constraint_jacobian(x)
+        return self.V
+
+
+def _anchored(kind: str, oracle: RoundOracle, anchor: Array,
+              nu_g: Optional[float], iota: float = 0.0) -> ModelAt:
+    """Capture the oracle's values and subgradients at the anchor."""
     anchor = np.asarray(anchor, dtype=float)
-    f_anchor = float(oracle.eval_f(anchor))
-    u = np.asarray(oracle.subgrad_f(anchor), dtype=float)
-    g_anchor = np.asarray(oracle.eval_g(anchor), dtype=float)
-    V = np.asarray(oracle.constraint_jacobian(anchor), dtype=float)
-    return anchor, f_anchor, u, g_anchor, V
-
-
-def _linearized_g(g_anchor: Array, V: Array, anchor: Array):
-    def eval_G(x: Array) -> Array:
-        return g_anchor + V @ (np.asarray(x, float) - anchor)
-
-    def subgrad_G(x: Array, i: int) -> Array:
-        return V[i].copy()
-
-    def jac_G(x: Array) -> Array:
-        return V
-
-    return eval_G, subgrad_G, jac_G
+    return ModelAt(kind=kind, anchor=anchor, p=oracle.p, oracle=oracle,
+                   f_anchor=float(oracle.eval_f(anchor)),
+                   u=np.asarray(oracle.subgrad_f(anchor), dtype=float),
+                   g_anchor=np.asarray(oracle.eval_g(anchor), dtype=float),
+                   V=np.asarray(oracle.constraint_jacobian(anchor), dtype=float),
+                   iota=float(iota), nu_g=nu_g)
 
 
 def build_linearized(oracle: RoundOracle, anchor: Array,
                      nu_g: Optional[float] = None) -> ModelAt:
     """First-order model: tangent planes of f_t and g_t at the anchor."""
-    anchor, f_anchor, u, g_anchor, V = _capture_anchor(oracle, anchor)
-    eval_G, subgrad_G, jac_G = _linearized_g(g_anchor, V, anchor)
-
-    def eval_F(x: Array) -> float:
-        return f_anchor + float(u @ (np.asarray(x, float) - anchor))
-
-    def subgrad_F(x: Array) -> Array:
-        return u.copy()
-
-    return ModelAt(kind=LINEARIZED, anchor=anchor, p=oracle.p,
-                   eval_F=eval_F, subgrad_F=subgrad_F,
-                   eval_G=eval_G, subgrad_G=subgrad_G, jac_G=jac_G,
-                   oracle=oracle, f_anchor=f_anchor, u=u,
-                   g_anchor=g_anchor, V=V, nu_g=nu_g)
+    return _anchored(LINEARIZED, oracle, anchor, nu_g)
 
 
 def build_quadratic_linearized(oracle: RoundOracle, anchor: Array, iota: float,
@@ -99,21 +100,7 @@ def build_quadratic_linearized(oracle: RoundOracle, anchor: Array, iota: float,
     """Linearized model of an iota-strongly-convex loss plus its curvature."""
     if iota < 0:
         raise ValueError("iota must be nonnegative")
-    anchor, f_anchor, u, g_anchor, V = _capture_anchor(oracle, anchor)
-    eval_G, subgrad_G, jac_G = _linearized_g(g_anchor, V, anchor)
-
-    def eval_F(x: Array) -> float:
-        d = np.asarray(x, float) - anchor
-        return f_anchor + float(u @ d) + 0.5 * iota * float(d @ d)
-
-    def subgrad_F(x: Array) -> Array:
-        return u + iota * (np.asarray(x, float) - anchor)
-
-    return ModelAt(kind=QUADRATIC_LINEARIZED, anchor=anchor, p=oracle.p,
-                   eval_F=eval_F, subgrad_F=subgrad_F,
-                   eval_G=eval_G, subgrad_G=subgrad_G, jac_G=jac_G,
-                   oracle=oracle, f_anchor=f_anchor, u=u,
-                   g_anchor=g_anchor, V=V, iota=float(iota), nu_g=nu_g)
+    return _anchored(QUADRATIC_LINEARIZED, oracle, anchor, nu_g, iota)
 
 
 def build_truncated(oracle: RoundOracle, anchor: Array,
@@ -123,50 +110,15 @@ def build_truncated(oracle: RoundOracle, anchor: Array,
     The nonnegativity of f_t is caller-asserted; it is what makes the hinge
     still a lower bound of f_t.
     """
-    anchor, f_anchor, u, g_anchor, V = _capture_anchor(oracle, anchor)
-    eval_G, subgrad_G, jac_G = _linearized_g(g_anchor, V, anchor)
-
-    def eval_F(x: Array) -> float:
-        return max(f_anchor + float(u @ (np.asarray(x, float) - anchor)), 0.0)
-
-    def subgrad_F(x: Array) -> Array:
-        lin = f_anchor + float(u @ (np.asarray(x, float) - anchor))
-        if lin > 0.0:
-            return u.copy()
-        return np.zeros_like(u)
-
-    return ModelAt(kind=TRUNCATED, anchor=anchor, p=oracle.p,
-                   eval_F=eval_F, subgrad_F=subgrad_F,
-                   eval_G=eval_G, subgrad_G=subgrad_G, jac_G=jac_G,
-                   oracle=oracle, f_anchor=f_anchor, u=u,
-                   g_anchor=g_anchor, V=V, nu_g=nu_g)
+    return _anchored(TRUNCATED, oracle, anchor, nu_g)
 
 
 def build_plain(oracle: RoundOracle, anchor: Optional[Array] = None,
                 nu_g: Optional[float] = None) -> ModelAt:
     """Identity model F = f_t, G = g_t; the anchor plays no role."""
-    if anchor is not None:
-        anchor = np.asarray(anchor, dtype=float)
-
-    def eval_F(x: Array) -> float:
-        return float(oracle.eval_f(x))
-
-    def subgrad_F(x: Array) -> Array:
-        return np.asarray(oracle.subgrad_f(x), dtype=float)
-
-    def eval_G(x: Array) -> Array:
-        return np.asarray(oracle.eval_g(x), dtype=float)
-
-    def subgrad_G(x: Array, i: int) -> Array:
-        return np.asarray(oracle.subgrad_g(x, i), dtype=float)
-
-    def jac_G(x: Array) -> Array:
-        return oracle.constraint_jacobian(x)
-
-    return ModelAt(kind=PLAIN, anchor=anchor, p=oracle.p,
-                   eval_F=eval_F, subgrad_F=subgrad_F,
-                   eval_G=eval_G, subgrad_G=subgrad_G, jac_G=jac_G,
-                   oracle=oracle, nu_g=nu_g)
+    anchor = None if anchor is None else np.asarray(anchor, dtype=float)
+    return ModelAt(kind=PLAIN, anchor=anchor, p=oracle.p, oracle=oracle,
+                   nu_g=nu_g)
 
 
 def make_model(oracle: RoundOracle, anchor: Array, kind: str,

@@ -16,8 +16,9 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import expit
 
-from .core import (Array, Box, EuclideanBall, FeasibleSet, ProblemConstants,
-                   RoundOracle, SupNormBall, project_psd)
+from .core import (Array, Box, EuclideanBall, FeasibleSet,
+                   ProblemArgumentError, ProblemConstants, RoundOracle,
+                   SupNormBall, project_psd)
 
 
 @dataclass(frozen=True)
@@ -61,15 +62,11 @@ def _diag_quadratic_round(t: int, q_t: Array, b_t: Array, A: Array) -> RoundOrac
     def eval_g(x):
         return A @ x + b_t
 
-    def subgrad_g(x, i):
-        return A[i]
-
     def jac_g(x):
         return A
 
     return RoundOracle(t=t, n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
-                       eval_g=eval_g, subgrad_g=subgrad_g, jac_g=jac_g,
-                       linear_g=True)
+                       eval_g=eval_g, jac_g=jac_g, linear_g=True)
 
 
 def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
@@ -102,7 +99,7 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
         half the seeds admit no single decision feasible for every round).
     """
     if J < 1 or K < 1:
-        raise ValueError("J and K must be at least 1")
+        raise ProblemArgumentError("J and K must be at least 1")
     rng_zbar, rng_ybar, rng_price, rng_request = _rngs(seed, 4)
 
     E = J * K + K
@@ -187,12 +184,11 @@ def _logistic_round(t: int, Z_t: Array, a_t: float, n: int) -> RoundOracle:
     def eval_g(x):
         return np.array([np.abs(x).sum() - a_t])
 
-    def subgrad_g(x, i):
-        return np.sign(x)
+    def jac_g(x):
+        return np.sign(x)[None, :]
 
     return RoundOracle(t=t, n=n, p=1, eval_f=eval_f, subgrad_f=subgrad_f,
-                       eval_g=eval_g, subgrad_g=subgrad_g, l1_g=True,
-                       smooth_g=False)
+                       eval_g=eval_g, jac_g=jac_g, l1_g=True, smooth_g=False)
 
 
 def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance:
@@ -223,8 +219,8 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     ProblemInstance
         With p = 1; the origin is the Slater point and eps0 = min_t a_t.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be at least 1")
+    if n < 1 or k < 1 or M <= 0:
+        raise ProblemArgumentError("need n, k >= 1 and M > 0")
     rng_u_init, rng_u_steps, rng_labels, rng_a_steps = _rngs(seed, 4)
 
     # Walk steps at paper round t are U[-1/(2t), 1/(2t)]; the first stored
@@ -281,14 +277,11 @@ def _quadratic_round(t: int, A_t: Array, b_t: Array, C_t: Array, d_t: Array,
     def eval_g(x):
         return 0.5 * ((C_t @ x) @ x) + d_t @ x + e_t
 
-    def subgrad_g(x, i):
-        return C_t[i] @ x + d_t[i]
-
     def jac_g(x):
         return C_t @ x + d_t
 
     return RoundOracle(t=t, n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
-                       eval_g=eval_g, subgrad_g=subgrad_g, jac_g=jac_g)
+                       eval_g=eval_g, jac_g=jac_g)
 
 
 def _symmetrize_steps(raw: Array) -> Array:
@@ -327,7 +320,7 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
         smallest eigenvalue of A_t.
     """
     if n < 1 or p < 1 or R <= 0:
-        raise ValueError("need n, p >= 1 and R > 0")
+        raise ProblemArgumentError("need n, p >= 1 and R > 0")
     (rng_A, rng_C, rng_b_init, rng_b_steps, rng_d_init, rng_d_steps,
      rng_h, rng_xhat) = _rngs(seed, 8)
 

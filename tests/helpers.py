@@ -2,7 +2,10 @@
 
 import numpy as np
 
-from ocobench import ProblemInstance, RoundOracle
+from ocobench import (QUADRATIC_LINEARIZED, ConvergenceError, MalmConfig,
+                      ProblemInstance, RoundOracle, Trajectory, make_model,
+                      multiplier_update, solve_subproblem)
+from ocobench.malm import _default_x0
 
 
 def affine_round(t, u, c0, B, g0):
@@ -15,7 +18,6 @@ def affine_round(t, u, c0, B, g0):
         eval_f=lambda x: float(u @ x) + c0,
         subgrad_f=lambda x: u.copy(),
         eval_g=lambda x: B @ x + g0,
-        subgrad_g=lambda x, i: B[i].copy(),
         jac_g=lambda x: B.copy(),
         linear_g=True)
 
@@ -31,7 +33,6 @@ def quad_round(t, Q, b, B, g0):
         eval_f=lambda x: 0.5 * float(x @ Q @ x) + float(b @ x),
         subgrad_f=lambda x: Q @ x + b,
         eval_g=lambda x: B @ x + g0,
-        subgrad_g=lambda x, i: B[i].copy(),
         jac_g=lambda x: B.copy(),
         linear_g=True)
 
@@ -59,3 +60,36 @@ def sample_in(feasible_set, rng, count):
         pts *= (radii / np.maximum(np.linalg.norm(pts, axis=1), 1e-12))[:, None]
         return pts
     raise TypeError(type(feasible_set))
+
+
+def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
+    """Undelayed schedule: oracle t anchors and updates round t directly.
+
+    An independent loop, not the package's delayed-feedback driver, so that
+    comparing the two at tau = 0 checks the delayed schedule's indexing.
+    """
+    if cfg.tau != 0:
+        raise ValueError("the undelayed schedule requires tau = 0")
+    T = cfg.T
+    x0 = _default_x0(problem, cfg)
+    xs = np.empty((T + 1, problem.n))
+    xs[0] = x0
+    lambdas = np.zeros((T + 1, problem.p))
+    nu_g = problem.constants.nu_g if problem.constants is not None else None
+
+    for t in range(T):
+        oracle = problem.rounds[t]
+        anchor = xs[t]
+        iota = 0.0
+        if cfg.model_kind == QUADRATIC_LINEARIZED and problem.strong_convexity is not None:
+            iota = problem.strong_convexity(t)
+        model = make_model(oracle, anchor, cfg.model_kind, nu_g=nu_g, iota=iota)
+        try:
+            x_next = solve_subproblem(model, anchor, lambdas[t], cfg, problem.set)
+        except ConvergenceError as err:
+            err.round_index = t
+            raise
+        xs[t + 1] = x_next
+        lambdas[t + 1] = multiplier_update(lambdas[t], model, x_next, cfg.sigma)
+
+    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, algo="malm", tau=0)

@@ -17,11 +17,10 @@ from ocobench import (LINEARIZED, PLAIN, QUADRATIC_LINEARIZED, TRUNCATED, Box,
                       MalmConfig, closed_form_linearized_p1, full_series,
                       generate_nra, generate_olr, generate_oqcqp, make_model,
                       multiplier_bound_holds, paper_baseline_config, project,
-                      run_baseline, run_malm, run_malm_no_delay,
-                      solve_comparator)
+                      run_baseline, run_malm, solve_comparator)
 from ocobench._apg import fista
 
-from helpers import generic_problem, quad_round, sample_in
+from helpers import generic_problem, quad_round, run_malm_no_delay, sample_in
 
 SEEDS5 = (0, 1, 2, 3, 4)
 

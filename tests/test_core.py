@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from ocobench import (Box, ConvergenceError, EuclideanBall, SupNormBall,
                       Trajectory, contains, diameter, project, project_psd)
+from ocobench.core import run_schedule
 
 BOX = Box(np.array([-1.0, 0.0, -2.0, 0.5]), np.array([1.0, 3.0, -1.0, 0.5]))
 BALL = EuclideanBall(2.5, 4)
@@ -161,3 +164,30 @@ def test_trajectory_T():
 def test_convergence_error_fields():
     err = ConvergenceError("stalled", residual=0.5, iterations=9, round_index=3)
     assert err.residual == 0.5 and err.iterations == 9 and err.round_index == 3
+
+
+def test_run_schedule_names_the_failing_round():
+    problem = SimpleNamespace(n=1, p=1, rounds=tuple(range(6)))
+
+    def step(t, oracle, xs, lambdas):
+        if oracle == 2:
+            raise ConvergenceError("stalled")
+        return xs[t] + 1.0, lambdas[t]
+
+    with pytest.raises(ConvergenceError) as exc:
+        run_schedule(problem, T=5, tau=1, x0=np.zeros(1), step=step, algo="x")
+    assert exc.value.round_index == 2
+
+    traj = run_schedule(SimpleNamespace(n=1, p=1, rounds=(0, 1, 3, 4)), T=4,
+                        tau=1, x0=np.zeros(1), step=step, algo="x")
+    assert traj.xs[:, 0].tolist() == [0.0, 0.0, 1.0, 2.0]
+    assert traj.lambdas.shape == (6, 1) and traj.tau == 1
+
+
+def test_public_api_names_resolve_once():
+    import ocobench
+
+    names = ocobench.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(ocobench, name)]
+    assert missing == []

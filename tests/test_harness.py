@@ -10,7 +10,7 @@ import pytest
 
 from ocobench import (PRESETS, ExperimentConfig, full_series, run_experiment,
                       solve_comparator, sweep)
-from ocobench.cli import _file_updates
+from ocobench.cli import _build_parser, _file_updates, assemble_config, main
 from ocobench.harness import (csv_header, generate_problem, malm_config_for,
                               run_cell)
 
@@ -251,3 +251,55 @@ def test_config_file_problem_keys_keep_case_and_unknown_keys_are_refused(tmp_pat
     assert res.returncode == 2
     assert "bogus" in res.stderr
     assert not (tmp_path / "b.csv").exists()
+
+
+def test_config_file_problem_keys_merge_over_the_preset(tmp_path):
+    ini = tmp_path / "r.ini"
+    ini.write_text("[problem]\nR = 2.0\n")
+    args = _build_parser().parse_args(["--preset", "smoke", "--config", str(ini)])
+    assert assemble_config(args).problem_params == {"n": 4, "p": 2, "R": 2.0}
+
+
+def test_config_refuses_empty_and_nonpositive_settings():
+    for bad in ({"algos": ()}, {"out": ""}, {"tol_inner": 0.0},
+                {"tol_comparator": -1e-7}, {"malm_alpha": 0.0},
+                {"malm_sigma": -1.0}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(problem="oqcqp", **bad)
+
+
+def test_cli_usage_errors_found_during_the_run_exit_2(tmp_path):
+    out = tmp_path / "u.csv"
+    res = run_cli(["--problem", "oqcqp", "--algo", "mosp", "--T", "10",
+                   "--out", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert "linear constraints" in res.stderr
+    assert not out.exists()
+
+    ini = tmp_path / "neg.ini"
+    ini.write_text(EXP_INI.replace("R = 5.0", "R = -1"))
+    res = run_cli(["--config", str(ini), "--out", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert "R > 0" in res.stderr
+    assert not out.exists()
+
+
+def test_cli_lets_linear_algebra_failures_through(tmp_path, monkeypatch):
+    # LinAlgError is a ValueError; it is a numeric fault, not a usage error
+    def broken(config):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr("ocobench.cli.run_experiment", broken)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["--preset", "smoke", "--out", str(tmp_path / "l.csv")])
+
+
+def test_cli_numeric_failure_names_the_cell(tmp_path):
+    out = tmp_path / "n.csv"
+    res = run_cli(["--preset", "smoke", "--T", "20", "--tol-inner", "1e-30",
+                   "--out", str(out)], tmp_path)
+    assert res.returncode == 3
+    for part in ("numeric failure", "problem oqcqp", "algo malm", "seed 0",
+                 "tau 0", "round 0"):
+        assert part in res.stderr
+    assert not out.exists()

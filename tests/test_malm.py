@@ -6,10 +6,10 @@ from ocobench import (LINEARIZED, PLAIN, TRUNCATED, Box, ConvergenceError,
                       RoundOracle, aug_lagrangian, build_linearized,
                       build_plain, closed_form_linearized_p1, contains,
                       generate_nra, generate_olr, generate_oqcqp, make_model,
-                      multiplier_update, project, run_malm, run_malm_no_delay,
-                      solve_comparator, solve_subproblem, subproblem_objective)
+                      multiplier_update, project, run_malm, solve_comparator,
+                      solve_subproblem, subproblem_objective)
 
-from helpers import affine_round, generic_problem, quad_round
+from helpers import affine_round, generic_problem, quad_round, run_malm_no_delay
 
 
 def constant_round(value_f, value_g):
@@ -18,7 +18,6 @@ def constant_round(value_f, value_g):
         eval_f=lambda x: float(value_f),
         subgrad_f=lambda x: np.zeros(1),
         eval_g=lambda x: np.array([float(value_g)]),
-        subgrad_g=lambda x, i: np.zeros(1),
         jac_g=lambda x: np.zeros((1, 1)),
         linear_g=True)
 
@@ -64,7 +63,7 @@ def test_multiplier_update_examples():
         eval_f=lambda x: 0.0,
         subgrad_f=lambda x: np.zeros(1),
         eval_g=lambda x: np.array([-1.0, 4.0]),
-        subgrad_g=lambda x, i: np.zeros(1))
+        jac_g=lambda x: np.zeros((2, 1)))
     m2 = build_plain(two)
     out = multiplier_update(np.array([1.0, 0.0]), m2, np.zeros(1), 0.5)
     assert np.allclose(out, [0.5, 2.0])
@@ -79,7 +78,7 @@ def test_multiplier_update_nonexpansive_step():
             eval_f=lambda x: 0.0,
             subgrad_f=lambda x: np.zeros(1),
             eval_g=lambda x, _g=g: _g.copy(),
-            subgrad_g=lambda x, i: np.zeros(1))
+            jac_g=lambda x: np.zeros((3, 1)))
         lam = np.abs(rng.normal(size=3))
         sigma = float(rng.uniform(0.1, 2))
         out = multiplier_update(lam, build_plain(oracle), np.zeros(1), sigma)
@@ -136,7 +135,6 @@ def test_solve_subproblem_prox_dominates_at_tiny_sigma():
         eval_f=lambda x: 5.0,
         subgrad_f=lambda x: np.zeros(1),
         eval_g=lambda x: np.array([x[0] - 1.0]),
-        subgrad_g=lambda x, i: np.array([1.0]),
         jac_g=lambda x: np.array([[1.0]]),
         linear_g=True)
     feasible = Box(np.array([-2.0]), np.array([2.0]))
@@ -218,12 +216,6 @@ def test_run_malm_deterministic_and_tau0_reduction():
     c = run_malm_no_delay(problem, cfg)
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.lambdas, b.lambdas)
     assert np.array_equal(a.xs, c.xs) and np.array_equal(a.lambdas, c.lambdas)
-
-
-def test_run_malm_no_delay_rejects_tau():
-    problem = generate_oqcqp(4, 2, 3.0, 25, seed=8)
-    with pytest.raises(ValueError):
-        run_malm_no_delay(problem, MalmConfig(alpha=2.0, sigma=0.4, T=25, tau=1))
 
 
 def test_run_malm_contraction_step():

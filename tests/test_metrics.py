@@ -22,7 +22,7 @@ def constant_g_round(t, g_values):
         eval_f=lambda x: 0.0,
         subgrad_f=lambda x: np.zeros(1),
         eval_g=lambda x, _g=g: _g.copy(),
-        subgrad_g=lambda x, i: np.zeros(1))
+        jac_g=lambda x, _p=g.size: np.zeros((_p, 1)))
 
 
 def test_regret_series_hand_case():
@@ -115,6 +115,14 @@ def test_bound_rejects_bad_inputs():
         psi_kappas(bad)
     with pytest.raises(ValueError):
         psi_bound(UNIT_CONSTANTS, 1.0, 1.0, 0, 0)
+
+
+def test_bound_refuses_nu_g_below_slater_margin():
+    # k2 = nu_g^2/eps0 - nu_g < 0; refused even when asserts are stripped
+    low = ProblemConstants(D=1.0, kappa_f=1.0, kappa_g=1.0, nu_g=0.5,
+                           eps0=1.0, slater_point=np.zeros(1))
+    with pytest.raises(ValueError, match="nu_g"):
+        psi_kappas(low)
 
 
 def test_bound_coefficient_k2_nonnegative_on_generators():

@@ -16,7 +16,7 @@ def square_round():
         eval_f=lambda x: float(x[0] ** 2),
         subgrad_f=lambda x: np.array([2.0 * x[0]]),
         eval_g=lambda x: np.array([x[0] - 5.0]),
-        subgrad_g=lambda x, i: np.array([1.0]),
+        jac_g=lambda x: np.array([[1.0]]),
         linear_g=True)
 
 
@@ -27,7 +27,7 @@ def l1_round():
         eval_f=lambda x: float(x @ x),
         subgrad_f=lambda x: 2.0 * x,
         eval_g=lambda x: np.array([np.abs(x).sum() - 2.0]),
-        subgrad_g=lambda x, i: np.sign(x),
+        jac_g=lambda x: np.sign(x)[None, :],
         l1_g=True, smooth_g=False)
 
 

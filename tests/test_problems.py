@@ -138,7 +138,7 @@ def test_rounds_are_convex_with_valid_subgradients(kind):
             assert np.all(oracle.eval_g(mid) <= 0.5 * (gx + gy) + 1e-9)
             for i in range(prob.p):
                 assert gy[i] >= gx[i] \
-                    + float(oracle.subgrad_g(x, i) @ (y - x)) - 1e-9
+                    + float(oracle.constraint_jacobian(x)[i] @ (y - x)) - 1e-9
 
 
 @pytest.mark.parametrize("kind", ["nra", "olr", "oqcqp"])
