@@ -141,8 +141,11 @@ def assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     updates.update(_cli_updates(args))
     if args.preset:
         preset = PRESETS[args.preset]
-        if "problem_params" in updates \
-                and updates.get("problem", preset.problem) == preset.problem:
+        if updates.get("problem", preset.problem) != preset.problem:
+            # Another generator: the preset's arguments are not its own, so
+            # start from its defaults unless the file names some.
+            updates.setdefault("problem_params", {})
+        elif "problem_params" in updates:
             # Same generator: the file's [problem] keys override the
             # preset's one by one.
             updates["problem_params"] = {**preset.problem_params,

@@ -179,7 +179,9 @@ class RoundOracle:
     ``linear_g`` marks exactly-affine constraints (enables algorithms that
     require them), ``l1_g`` marks the structure g(x) = ||x||_1 + const with
     p = 1, and ``smooth_f``/``smooth_g`` tell the subproblem solver whether a
-    gradient method may be applied directly.
+    gradient method may be applied directly.  ``hess_diag``, when given, is
+    the constant Hessian diagonal of a separable quadratic f_t, which then
+    equals its second-order expansion at any point exactly.
     """
 
     t: int
@@ -193,6 +195,7 @@ class RoundOracle:
     l1_g: bool = False
     smooth_f: bool = True
     smooth_g: bool = True
+    hess_diag: Optional[Array] = None
 
     def constraint_jacobian(self, x: Array) -> Array:
         """Rows are constraint subgradients; shape (p, n)."""

@@ -5,11 +5,13 @@ The per-round subproblem is
     min_{x in C}  F(x) + (1/(2 sigma)) (||[lam + sigma G(x)]_+||^2 - ||lam||^2)
                   + (alpha/2) ||x - prox_center||^2
 
-solved either by a closed form (single affine constraint, linearized model)
-or by an accelerated projected gradient method.  Nonsmooth cases (truncated
-model hinge, plain model with an l1 constraint) are reduced to smooth inner
-problems through a scalar dual variable and certified against the original
-objective with the dual-informed subgradient.
+solved by a closed form (single affine constraint, linearized model), by a
+projected Newton method (separable quadratic F and affine G over a box-like
+set, where the objective is piecewise quadratic), or by an accelerated
+projected gradient method.  Nonsmooth cases (truncated model hinge, plain
+model with an l1 constraint) are reduced to smooth inner problems through a
+scalar dual variable and certified against the original objective with the
+dual-informed subgradient.
 """
 
 from __future__ import annotations
@@ -240,6 +242,13 @@ def _certify_truncated(model: ModelAt, prox_center: Array, lam: Array,
         residual=res)
 
 
+def _box_bounds(feasible_set: FeasibleSet, n: int):
+    """Lower and upper bound vectors of a Box or SupNormBall."""
+    if isinstance(feasible_set, Box):
+        return feasible_set.lower, feasible_set.upper
+    return np.full(n, -feasible_set.bound), np.full(n, feasible_set.bound)
+
+
 def _solve_plain_l1(model: ModelAt, prox_center: Array, lam: Array,
                     cfg: MalmConfig, feasible_set: FeasibleSet) -> Array:
     """Plain model whose single constraint is g(x) = ||x||_1 + c.
@@ -261,11 +270,7 @@ def _solve_plain_l1(model: ModelAt, prox_center: Array, lam: Array,
     center = np.asarray(prox_center, dtype=float)
     c = float(oracle.eval_g(np.zeros(oracle.n))[0])
 
-    if isinstance(feasible_set, Box):
-        lo_b, hi_b = feasible_set.lower, feasible_set.upper
-    else:
-        lo_b = np.full(oracle.n, -feasible_set.bound)
-        hi_b = np.full(oracle.n, feasible_set.bound)
+    lo_b, hi_b = _box_bounds(feasible_set, oracle.n)
 
     def smooth_grad(x: Array) -> Array:
         return np.asarray(oracle.subgrad_f(x), float) + alpha * (x - center)
@@ -327,18 +332,90 @@ def _certify_plain_l1(x: Array, mu: float, smooth_grad, lo_b: Array,
         residual=res)
 
 
+# Projected Newton: step cap, Armijo slope fraction, smallest trial step and
+# the relative rounding allowance of the objective values the line search
+# compares.
+_NEWTON_MAX_STEPS = 50
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-12
+_ROUNDING = 1e-14
+
+
+def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
+                  cfg: MalmConfig, feasible_set: FeasibleSet, curvature: Array,
+                  V: Array, x_start: Optional[Array] = None):
+    """Projected Newton method for a piecewise-quadratic subproblem over a box.
+
+    With F quadratic of Hessian diag(curvature) and G(x) = V x + const, the
+    objective's generalized Hessian is D + sigma V_S^T V_S with
+    D = diag(curvature + alpha) and S the rows whose shifted multiplier
+    lam + sigma G(x) is positive.  Each step fixes the box coordinates that
+    sit within tol of a bound their gradient pushes against (Bertsekas,
+    SIAM J. Control Optim. 1982), takes the Newton direction on the others
+    by a Woodbury solve of size |S| <= p, scales the fixed ones by D, and
+    searches the projection arc by Armijo on the subproblem objective.
+    Returns the last point and its projected-gradient residual, which is
+    above tol when the step cap is reached or the line search finds no
+    decrease.
+    """
+    alpha, sigma, tol = cfg.alpha, cfg.sigma, cfg.inner.tol
+    grad = _smooth_grad(model, prox_center, lam, alpha, sigma)
+    lower, upper = _box_bounds(feasible_set, curvature.size)
+    diag = curvature + alpha
+
+    def objective(x: Array) -> float:
+        return subproblem_objective(model, x, lam, alpha, sigma, prox_center)
+
+    x = project(feasible_set, prox_center if x_start is None else x_start)
+    value = objective(x)
+    steps = 0
+    while True:
+        g = grad(x)
+        res = float(np.linalg.norm(x - project(feasible_set, x - g)))
+        if res <= tol or steps == _NEWTON_MAX_STEPS:
+            return x, res
+        steps += 1
+        fixed = (((x <= lower + tol) & (g > 0.0))
+                 | ((x >= upper - tol) & (g < 0.0)))
+        free = ~fixed
+        hinged = lam + sigma * model.eval_G(x) > 0.0
+        direction = g / diag
+        if hinged.any() and free.any():
+            W = V[np.ix_(hinged, free)]
+            WD = W / diag[free]
+            r = direction[free]
+            K = np.eye(W.shape[0]) / sigma + WD @ W.T
+            direction[free] = r - WD.T @ np.linalg.solve(K, W @ r)
+        rounding = _ROUNDING * (1.0 + abs(value))
+        step = 1.0
+        while True:
+            x_new = project(feasible_set, x - step * direction)
+            value_new = objective(x_new)
+            if value_new <= value + _ARMIJO * float(g @ (x_new - x)) + rounding:
+                break
+            step *= 0.5
+            if step < _MIN_STEP:
+                return x, res
+        x, value = x_new, value_new
+
+
 def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
                      cfg: MalmConfig, feasible_set: FeasibleSet) -> Array:
     """Minimize the augmented Lagrangian plus proximal term over the set.
 
-    Dispatches to the closed form for a single affine constraint under the
-    linearized model (falling back to the iterative solver if the projected
-    closed-form point fails the residual check), and otherwise to the smooth
-    or dual-smoothed iterative paths.  The result satisfies the
+    Paths, in the order they are tried: the closed form for a single affine
+    constraint under the linearized model; the projected Newton method when
+    the model has constant diagonal curvature and an affine G
+    (``ModelAt.quadratic_structure``) and the set is a box or sup-norm
+    ball; the dual bisections of the truncated model and of the plain model
+    with an l1 constraint; and the accelerated projected gradient method,
+    which also takes over, warm-started, from a closed-form or Newton point
+    that fails the residual check.  The result satisfies the
     projected-(sub)gradient residual bound cfg.inner.tol.
     """
     prox_center = np.asarray(prox_center, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    x_start = None
 
     if model.kind == LINEARIZED and model.p == 1:
         a = model.u - cfg.alpha * prox_center
@@ -351,14 +428,18 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
         res = float(np.linalg.norm(x_cf - project(feasible_set, x_cf - grad(x_cf))))
         if res <= cfg.inner.tol:
             return x_cf
-        x, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set,
-                                x_start=x_cf)
-        return x
+        x_start = x_cf
 
-    if model.kind == TRUNCATED:
+    structure = model.quadratic_structure()
+    if structure is not None and isinstance(feasible_set, (Box, SupNormBall)):
+        x_nt, res = _solve_newton(model, prox_center, lam, cfg, feasible_set,
+                                  *structure, x_start=x_start)
+        if res <= cfg.inner.tol:
+            return x_nt
+        x_start = x_nt
+    elif model.kind == TRUNCATED:
         return _solve_truncated(model, prox_center, lam, cfg, feasible_set)
-
-    if model.kind == PLAIN and model.oracle is not None:
+    elif model.kind == PLAIN and model.oracle is not None:
         if model.oracle.l1_g:
             if model.p != 1:
                 raise UnsupportedProblemError("l1 constraint handling assumes p = 1")
@@ -367,7 +448,8 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
             raise UnsupportedProblemError(
                 "plain model requires smooth f_t and g_t (or the l1 structure)")
 
-    x, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set)
+    x, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set,
+                            x_start=x_start)
     return x
 
 

@@ -76,6 +76,24 @@ class ModelAt:
             return self.oracle.constraint_jacobian(x)
         return self.V
 
+    def quadratic_structure(self) -> Optional[tuple]:
+        """(h, V) when F has the constant Hessian diag(h) and G(x) = V x + const.
+
+        None when there is no such pair: the truncated model's hinge, or a
+        plain model whose oracle gives no ``hess_diag`` or whose
+        constraints are not affine.
+        """
+        if self.kind == TRUNCATED:
+            return None
+        if self.kind == PLAIN:
+            oracle = self.oracle
+            if oracle is None or oracle.hess_diag is None or not oracle.linear_g:
+                return None
+            V = oracle.constraint_jacobian(np.zeros(oracle.n))
+            return (np.asarray(oracle.hess_diag, dtype=float),
+                    np.asarray(V, dtype=float))
+        return np.full(self.V.shape[1], self.iota), self.V
+
 
 def _anchored(kind: str, oracle: RoundOracle, anchor: Array,
               nu_g: Optional[float], iota: float = 0.0) -> ModelAt:

@@ -66,7 +66,8 @@ def _diag_quadratic_round(t: int, q_t: Array, b_t: Array, A: Array) -> RoundOrac
         return A
 
     return RoundOracle(t=t, n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
-                       eval_g=eval_g, jac_g=jac_g, linear_g=True)
+                       eval_g=eval_g, jac_g=jac_g, linear_g=True,
+                       hess_diag=2.0 * q_t)
 
 
 def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:

@@ -260,6 +260,25 @@ def test_config_file_problem_keys_merge_over_the_preset(tmp_path):
     assert assemble_config(args).problem_params == {"n": 4, "p": 2, "R": 2.0}
 
 
+def test_preset_problem_params_stay_with_the_preset_problem(tmp_path):
+    # smoke is an oqcqp preset: its n, p, R are not olr's arguments
+    args = _build_parser().parse_args(["--preset", "smoke", "--problem", "olr"])
+    assert assemble_config(args).problem_params == {}
+    ini = tmp_path / "olr.ini"
+    ini.write_text("[problem]\nM = 2.0\n")
+    args = _build_parser().parse_args(["--preset", "smoke", "--problem", "olr",
+                                       "--config", str(ini)])
+    assert assemble_config(args).problem_params == {"M": 2.0}
+    args = _build_parser().parse_args(["--preset", "smoke", "--problem", "oqcqp"])
+    assert assemble_config(args).problem_params == {"n": 4, "p": 2, "R": 5.0}
+    out = tmp_path / "olr.csv"
+    res = run_cli(["--preset", "smoke", "--problem", "olr", "--out", str(out)],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    _, rows = read_rows(str(out))
+    assert len(rows) == 100 * 2
+
+
 def test_config_refuses_empty_and_nonpositive_settings():
     for bad in ({"algos": ()}, {"out": ""}, {"tol_inner": 0.0},
                 {"tol_comparator": -1e-7}, {"malm_alpha": 0.0},

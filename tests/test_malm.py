@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ocobench import (LINEARIZED, PLAIN, TRUNCATED, Box, ConvergenceError,
-                      InnerSolverConfig, MalmConfig, ProblemConstants,
-                      RoundOracle, aug_lagrangian, build_linearized,
-                      build_plain, closed_form_linearized_p1, contains,
-                      generate_nra, generate_olr, generate_oqcqp, make_model,
+import ocobench.malm as malm_module
+from ocobench import (LINEARIZED, PLAIN, QUADRATIC_LINEARIZED, TRUNCATED, Box,
+                      ConvergenceError, InnerSolverConfig, MalmConfig,
+                      ProblemConstants, RoundOracle, SupNormBall,
+                      aug_lagrangian, build_linearized, build_plain,
+                      closed_form_linearized_p1, contains, generate_nra,
+                      generate_olr, generate_oqcqp, make_model,
                       multiplier_update, project, run_malm, solve_comparator,
                       solve_subproblem, subproblem_objective)
+from ocobench._apg import fista
+from ocobench.malm import _smooth_grad
 
 from helpers import affine_round, generic_problem, quad_round, run_malm_no_delay
 
@@ -284,3 +291,110 @@ def test_run_malm_reports_failing_round():
         run_malm(problem, cfg)
     assert exc.value.round_index == 0
     assert exc.value.residual > 0
+
+
+# Newton path: separable quadratic F and affine G over a box-like set.
+
+def separable_quadratic_round(h, c, B, g0):
+    """f(x) = 0.5 h.(x*x) + c.x with Hessian diagonal h; g(x) = B x + g0."""
+    return RoundOracle(
+        t=0, n=h.size, p=g0.size,
+        eval_f=lambda x: float(0.5 * h @ (x * x) + c @ x),
+        subgrad_f=lambda x: h * x + c,
+        eval_g=lambda x: B @ x + g0,
+        jac_g=lambda x: B.copy(),
+        linear_g=True, hess_diag=h)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False,
+                     allow_subnormal=False)
+
+
+@st.composite
+def newton_subproblems(draw):
+    """A Newton-eligible model, prox center, multiplier, config and set."""
+    kind = draw(st.sampled_from((PLAIN, LINEARIZED, QUADRATIC_LINEARIZED)))
+    n = draw(st.integers(1, 6))
+    # the linearized model with one constraint takes the closed form
+    p = draw(st.integers(2 if kind == LINEARIZED else 1, 4))
+    h = draw(arrays(float, n, elements=_floats(0.0, 3.0)))
+    c = draw(arrays(float, n, elements=_floats(-3.0, 3.0)))
+    B = draw(arrays(float, (p, n), elements=_floats(-1.0, 1.0)))
+    g0 = draw(arrays(float, p, elements=_floats(-2.0, 2.0)))
+    if draw(st.booleans()):
+        feasible = Box(-draw(arrays(float, n, elements=_floats(0.1, 2.0))),
+                       draw(arrays(float, n, elements=_floats(0.1, 2.0))))
+    else:
+        feasible = SupNormBall(draw(_floats(0.1, 2.0)), n)
+    center = project(feasible, draw(arrays(float, n, elements=_floats(-3.0, 3.0))))
+    lam = draw(arrays(float, p, elements=_floats(0.0, 3.0)))
+    cfg = MalmConfig(alpha=draw(_floats(0.5, 5.0)), sigma=draw(_floats(0.01, 5.0)),
+                     T=1, inner=InnerSolverConfig(tol=1e-9))
+    model = make_model(separable_quadratic_round(h, c, B, g0), center, kind,
+                       iota=draw(_floats(0.0, 2.0)))
+    return model, center, lam, cfg, feasible
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(newton_subproblems(), arrays(float, 4, elements=_floats(0.0, 3.0)))
+def test_newton_subproblems_match_a_tight_gradient_solve(case, other_lam):
+    model, center, lam, cfg, feasible = case
+    assert model.quadratic_structure() is not None
+    x = solve_subproblem(model, center, lam, cfg, feasible)
+    assert subproblem_residual(model, x, lam, cfg, feasible, center) <= cfg.inner.tol
+
+    grad = _smooth_grad(model, center, lam, cfg.alpha, cfg.sigma)
+    x_ref, res_ref, _ = fista(center, grad, lambda z, step: project(feasible, z),
+                              tol=1e-12, max_iters=100_000, raise_on_fail=False)
+    assert res_ref <= 1e-10
+    assert np.max(np.abs(x - x_ref)) <= 1e-7
+
+    # [lam + sigma G(x)]_+ moves by at most sigma ||G(x)|| and is
+    # nonexpansive in the multiplier
+    lam_next = multiplier_update(lam, model, x, cfg.sigma)
+    assert np.all(lam_next >= 0)
+    assert np.linalg.norm(lam_next - lam) \
+        <= cfg.sigma * np.linalg.norm(model.eval_G(x)) + 1e-12
+    other = other_lam[: model.p]
+    assert np.linalg.norm(multiplier_update(other, model, x, cfg.sigma) - lam_next) \
+        <= np.linalg.norm(other - lam) + 1e-12
+
+
+def test_nra_malm_runs_without_the_gradient_solver(monkeypatch):
+    def no_fista(*args, **kwargs):
+        raise AssertionError("fista called on a Newton-eligible subproblem")
+
+    monkeypatch.setattr(malm_module, "fista", no_fista)
+    problem = generate_nra(3, 3, 40, seed=14)
+    for alpha, sigma in ((1.0, 0.8), (10.0, 1.0)):
+        traj = run_malm(problem, MalmConfig(alpha=alpha, sigma=sigma, T=40))
+        assert np.linalg.norm(traj.lambdas, axis=1).max() > 0
+        for t in range(40):
+            assert contains(problem.set, traj.xs[t])
+
+
+def test_uncertified_newton_point_warm_starts_the_gradient_solver(monkeypatch):
+    problem = generate_nra(3, 3, 5, seed=14)
+    center = project(problem.set, np.full(problem.n, 20.0))
+    lam = np.linspace(0.0, 3.0, problem.p)
+    cfg = MalmConfig(alpha=1.0, sigma=0.8, T=1)
+    model = make_model(problem.rounds[2], center, PLAIN)
+    expected = solve_subproblem(model, center, lam, cfg, problem.set)
+
+    corner = problem.set.upper.copy()
+    starts = []
+
+    def uncertified(*args, **kwargs):
+        return corner, np.inf
+
+    def spy(x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return fista(x0, *args, **kwargs)
+
+    monkeypatch.setattr(malm_module, "_solve_newton", uncertified)
+    monkeypatch.setattr(malm_module, "fista", spy)
+    x = solve_subproblem(model, center, lam, cfg, problem.set)
+    assert len(starts) == 1 and np.array_equal(starts[0], corner)
+    assert subproblem_residual(model, x, lam, cfg, problem.set, center) <= cfg.inner.tol
+    assert np.max(np.abs(x - expected)) <= 1e-6

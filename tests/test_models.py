@@ -91,6 +91,25 @@ def test_plain_identity():
         assert np.array_equal(m.eval_G(y), oracle.eval_g(y))
 
 
+def test_quadratic_structure_of_each_model():
+    # F's constant curvature diagonal and G's constant Jacobian, when they exist
+    nra = generate_nra(2, 2, 3, seed=14)
+    oracle, anchor = nra.rounds[1], np.full(nra.n, 1.0)
+    h, V = build_plain(oracle, anchor).quadratic_structure()
+    assert np.array_equal(h, 2.0 * nra.data["q"][1])
+    assert np.array_equal(V, nra.data["A"])
+    h, V = build_linearized(oracle, anchor).quadratic_structure()
+    assert np.array_equal(h, np.zeros(nra.n)) and np.array_equal(V, nra.data["A"])
+    h, V = build_quadratic_linearized(oracle, anchor, 0.7).quadratic_structure()
+    assert np.array_equal(h, np.full(nra.n, 0.7))
+    assert build_truncated(oracle, anchor).quadratic_structure() is None
+    # the plain model needs both a Hessian diagonal and affine constraints
+    assert build_plain(square_round()).quadratic_structure() is None
+    assert build_plain(l1_round()).quadratic_structure() is None
+    oqcqp = generate_oqcqp(3, 2, 2.0, 2, seed=1)
+    assert build_plain(oqcqp.rounds[0]).quadratic_structure() is None
+
+
 def test_make_model_dispatch_and_unknown_kind():
     oracle = square_round()
     anchor = np.array([0.5])

@@ -42,6 +42,21 @@ def test_nra_round_matches_data_arrays():
         assert np.allclose(oracle.constraint_jacobian(x), A)
 
 
+def test_nra_loss_equals_its_second_order_expansion():
+    # hess_diag is what lets the subproblem solver treat f_t as an exact
+    # separable quadratic
+    prob = generate_nra(3, 3, 20, seed=14)
+    rng = np.random.default_rng(1)
+    for t in (0, 5, 19):
+        oracle = prob.rounds[t]
+        assert np.array_equal(oracle.hess_diag, 2.0 * prob.data["q"][t])
+        a, x = sample_in(prob.set, rng, 2)
+        d = x - a
+        expansion = (oracle.eval_f(a) + float(oracle.subgrad_f(a) @ d)
+                     + 0.5 * float(oracle.hess_diag @ (d * d)))
+        assert oracle.eval_f(x) == pytest.approx(expansion, rel=1e-13, abs=1e-10)
+
+
 def test_nra_max_offset_decides_universal_feasibility():
     prob = generate_nra(3, 3, 30, seed=14)
     A, b = prob.data["A"], prob.data["b"]
