@@ -1,10 +1,11 @@
 """Reference online primal-dual algorithms: MOSP, CL, NY, CZP, delayed NY.
 
 All five share the pattern of a projected primal gradient step against the
-current Lagrangian followed by a hinged dual step.  ``J(x)`` denotes the
-n x p matrix whose columns are the constraint (sub)gradients, so that
-J(x) @ lam is the primal coupling term and J(x).T @ d maps a primal
-displacement to constraint space.
+current Lagrangian followed by a hinged dual step.  Each step takes the
+decision x and multiplier lam (and, delayed, those of the received round)
+and returns the next pair.  ``oracle.jac_g(x)`` is the p x n matrix whose
+rows are the constraint (sub)gradients, so its transpose times lam is the
+primal coupling term.
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ import numpy as np
 
 from .core import (Array, FeasibleSet, RoundOracle, Trajectory,
                    UnsupportedProblemError, project, run_schedule)
-
-
-@dataclass(frozen=True)
-class BaselineState:
-    x: Array
-    lam: Array
 
 
 @dataclass(frozen=True)
@@ -69,72 +64,66 @@ def paper_baseline_config(algo: str, T: int, tau: int = 0) -> BaselineConfig:
     raise ValueError(f"unknown baseline {algo!r}")
 
 
-def jacobian(oracle: RoundOracle, x: Array) -> Array:
-    """Constraint Jacobian in column convention: shape (n, p)."""
-    return oracle.constraint_jacobian(x).T
-
-
-def mosp_step(state: BaselineState, oracle: RoundOracle, feasible_set: FeasibleSet,
-              alpha: float, mu: float) -> BaselineState:
+def mosp_step(x: Array, lam: Array, oracle: RoundOracle,
+              feasible_set: FeasibleSet, alpha: float, mu: float) -> tuple:
     """Saddle-point step; the primal update is exact only for linear g_t."""
     if not oracle.linear_g:
         raise UnsupportedProblemError(
             "the saddle-point baseline requires linear constraints")
-    x, lam = state.x, state.lam
     x_new = project(feasible_set,
-                    x - alpha * (oracle.subgrad_f(x) + jacobian(oracle, x) @ lam))
+                    x - alpha * (oracle.subgrad_f(x) + oracle.jac_g(x).T @ lam))
     lam_new = np.maximum(lam + mu * oracle.eval_g(x_new), 0.0)
-    return BaselineState(x_new, lam_new)
+    return x_new, lam_new
 
 
-def cl_step(state: BaselineState, oracle: RoundOracle, feasible_set: FeasibleSet,
-            eta: float, delta: float) -> BaselineState:
+def cl_step(x: Array, lam: Array, oracle: RoundOracle,
+            feasible_set: FeasibleSet, eta: float, delta: float) -> tuple:
     """Primal-dual gradient on f_t + lam.g_t - (delta/2)||lam||^2.
 
     Note the dual step evaluates g_t at the current decision, not the new one.
     """
-    x, lam = state.x, state.lam
     x_new = project(feasible_set,
-                    x - eta * (oracle.subgrad_f(x) + jacobian(oracle, x) @ lam))
+                    x - eta * (oracle.subgrad_f(x) + oracle.jac_g(x).T @ lam))
     lam_new = np.maximum(lam + eta * (oracle.eval_g(x) - delta * eta * lam), 0.0)
-    return BaselineState(x_new, lam_new)
+    return x_new, lam_new
 
 
-def ny_step(state: BaselineState, oracle: RoundOracle, feasible_set: FeasibleSet,
-            alpha: float, nu: float, tau: int = 0,
-            delayed: Optional[BaselineState] = None) -> BaselineState:
+def ny_step(x: Array, lam: Array, oracle: RoundOracle,
+            feasible_set: FeasibleSet, alpha: float, nu: float,
+            x_old: Optional[Array] = None,
+            lam_old: Optional[Array] = None) -> tuple:
     """Virtual-queue style step, in its primal-dual form.
 
-    With tau = 0 the dual update uses g_t at the new decision.  With delay
-    the received round is tau steps old: gradients and the Jacobian are taken
-    at the old decision and the dual update linearizes g around it.
+    Undelayed (no ``x_old``), the dual update uses g_t at the new decision.
+    With delay the received round is older: ``x_old``/``lam_old`` are the
+    decision and multiplier from when it was generated, gradients and the
+    Jacobian are taken at ``x_old`` and the dual update linearizes g
+    around it.
     """
-    x, lam = state.x, state.lam
-    if tau == 0:
+    if x_old is None:
         x_new = project(feasible_set,
-                        x - (nu * oracle.subgrad_f(x) + jacobian(oracle, x) @ lam)
+                        x - (nu * oracle.subgrad_f(x) + oracle.jac_g(x).T @ lam)
                         / (2.0 * alpha))
         lam_new = np.maximum(lam + oracle.eval_g(x_new), 0.0)
-        return BaselineState(x_new, lam_new)
-    x_old, lam_old = delayed.x, delayed.lam
-    jac_old = jacobian(oracle, x_old)
+        return x_new, lam_new
+    jac_old = oracle.jac_g(x_old)
     x_new = project(feasible_set,
-                    x - (nu * oracle.subgrad_f(x_old) + jac_old @ lam_old)
+                    x - (nu * oracle.subgrad_f(x_old) + jac_old.T @ lam_old)
                     / (2.0 * alpha))
-    lam_new = np.maximum(lam + oracle.eval_g(x_old) + jac_old.T @ (x_new - x_old), 0.0)
-    return BaselineState(x_new, lam_new)
+    lam_new = np.maximum(lam + oracle.eval_g(x_old) + jac_old @ (x_new - x_old), 0.0)
+    return x_new, lam_new
 
 
-def czp_step(state: BaselineState, delayed: BaselineState, oracle: RoundOracle,
-             feasible_set: FeasibleSet, eta: float, delta: float) -> BaselineState:
+def czp_step(x: Array, lam: Array, x_old: Array, lam_old: Array,
+             oracle: RoundOracle, feasible_set: FeasibleSet, eta: float,
+             delta: float) -> tuple:
     """Delayed variant of the CL step; ``oracle`` is the round received now,
-    ``delayed`` the decision/multiplier from when it was generated."""
-    x, lam = state.x, state.lam
-    x_old, lam_old = delayed.x, delayed.lam
+    ``x_old``/``lam_old`` the decision and multiplier from when it was
+    generated."""
     x_new = project(feasible_set,
-                    x - eta * (oracle.subgrad_f(x_old) + jacobian(oracle, x_old) @ lam_old))
+                    x - eta * (oracle.subgrad_f(x_old) + oracle.jac_g(x_old).T @ lam_old))
     lam_new = np.maximum(lam + eta * (oracle.eval_g(x_old) - delta * eta * lam_old), 0.0)
-    return BaselineState(x_new, lam_new)
+    return x_new, lam_new
 
 
 def run_baseline(problem, config: BaselineConfig) -> Trajectory:
@@ -149,21 +138,20 @@ def run_baseline(problem, config: BaselineConfig) -> Trajectory:
         raise UnsupportedProblemError(f"{algo} has no delayed variant")
 
     def step(t, oracle, xs, lambdas):
-        state = BaselineState(xs[t], lambdas[t])
-        delayed = BaselineState(xs[t - tau], lambdas[t - tau])
+        x, lam = xs[t], lambdas[t]
         if algo == "mosp":
-            new = mosp_step(state, oracle, problem.set, config.alpha, config.mu)
-        elif algo == "cl":
-            new = cl_step(state, oracle, problem.set, config.eta, config.delta)
-        elif algo == "ny":
-            new = ny_step(state, oracle, problem.set, config.alpha, config.nu,
-                          tau=tau, delayed=delayed)
-        elif algo == "czp":
-            new = czp_step(state, delayed, oracle, problem.set, config.eta,
-                           config.delta)
-        else:
-            raise ValueError(f"unknown baseline {algo!r}")
-        return new.x, new.lam
+            return mosp_step(x, lam, oracle, problem.set, config.alpha, config.mu)
+        if algo == "cl":
+            return cl_step(x, lam, oracle, problem.set, config.eta, config.delta)
+        if algo == "ny" and tau == 0:
+            return ny_step(x, lam, oracle, problem.set, config.alpha, config.nu)
+        if algo == "ny":
+            return ny_step(x, lam, oracle, problem.set, config.alpha, config.nu,
+                           xs[t - tau], lambdas[t - tau])
+        if algo == "czp":
+            return czp_step(x, lam, xs[t - tau], lambdas[t - tau], oracle,
+                            problem.set, config.eta, config.delta)
+        raise ValueError(f"unknown baseline {algo!r}")
 
     return run_schedule(problem, config.T, tau,
-                        project(problem.set, np.zeros(problem.n)), step, algo)
+                        project(problem.set, np.zeros(problem.n)), step)

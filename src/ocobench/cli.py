@@ -62,13 +62,6 @@ def _coerce(text: str):
         return float(text)
 
 
-def _boolean(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}")
-
-
 # INI key (matched case-insensitively) -> (ExperimentConfig field, parser),
 # per section.  The [problem] section is passed through by the generator's
 # own case-sensitive names instead.
@@ -87,7 +80,6 @@ _INI_KEYS = {
         "alpha": ("malm_alpha", float),
         "sigma": ("malm_sigma", float),
         "model": ("malm_model", str),
-        "x0_zero": ("malm_x0_zero", _boolean),
     },
 }
 

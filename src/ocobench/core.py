@@ -178,10 +178,10 @@ class RoundOracle:
 
     ``linear_g`` marks exactly-affine constraints (enables algorithms that
     require them), ``l1_g`` marks the structure g(x) = ||x||_1 + const with
-    p = 1, and ``smooth_f``/``smooth_g`` tell the subproblem solver whether a
-    gradient method may be applied directly.  ``hess_diag``, when given, is
-    the constant Hessian diagonal of a separable quadratic f_t, which then
-    equals its second-order expansion at any point exactly.
+    p = 1, and ``smooth_g`` tells the subproblem solver whether a gradient
+    method may be applied to the plain model directly.  ``hess_diag``, when
+    given, is the constant Hessian diagonal of a separable quadratic f_t,
+    which then equals its second-order expansion at any point exactly.
     """
 
     t: int
@@ -193,13 +193,8 @@ class RoundOracle:
     jac_g: Callable[[Array], Array]
     linear_g: bool = False
     l1_g: bool = False
-    smooth_f: bool = True
     smooth_g: bool = True
     hess_diag: Optional[Array] = None
-
-    def constraint_jacobian(self, x: Array) -> Array:
-        """Rows are constraint subgradients; shape (p, n)."""
-        return self.jac_g(x)
 
 
 @dataclass(frozen=True)
@@ -233,7 +228,6 @@ class Trajectory:
 
     xs: Array
     lambdas: Array
-    algo: str = ""
     tau: int = 0
 
     @property
@@ -241,8 +235,7 @@ class Trajectory:
         return self.xs.shape[0]
 
 
-def run_schedule(problem, T: int, tau: int, x0: Array, step,
-                 algo: str) -> Trajectory:
+def run_schedule(problem, T: int, tau: int, x0: Array, step) -> Trajectory:
     """Drive an online algorithm over the delayed-feedback schedule.
 
     The first tau + 1 decisions are the blind initial action ``x0`` and the
@@ -263,4 +256,4 @@ def run_schedule(problem, T: int, tau: int, x0: Array, step,
         except ConvergenceError as err:
             err.round_index = t - tau
             raise
-    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, algo=algo, tau=tau)
+    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, tau=tau)

@@ -1,4 +1,4 @@
-"""Experiment orchestration: algorithm x problem x delay x seed sweeps to CSV.
+"""Experiment orchestration: algorithm x problem x delay x seed grids to CSV.
 
 One CSV row per round with cumulative metrics; float columns use 17
 significant digits so parsing the file back reproduces the exact doubles.
@@ -12,14 +12,12 @@ import math
 import os
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
-import numpy as np
-
-from .baselines import BaselineConfig, paper_baseline_config, run_baseline
+from .baselines import paper_baseline_config, run_baseline
 from .core import ConvergenceError, InfeasibleProblemError, Trajectory
-from .malm import InnerSolverConfig, MalmConfig, run_malm
+from .malm import MalmConfig, run_malm
 from .metrics import MetricsSeries, full_series
 from .models import LINEARIZED, MODEL_KINDS, PLAIN
 from .offline import solve_comparator
@@ -34,6 +32,8 @@ PROBLEM_DEFAULTS = {
 }
 PROBLEM_KINDS = tuple(PROBLEM_DEFAULTS)
 ALGO_IDS = ("malm", "mosp", "cl", "ny", "czp")
+# Generator arguments that are counts, refused unless integral.
+_INTEGER_PARAMS = ("J", "K", "n", "k", "p")
 
 
 def _check_problem_params(problem: str, params: Mapping) -> None:
@@ -42,6 +42,10 @@ def _check_problem_params(problem: str, params: Mapping) -> None:
         known = ", ".join(PROBLEM_DEFAULTS[problem])
         raise ValueError(f"unknown {problem} parameter(s) "
                          f"{', '.join(map(repr, unknown))}; expected some of {known}")
+    for name in _INTEGER_PARAMS:
+        if name in params and not float(params[name]).is_integer():
+            raise ValueError(f"{problem} parameter {name!r} must be an "
+                             f"integer, got {params[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,6 @@ class ExperimentConfig:
     malm_alpha: Optional[float] = None
     malm_sigma: Optional[float] = None
     malm_model: str = PLAIN
-    malm_x0_zero: bool = False
 
     def __post_init__(self):
         if self.problem not in PROBLEM_KINDS:
@@ -87,6 +90,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError("seeds must be nonnegative")
         if not self.taus:
             raise ValueError("need at least one delay value")
         if any(tau < 0 for tau in self.taus):
@@ -102,7 +107,7 @@ PRESETS = {
         problem="nra", algos=("malm", "mosp", "cl", "ny"), T=10_000,
         taus=(0,), problem_params={"J": 10, "K": 10},
         malm_alpha=0.1 * math.sqrt(10_000), malm_sigma=100.0 / math.sqrt(10_000),
-        malm_model=PLAIN, malm_x0_zero=True),
+        malm_model=PLAIN),
     "olr-paper": ExperimentConfig(
         problem="olr", algos=("malm", "cl", "ny"), T=5_000,
         taus=(0,), problem_params={"n": 5, "k": 10, "M": 10.0},
@@ -137,24 +142,21 @@ def generate_problem(config: ExperimentConfig, seed: int) -> ProblemInstance:
                           R=float(params["R"]), T=config.T, seed=seed)
 
 
-def malm_config_for(config: ExperimentConfig, tau: int,
-                    problem: ProblemInstance) -> MalmConfig:
+def malm_config_for(config: ExperimentConfig, tau: int) -> MalmConfig:
     T = config.T
     alpha = config.malm_alpha if config.malm_alpha is not None \
         else math.sqrt(T / (tau + 1))
     sigma = config.malm_sigma if config.malm_sigma is not None \
         else math.sqrt((tau + 1) / T)
-    x0 = np.zeros(problem.n) if config.malm_x0_zero else None
     return MalmConfig(alpha=alpha, sigma=sigma, T=T, tau=tau,
-                      model_kind=config.malm_model,
-                      inner=InnerSolverConfig(tol=config.tol_inner), x0=x0)
+                      model_kind=config.malm_model, tol=config.tol_inner)
 
 
 def run_cell(config: ExperimentConfig, problem: ProblemInstance,
              algo: str, tau: int) -> Trajectory:
     """Run one (algorithm, delay) cell on an instantiated problem."""
     if algo == "malm":
-        return run_malm(problem, malm_config_for(config, tau, problem))
+        return run_malm(problem, malm_config_for(config, tau))
     return run_baseline(problem, paper_baseline_config(algo, config.T, tau))
 
 
@@ -236,29 +238,3 @@ def _write_grid(config: ExperimentConfig, path: str) -> None:
                         traj = run_cell(config, problem, algo, tau)
                     series = full_series(traj, problem, comparators[seed])
                     _write_rows(writer, config, algo, seed, tau, series)
-
-
-def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> list:
-    """Concatenated run over one axis; returns the written path(s).
-
-    For ``tau`` and ``seed`` the values land in their CSV column and a
-    single file is written.  A ``T`` sweep has no column of its own, so each
-    value gets its own file suffixed ``-T<value>``.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("sweep needs at least one axis value")
-    if axis == "tau":
-        return [run_experiment(replace(config, taus=tuple(int(v) for v in values)))]
-    if axis == "seed":
-        return [run_experiment(replace(config, seeds=tuple(int(v) for v in values)))]
-    if axis == "T":
-        stem, dot, ext = config.out.rpartition(".")
-        if not dot:
-            stem, ext = config.out, "csv"
-        paths = []
-        for v in values:
-            cell = replace(config, T=int(v), out=f"{stem}-T{int(v)}.{ext}")
-            paths.append(run_experiment(cell))
-        return paths
-    raise ValueError(f"unknown sweep axis {axis!r}")

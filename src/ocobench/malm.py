@@ -16,7 +16,7 @@ dual-informed subgradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,24 +29,13 @@ from .models import (LINEARIZED, MODEL_KINDS, PLAIN, QUADRATIC_LINEARIZED,
 
 
 @dataclass(frozen=True)
-class InnerSolverConfig:
-    """Termination contract of the subproblem solver."""
-
-    tol: float = 1e-9
-    max_iters: int = 100_000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-
-
-@dataclass(frozen=True)
 class MalmConfig:
     """Parameters of a MALM run.
 
     ``alpha`` is the proximal stepsize, ``sigma`` the penalty, ``tau`` the
-    feedback delay and ``model_kind`` one of the four model names.  ``x0``
-    overrides the default initial action project(C, 0).
+    feedback delay and ``model_kind`` one of the four model names.  ``tol``
+    and ``max_iters`` are the subproblem solver's termination contract.
+    ``x0`` overrides the default initial action project(C, 0).
     """
 
     alpha: float
@@ -54,7 +43,8 @@ class MalmConfig:
     T: int
     tau: int = 0
     model_kind: str = PLAIN
-    inner: InnerSolverConfig = field(default_factory=InnerSolverConfig)
+    tol: float = 1e-9
+    max_iters: int = 100_000
     x0: Optional[Array] = None
 
     def __post_init__(self):
@@ -66,6 +56,8 @@ class MalmConfig:
             raise ValueError("time horizon T must exceed the delay tau")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 def aug_lagrangian(model: ModelAt, x: Array, lam: Array, sigma: float) -> float:
@@ -154,8 +146,8 @@ def _solve_smooth(model: ModelAt, prox_center: Array, lam: Array,
 
     x0 = np.asarray(prox_center if x_start is None else x_start, dtype=float)
     return fista(x0, grad, prox,
-                 tol=cfg.inner.tol if tol is None else tol,
-                 max_iters=cfg.inner.max_iters,
+                 tol=cfg.tol if tol is None else tol,
+                 max_iters=cfg.max_iters,
                  l0=_initial_lipschitz(model, prox_center, cfg.alpha, cfg.sigma))
 
 
@@ -167,7 +159,7 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     is smooth; the dual function is concave with derivative equal to the
     hinge argument at the inner solution, located by bisection.
     """
-    tol = cfg.inner.tol
+    tol = cfg.tol
     inner_tol = 0.25 * tol
     anchor, f_anchor, u = model.anchor, model.f_anchor, model.u
 
@@ -235,10 +227,10 @@ def _certify_truncated(model: ModelAt, prox_center: Array, lam: Array,
     # mu * u of the hinge (a valid selection at the crease).
     grad_mu = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma, mu_f=mu)
     res = float(np.linalg.norm(x - project(feasible_set, x - grad_mu(x))))
-    if res <= cfg.inner.tol:
+    if res <= cfg.tol:
         return x
     raise ConvergenceError(
-        f"truncated-model subproblem residual {res:.3e} above tol {cfg.inner.tol:.1e}",
+        f"truncated-model subproblem residual {res:.3e} above tol {cfg.tol:.1e}",
         residual=res)
 
 
@@ -263,7 +255,7 @@ def _solve_plain_l1(model: ModelAt, prox_center: Array, lam: Array,
         raise UnsupportedProblemError(
             "plain model with an l1 constraint needs a box-like feasible set")
     oracle = model.oracle
-    tol = cfg.inner.tol
+    tol = cfg.tol
     inner_tol = 0.25 * tol
     sigma, alpha = cfg.sigma, cfg.alpha
     lam0 = float(np.asarray(lam, float)[0])
@@ -281,7 +273,7 @@ def _solve_plain_l1(model: ModelAt, prox_center: Array, lam: Array,
             return np.minimum(np.maximum(soft, lo_b), hi_b)
 
         x, _, _ = fista(x_start, smooth_grad, prox,
-                        tol=inner_tol, max_iters=cfg.inner.max_iters,
+                        tol=inner_tol, max_iters=cfg.max_iters,
                         l0=alpha + 1.0)
         return x
 
@@ -358,7 +350,7 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     above tol when the step cap is reached or the line search finds no
     decrease.
     """
-    alpha, sigma, tol = cfg.alpha, cfg.sigma, cfg.inner.tol
+    alpha, sigma, tol = cfg.alpha, cfg.sigma, cfg.tol
     grad = _smooth_grad(model, prox_center, lam, alpha, sigma)
     lower, upper = _box_bounds(feasible_set, curvature.size)
     diag = curvature + alpha
@@ -411,7 +403,7 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     with an l1 constraint; and the accelerated projected gradient method,
     which also takes over, warm-started, from a closed-form or Newton point
     that fails the residual check.  The result satisfies the
-    projected-(sub)gradient residual bound cfg.inner.tol.
+    projected-(sub)gradient residual bound cfg.tol.
     """
     prox_center = np.asarray(prox_center, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -426,7 +418,7 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
                                          feasible_set)
         grad = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma)
         res = float(np.linalg.norm(x_cf - project(feasible_set, x_cf - grad(x_cf))))
-        if res <= cfg.inner.tol:
+        if res <= cfg.tol:
             return x_cf
         x_start = x_cf
 
@@ -434,19 +426,19 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     if structure is not None and isinstance(feasible_set, (Box, SupNormBall)):
         x_nt, res = _solve_newton(model, prox_center, lam, cfg, feasible_set,
                                   *structure, x_start=x_start)
-        if res <= cfg.inner.tol:
+        if res <= cfg.tol:
             return x_nt
         x_start = x_nt
     elif model.kind == TRUNCATED:
         return _solve_truncated(model, prox_center, lam, cfg, feasible_set)
-    elif model.kind == PLAIN and model.oracle is not None:
+    elif model.kind == PLAIN:
         if model.oracle.l1_g:
             if model.p != 1:
                 raise UnsupportedProblemError("l1 constraint handling assumes p = 1")
             return _solve_plain_l1(model, prox_center, lam, cfg, feasible_set)
-        if not (model.oracle.smooth_f and model.oracle.smooth_g):
+        if not model.oracle.smooth_g:
             raise UnsupportedProblemError(
-                "plain model requires smooth f_t and g_t (or the l1 structure)")
+                "plain model requires a smooth g_t (or the l1 structure)")
 
     x, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set,
                             x_start=x_start)
@@ -469,16 +461,14 @@ def run_malm(problem, cfg: MalmConfig) -> Trajectory:
     returned with the full multiplier sequence.
     """
     tau = cfg.tau
-    nu_g = problem.constants.nu_g if problem.constants is not None else None
 
     def step(t, oracle, xs, lambdas):
         anchor = xs[t - tau]
         iota = 0.0
         if cfg.model_kind == QUADRATIC_LINEARIZED and problem.strong_convexity is not None:
             iota = problem.strong_convexity(t - tau)
-        model = make_model(oracle, anchor, cfg.model_kind, nu_g=nu_g, iota=iota)
+        model = make_model(oracle, anchor, cfg.model_kind, iota=iota)
         x_next = solve_subproblem(model, anchor, lambdas[t], cfg, problem.set)
         return x_next, multiplier_update(lambdas[t], model, x_next, cfg.sigma)
 
-    return run_schedule(problem, cfg.T, tau, _default_x0(problem, cfg), step,
-                        "malm")
+    return run_schedule(problem, cfg.T, tau, _default_x0(problem, cfg), step)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .core import Array, ProblemConstants, Trajectory
 
 @dataclass(frozen=True)
 class MetricsSeries:
-    """Per-round metric columns; unused fields stay None.
+    """Per-round metric columns.
 
     ``cum_regret[t]`` sums rounds 0..t of f_s(x_s) - f_s(x*);
     ``cum_vio[t, i]`` sums g_s^(i)(x_s); ``avg_vio_max`` is the worst
@@ -26,75 +25,42 @@ class MetricsSeries:
     held when decision t was submitted.
     """
 
-    cum_regret: Optional[Array] = None
-    avg_regret: Optional[Array] = None
-    cum_vio: Optional[Array] = None
-    avg_vio_max: Optional[Array] = None
-    vio_d: Optional[Array] = None
-    lambda_norm: Optional[Array] = None
+    cum_regret: Array
+    avg_regret: Array
+    cum_vio: Array
+    avg_vio_max: Array
+    vio_d: Array
+    lambda_norm: Array
 
 
-def regret_series(trajectory: Trajectory, problem, x_star: Array) -> MetricsSeries:
-    """Cumulative and time-averaged regret against a fixed comparator.
+def full_series(trajectory: Trajectory, problem, x_star: Array) -> MetricsSeries:
+    """Every metric column of a trajectory against a fixed comparator.
 
     Parameters
     ----------
     trajectory : Trajectory
         Decisions x_0..x_{T-1} matched to rounds 0..T-1.
     problem : ProblemInstance
-        Supplies the round losses.
+        Supplies the round losses and constraints.
     x_star : ndarray
         Fixed comparator decision.
-
-    Returns
-    -------
-    MetricsSeries
-        With ``cum_regret`` and ``avg_regret`` filled.
     """
     T = trajectory.T
-    per = np.empty(T)
+    regret = np.empty(T)
+    vio = np.empty((T, problem.p))
     for t in range(T):
-        f = problem.rounds[t].eval_f
-        per[t] = f(trajectory.xs[t]) - f(x_star)
-    cum = np.cumsum(per)
-    return MetricsSeries(cum_regret=cum,
-                         avg_regret=cum / np.arange(1, T + 1))
-
-
-def violation_series(trajectory: Trajectory, problem) -> MetricsSeries:
-    """Per-constraint cumulative violation and its derived series.
-
-    Returns
-    -------
-    MetricsSeries
-        ``cum_vio`` (T, p) prefix sums of g_t(x_t), ``avg_vio_max`` the
-        largest time-averaged component, and ``vio_d`` the norm of the
-        componentwise-hinged cumulative vector.
-    """
-    T = trajectory.T
-    p = problem.p
-    per = np.empty((T, p))
-    for t in range(T):
-        per[t] = problem.rounds[t].eval_g(trajectory.xs[t])
-    cum = np.cumsum(per, axis=0)
-    avg_max = cum.max(axis=1) / np.arange(1, T + 1)
-    vio_d = np.linalg.norm(np.maximum(cum, 0.0), axis=1)
-    return MetricsSeries(cum_vio=cum, avg_vio_max=avg_max, vio_d=vio_d)
-
-
-def lambda_norm_series(trajectory: Trajectory) -> Array:
-    """Multiplier norms aligned with decisions 0..T-1."""
-    return np.linalg.norm(trajectory.lambdas[: trajectory.T], axis=1)
-
-
-def full_series(trajectory: Trajectory, problem, x_star: Array) -> MetricsSeries:
-    """All columns at once (regret, violations, multiplier norms)."""
-    reg = regret_series(trajectory, problem, x_star)
-    vio = violation_series(trajectory, problem)
-    return MetricsSeries(cum_regret=reg.cum_regret, avg_regret=reg.avg_regret,
-                         cum_vio=vio.cum_vio, avg_vio_max=vio.avg_vio_max,
-                         vio_d=vio.vio_d,
-                         lambda_norm=lambda_norm_series(trajectory))
+        oracle = problem.rounds[t]
+        regret[t] = oracle.eval_f(trajectory.xs[t]) - oracle.eval_f(x_star)
+        vio[t] = oracle.eval_g(trajectory.xs[t])
+    cum_regret = np.cumsum(regret)
+    cum_vio = np.cumsum(vio, axis=0)
+    return MetricsSeries(
+        cum_regret=cum_regret,
+        avg_regret=cum_regret / np.arange(1, T + 1),
+        cum_vio=cum_vio,
+        avg_vio_max=cum_vio.max(axis=1) / np.arange(1, T + 1),
+        vio_d=np.linalg.norm(np.maximum(cum_vio, 0.0), axis=1),
+        lambda_norm=np.linalg.norm(trajectory.lambdas[:T], axis=1))
 
 
 def psi_kappas(constants: ProblemConstants):

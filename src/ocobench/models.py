@@ -3,7 +3,7 @@
 A model (F, G) lower-bounds the round's (f_t, g_t) on the feasible set and
 agrees with it at the anchor point.  The subproblem solvers rely on the
 structured fields (anchor values, chosen subgradients) rather than the
-generic methods, so the builders capture those at construction time.
+generic methods, so ``make_model`` captures those at construction time.
 """
 
 from __future__ import annotations
@@ -32,21 +32,18 @@ class ModelAt:
     constraint subgradients), and ``iota`` is the curvature of the quadratic
     variant; the truncated model hinges the tangent plane of f at zero.  For
     the plain model those fields stay None and the methods pass straight
-    through to the oracle.  ``nu_g`` is an upper bound on ||G(y)|| over the
-    feasible set when the caller supplies one (generators do; handmade
-    oracles may leave it None).
+    through to the oracle.
     """
 
     kind: str
-    anchor: Optional[Array]
+    anchor: Array
     p: int
-    oracle: Optional[RoundOracle] = None
+    oracle: RoundOracle
     f_anchor: Optional[float] = None
     u: Optional[Array] = None
     g_anchor: Optional[Array] = None
     V: Optional[Array] = None
     iota: float = 0.0
-    nu_g: Optional[float] = None
 
     def eval_F(self, x: Array) -> float:
         if self.kind == PLAIN:
@@ -73,7 +70,7 @@ class ModelAt:
 
     def jac_G(self, x: Array) -> Array:
         if self.kind == PLAIN:
-            return self.oracle.constraint_jacobian(x)
+            return self.oracle.jac_g(x)
         return self.V
 
     def quadratic_structure(self) -> Optional[tuple]:
@@ -87,67 +84,38 @@ class ModelAt:
             return None
         if self.kind == PLAIN:
             oracle = self.oracle
-            if oracle is None or oracle.hess_diag is None or not oracle.linear_g:
+            if oracle.hess_diag is None or not oracle.linear_g:
                 return None
-            V = oracle.constraint_jacobian(np.zeros(oracle.n))
+            V = oracle.jac_g(np.zeros(oracle.n))
             return (np.asarray(oracle.hess_diag, dtype=float),
                     np.asarray(V, dtype=float))
         return np.full(self.V.shape[1], self.iota), self.V
 
 
-def _anchored(kind: str, oracle: RoundOracle, anchor: Array,
-              nu_g: Optional[float], iota: float = 0.0) -> ModelAt:
-    """Capture the oracle's values and subgradients at the anchor."""
+def make_model(oracle: RoundOracle, anchor: Array, kind: str,
+               iota: float = 0.0) -> ModelAt:
+    """The model of ``kind`` for the round ``oracle``, anchored at ``anchor``.
+
+    ``plain`` is F = f_t, G = g_t (the anchor plays no role).  The others
+    capture the oracle's values and subgradients at the anchor:
+    ``linearized`` is the tangent planes of f_t and g_t,
+    ``quadratic_linearized`` adds the curvature ``iota`` of an
+    iota-strongly-convex loss, and ``truncated`` hinges the tangent plane
+    of f_t at zero, which still lower-bounds f_t only where f_t >= 0 on the
+    set (caller-asserted).
+    """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     anchor = np.asarray(anchor, dtype=float)
+    if kind == PLAIN:
+        return ModelAt(kind=kind, anchor=anchor, p=oracle.p, oracle=oracle)
+    if kind != QUADRATIC_LINEARIZED:
+        iota = 0.0
+    elif iota < 0:
+        raise ValueError("iota must be nonnegative")
     return ModelAt(kind=kind, anchor=anchor, p=oracle.p, oracle=oracle,
                    f_anchor=float(oracle.eval_f(anchor)),
                    u=np.asarray(oracle.subgrad_f(anchor), dtype=float),
                    g_anchor=np.asarray(oracle.eval_g(anchor), dtype=float),
-                   V=np.asarray(oracle.constraint_jacobian(anchor), dtype=float),
-                   iota=float(iota), nu_g=nu_g)
-
-
-def build_linearized(oracle: RoundOracle, anchor: Array,
-                     nu_g: Optional[float] = None) -> ModelAt:
-    """First-order model: tangent planes of f_t and g_t at the anchor."""
-    return _anchored(LINEARIZED, oracle, anchor, nu_g)
-
-
-def build_quadratic_linearized(oracle: RoundOracle, anchor: Array, iota: float,
-                               nu_g: Optional[float] = None) -> ModelAt:
-    """Linearized model of an iota-strongly-convex loss plus its curvature."""
-    if iota < 0:
-        raise ValueError("iota must be nonnegative")
-    return _anchored(QUADRATIC_LINEARIZED, oracle, anchor, nu_g, iota)
-
-
-def build_truncated(oracle: RoundOracle, anchor: Array,
-                    nu_g: Optional[float] = None) -> ModelAt:
-    """Hinged tangent plane [f + <u, x - anchor>]_+; needs f_t >= 0 on the set.
-
-    The nonnegativity of f_t is caller-asserted; it is what makes the hinge
-    still a lower bound of f_t.
-    """
-    return _anchored(TRUNCATED, oracle, anchor, nu_g)
-
-
-def build_plain(oracle: RoundOracle, anchor: Optional[Array] = None,
-                nu_g: Optional[float] = None) -> ModelAt:
-    """Identity model F = f_t, G = g_t; the anchor plays no role."""
-    anchor = None if anchor is None else np.asarray(anchor, dtype=float)
-    return ModelAt(kind=PLAIN, anchor=anchor, p=oracle.p, oracle=oracle,
-                   nu_g=nu_g)
-
-
-def make_model(oracle: RoundOracle, anchor: Array, kind: str,
-               nu_g: Optional[float] = None, iota: float = 0.0) -> ModelAt:
-    """Dispatch to the builder named by ``kind``."""
-    if kind == PLAIN:
-        return build_plain(oracle, anchor, nu_g=nu_g)
-    if kind == LINEARIZED:
-        return build_linearized(oracle, anchor, nu_g=nu_g)
-    if kind == QUADRATIC_LINEARIZED:
-        return build_quadratic_linearized(oracle, anchor, iota, nu_g=nu_g)
-    if kind == TRUNCATED:
-        return build_truncated(oracle, anchor, nu_g=nu_g)
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+                   V=np.asarray(oracle.jac_g(anchor), dtype=float),
+                   iota=float(iota))

@@ -233,7 +233,7 @@ def _solve_generic(problem: ProblemInstance, tol: float) -> Array:
         out = np.zeros(problem.n)
         at = 0
         for o in rounds:
-            out += o.constraint_jacobian(x).T @ w[at:at + o.p]
+            out += o.jac_g(x).T @ w[at:at + o.p]
             at += o.p
         return out
 

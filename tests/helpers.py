@@ -75,7 +75,6 @@ def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
     xs = np.empty((T + 1, problem.n))
     xs[0] = x0
     lambdas = np.zeros((T + 1, problem.p))
-    nu_g = problem.constants.nu_g if problem.constants is not None else None
 
     for t in range(T):
         oracle = problem.rounds[t]
@@ -83,7 +82,7 @@ def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
         iota = 0.0
         if cfg.model_kind == QUADRATIC_LINEARIZED and problem.strong_convexity is not None:
             iota = problem.strong_convexity(t)
-        model = make_model(oracle, anchor, cfg.model_kind, nu_g=nu_g, iota=iota)
+        model = make_model(oracle, anchor, cfg.model_kind, iota=iota)
         try:
             x_next = solve_subproblem(model, anchor, lambdas[t], cfg, problem.set)
         except ConvergenceError as err:
@@ -92,4 +91,4 @@ def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
         xs[t + 1] = x_next
         lambdas[t + 1] = multiplier_update(lambdas[t], model, x_next, cfg.sigma)
 
-    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, algo="malm", tau=0)
+    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, tau=0)

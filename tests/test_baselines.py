@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocobench import (BaselineConfig, BaselineState, Box,
+from ocobench import (BaselineConfig, Box,
                       UnsupportedProblemError, cl_step, contains, czp_step,
                       generate_nra, generate_oqcqp, mosp_step, ny_step,
                       paper_baseline_config, project, run_baseline)
@@ -13,63 +13,60 @@ LINE = affine_round(0, [1.0], 0.0, [[1.0]], [-1.0])  # f = x, g = x - 1
 
 
 def test_mosp_step_hand_case():
-    out = mosp_step(BaselineState(np.zeros(1), np.array([2.0])), LINE, SEG,
-                    alpha=0.1, mu=0.1)
-    assert out.x[0] == pytest.approx(-0.3)
+    x, lam = mosp_step(np.zeros(1), np.array([2.0]), LINE, SEG,
+                       alpha=0.1, mu=0.1)
+    assert x[0] == pytest.approx(-0.3)
     # dual step sees the constraint at the updated decision
-    assert out.lam[0] == pytest.approx(1.87)
+    assert lam[0] == pytest.approx(1.87)
 
 
 def test_cl_step_hand_case():
-    out = cl_step(BaselineState(np.zeros(1), np.array([1.0])), LINE, SEG,
-                  eta=0.5, delta=0.01)
-    assert out.x[0] == pytest.approx(-1.0)
+    x, lam = cl_step(np.zeros(1), np.array([1.0]), LINE, SEG,
+                     eta=0.5, delta=0.01)
+    assert x[0] == pytest.approx(-1.0)
     # dual step sees the constraint at the pre-update decision
-    assert out.lam[0] == pytest.approx(0.4975)
+    assert lam[0] == pytest.approx(0.4975)
 
 
 def test_ny_step_hand_case():
-    out = ny_step(BaselineState(np.zeros(1), np.zeros(1)), LINE, SEG,
-                  alpha=1.0, nu=1.0)
-    assert out.x[0] == pytest.approx(-0.5)
-    assert out.lam[0] == pytest.approx(0.0)
+    x, lam = ny_step(np.zeros(1), np.zeros(1), LINE, SEG, alpha=1.0, nu=1.0)
+    assert x[0] == pytest.approx(-0.5)
+    assert lam[0] == pytest.approx(0.0)
 
 
 def test_czp_step_hand_case():
-    out = czp_step(BaselineState(np.array([0.5]), np.array([1.0])),
-                   BaselineState(np.zeros(1), np.array([1.0])),
-                   LINE, SEG, eta=0.1, delta=10.0)
-    assert out.x[0] == pytest.approx(0.3)
-    assert out.lam[0] == pytest.approx(0.8)
+    x, lam = czp_step(np.array([0.5]), np.array([1.0]),
+                      np.zeros(1), np.array([1.0]),
+                      LINE, SEG, eta=0.1, delta=10.0)
+    assert x[0] == pytest.approx(0.3)
+    assert lam[0] == pytest.approx(0.8)
 
 
 def test_czp_with_current_state_matches_cl():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        state = BaselineState(project(SEG, rng.normal(size=1)),
-                              np.abs(rng.normal(size=1)))
-        a = cl_step(state, LINE, SEG, eta=0.3, delta=0.5)
-        b = czp_step(state, state, LINE, SEG, eta=0.3, delta=0.5)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.lam, b.lam)
+        x, lam = project(SEG, rng.normal(size=1)), np.abs(rng.normal(size=1))
+        a = cl_step(x, lam, LINE, SEG, eta=0.3, delta=0.5)
+        b = czp_step(x, lam, x, lam, LINE, SEG, eta=0.3, delta=0.5)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_ny_delayed_with_current_state_matches_undelayed():
     # with linear constraints the delayed dual linearization is exact
     rng = np.random.default_rng(9)
     for _ in range(10):
-        state = BaselineState(project(SEG, rng.normal(size=1)),
-                              np.abs(rng.normal(size=1)))
-        a = ny_step(state, LINE, SEG, alpha=2.0, nu=1.5)
-        b = ny_step(state, LINE, SEG, alpha=2.0, nu=1.5, tau=1, delayed=state)
-        assert np.allclose(a.x, b.x, atol=1e-14)
-        assert np.allclose(a.lam, b.lam, atol=1e-14)
+        x, lam = project(SEG, rng.normal(size=1)), np.abs(rng.normal(size=1))
+        a = ny_step(x, lam, LINE, SEG, alpha=2.0, nu=1.5)
+        b = ny_step(x, lam, LINE, SEG, alpha=2.0, nu=1.5, x_old=x, lam_old=lam)
+        assert np.allclose(a[0], b[0], atol=1e-14)
+        assert np.allclose(a[1], b[1], atol=1e-14)
 
 
 def test_mosp_rejects_nonlinear_constraints():
     problem = generate_oqcqp(4, 2, 3.0, 10, seed=1)
-    state = BaselineState(np.zeros(4), np.zeros(2))
     with pytest.raises(UnsupportedProblemError):
-        mosp_step(state, problem.rounds[0], problem.set, alpha=0.1, mu=0.1)
+        mosp_step(np.zeros(4), np.zeros(2), problem.rounds[0], problem.set,
+                  alpha=0.1, mu=0.1)
 
 
 def test_paper_baseline_config_values():
@@ -116,7 +113,7 @@ def test_run_baseline_schedule_and_feasibility(algo, tau):
     x0 = project(problem.set, np.zeros(problem.n))
     assert traj.xs.shape == (40, problem.n)
     assert traj.lambdas.shape == (tau + 41, problem.p)
-    assert traj.algo == algo and traj.tau == tau
+    assert traj.tau == tau
     for t in range(tau + 1):
         assert np.array_equal(traj.xs[t], x0)
     assert np.all(traj.lambdas >= 0)

@@ -175,11 +175,11 @@ def test_run_schedule_names_the_failing_round():
         return xs[t] + 1.0, lambdas[t]
 
     with pytest.raises(ConvergenceError) as exc:
-        run_schedule(problem, T=5, tau=1, x0=np.zeros(1), step=step, algo="x")
+        run_schedule(problem, T=5, tau=1, x0=np.zeros(1), step=step)
     assert exc.value.round_index == 2
 
     traj = run_schedule(SimpleNamespace(n=1, p=1, rounds=(0, 1, 3, 4)), T=4,
-                        tau=1, x0=np.zeros(1), step=step, algo="x")
+                        tau=1, x0=np.zeros(1), step=step)
     assert traj.xs[:, 0].tolist() == [0.0, 0.0, 1.0, 2.0]
     assert traj.lambdas.shape == (6, 1) and traj.tau == 1
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ocobench import (PRESETS, ExperimentConfig, full_series, run_experiment,
-                      solve_comparator, sweep)
+                      solve_comparator)
 from ocobench.cli import _build_parser, _file_updates, assemble_config, main
 from ocobench.harness import (csv_header, generate_problem, malm_config_for,
                               run_cell)
@@ -30,7 +30,6 @@ def test_preset_registry_pins():
     assert nra.T == 10_000 and nra.problem_params == {"J": 10, "K": 10}
     assert nra.malm_alpha == pytest.approx(0.1 * 100.0)
     assert nra.malm_sigma == pytest.approx(100.0 / 100.0)
-    assert nra.malm_x0_zero
     olr = PRESETS["olr-paper"]
     assert olr.T == 5_000 and olr.malm_model == "linearized"
     oqcqp = PRESETS["oqcqp-paper"]
@@ -57,18 +56,16 @@ def test_experiment_config_validation():
 
 
 def test_malm_config_defaults_and_overrides():
-    problem = generate_problem(SMALL, 0)
-    cfg = malm_config_for(SMALL, 3, problem)
+    cfg = malm_config_for(SMALL, 3)
     assert cfg.alpha == pytest.approx(np.sqrt(40.0 / 4.0))
     assert cfg.sigma == pytest.approx(np.sqrt(4.0 / 40.0))
     assert cfg.tau == 3 and cfg.x0 is None
 
     tuned = ExperimentConfig(problem="oqcqp", malm_alpha=7.0, malm_sigma=0.3,
-                             malm_x0_zero=True,
+                             tol_inner=1e-8,
                              problem_params={"n": 4, "p": 2, "R": 5.0})
-    cfg = malm_config_for(tuned, 0, problem)
-    assert cfg.alpha == 7.0 and cfg.sigma == 0.3
-    assert np.array_equal(cfg.x0, np.zeros(4))
+    cfg = malm_config_for(tuned, 0)
+    assert cfg.alpha == 7.0 and cfg.sigma == 0.3 and cfg.tol == 1e-8
 
 
 def test_run_experiment_schema_and_row_counts(tmp_path):
@@ -115,38 +112,6 @@ def test_csv_floats_round_trip_exactly(tmp_path):
         assert float(row[8]) == series.cum_vio[t, 0]
         assert float(row[9]) == series.cum_vio[t, 1]
         assert float(row[10]) == series.lambda_norm[t]
-
-
-def test_sweep_tau_and_seed_share_one_file(tmp_path):
-    cfg = dataclasses.replace(SMALL, algos=("malm",),
-                              out=str(tmp_path / "tau.csv"))
-    paths = sweep(cfg, "tau", [0, 2])
-    assert paths == [str(tmp_path / "tau.csv")]
-    _, rows = read_rows(paths[0])
-    assert {r[3] for r in rows} == {"0", "2"}
-    assert len(rows) == 80
-
-    cfg = dataclasses.replace(cfg, out=str(tmp_path / "seed.csv"))
-    paths = sweep(cfg, "seed", [0, 3])
-    _, rows = read_rows(paths[0])
-    assert {r[2] for r in rows} == {"0", "3"}
-
-
-def test_sweep_T_writes_one_file_per_value(tmp_path):
-    cfg = dataclasses.replace(SMALL, algos=("malm",),
-                              out=str(tmp_path / "h.csv"))
-    paths = sweep(cfg, "T", [30, 50])
-    assert paths == [str(tmp_path / "h-T30.csv"), str(tmp_path / "h-T50.csv")]
-    for path, T in zip(paths, (30, 50)):
-        _, rows = read_rows(path)
-        assert len(rows) == T
-
-
-def test_sweep_validation():
-    with pytest.raises(ValueError):
-        sweep(SMALL, "tau", [])
-    with pytest.raises(ValueError):
-        sweep(SMALL, "alpha", [1.0])
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -244,6 +209,9 @@ def test_config_file_problem_keys_keep_case_and_unknown_keys_are_refused(tmp_pat
     ini.write_text(EXP_INI.replace("alpha", "alfa"))
     with pytest.raises(ValueError, match="alfa"):
         _file_updates(str(ini))
+    ini.write_text(EXP_INI + "x0_zero = true\n")
+    with pytest.raises(ValueError, match="x0_zero"):
+        _file_updates(str(ini))
 
     ini.write_text(EXP_INI.replace("R = 5.0\n", "R = 5.0\nbogus = 3\n"))
     res = run_cli(["--config", str(ini), "--out", str(tmp_path / "b.csv")],
@@ -321,4 +289,32 @@ def test_cli_numeric_failure_names_the_cell(tmp_path):
     for part in ("numeric failure", "problem oqcqp", "algo malm", "seed 0",
                  "tau 0", "round 0"):
         assert part in res.stderr
+    assert not out.exists()
+
+
+def test_negative_seeds_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig(problem="olr", seeds=(0, -1))
+    out = tmp_path / "neg.csv"
+    res = run_cli(["--problem", "olr", "--T", "20", "--seed=-1",
+                   "--out", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert "seeds must be nonnegative" in res.stderr
+    assert not out.exists()
+
+
+def test_count_arguments_must_be_integral(tmp_path):
+    for problem, name in (("nra", "J"), ("nra", "K"), ("olr", "n"),
+                          ("olr", "k"), ("oqcqp", "n"), ("oqcqp", "p")):
+        with pytest.raises(ValueError, match=f"'{name}' must be an integer"):
+            ExperimentConfig(problem=problem, problem_params={name: 2.5})
+    config = ExperimentConfig(problem="nra", T=5, problem_params={"J": 3.0})
+    assert generate_problem(config, 0).params["J"] == 3
+
+    ini = tmp_path / "j.ini"
+    ini.write_text("[experiment]\nproblem = nra\nT = 20\n[problem]\nJ = 2.5\n")
+    out = tmp_path / "j.csv"
+    res = run_cli(["--config", str(ini), "--out", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert "'J' must be an integer, got 2.5" in res.stderr
     assert not out.exists()

@@ -6,15 +6,14 @@ from hypothesis.extra.numpy import arrays
 
 import ocobench.malm as malm_module
 from ocobench import (LINEARIZED, PLAIN, QUADRATIC_LINEARIZED, TRUNCATED, Box,
-                      ConvergenceError, InnerSolverConfig, MalmConfig,
-                      ProblemConstants, RoundOracle, SupNormBall,
-                      aug_lagrangian, build_linearized, build_plain,
+                      ConvergenceError, EuclideanBall, MalmConfig,
+                      RoundOracle, SupNormBall, aug_lagrangian,
                       closed_form_linearized_p1, contains, generate_nra,
                       generate_olr, generate_oqcqp, make_model,
                       multiplier_update, project, run_malm, solve_comparator,
                       solve_subproblem, subproblem_objective)
 from ocobench._apg import fista
-from ocobench.malm import _smooth_grad
+from ocobench.malm import _box_bounds, _smooth_grad
 
 from helpers import affine_round, generic_problem, quad_round, run_malm_no_delay
 
@@ -30,38 +29,38 @@ def constant_round(value_f, value_g):
 
 
 def test_aug_lagrangian_hinge_vanishes():
-    m = build_plain(constant_round(7.0, -3.0))
+    m = make_model(constant_round(7.0, -3.0), np.zeros(1), PLAIN)
     assert aug_lagrangian(m, np.zeros(1), np.zeros(1), 2.0) == pytest.approx(7.0)
 
 
 def test_aug_lagrangian_hand_value():
     # F=2, G=3, lam=1, sigma=2 -> 2 + ((1+6)^2 - 1)/4 = 14
-    m = build_plain(constant_round(2.0, 3.0))
+    m = make_model(constant_round(2.0, 3.0), np.zeros(1), PLAIN)
     assert aug_lagrangian(m, np.zeros(1), np.array([1.0]), 2.0) == pytest.approx(14.0)
 
 
 def test_aug_lagrangian_zero_G_returns_F():
-    m = build_plain(constant_round(2.5, 0.0))
+    m = make_model(constant_round(2.5, 0.0), np.zeros(1), PLAIN)
     for lam in (0.0, 1.0, 42.0):
         assert aug_lagrangian(m, np.zeros(1), np.array([lam]), 0.7) \
             == pytest.approx(2.5, abs=1e-12)
 
 
 def test_aug_lagrangian_rejects_bad_sigma():
-    m = build_plain(constant_round(1.0, 1.0))
+    m = make_model(constant_round(1.0, 1.0), np.zeros(1), PLAIN)
     with pytest.raises(ValueError):
         aug_lagrangian(m, np.zeros(1), np.zeros(1), 0.0)
 
 
 def test_subproblem_objective_adds_prox_term():
-    m = build_plain(constant_round(2.0, 3.0))
+    m = make_model(constant_round(2.0, 3.0), np.zeros(1), PLAIN)
     x, center = np.array([1.0]), np.array([-1.0])
     assert subproblem_objective(m, x, np.array([1.0]), 0.5, 2.0, center) \
         == pytest.approx(14.0 + 0.25 * 4.0)
 
 
 def test_multiplier_update_examples():
-    m = build_plain(constant_round(0.0, -1.0))
+    m = make_model(constant_round(0.0, -1.0), np.zeros(1), PLAIN)
     out = multiplier_update(np.zeros(1), m, np.zeros(1), 1.0)
     assert np.array_equal(out, [0.0])
 
@@ -71,7 +70,7 @@ def test_multiplier_update_examples():
         subgrad_f=lambda x: np.zeros(1),
         eval_g=lambda x: np.array([-1.0, 4.0]),
         jac_g=lambda x: np.zeros((2, 1)))
-    m2 = build_plain(two)
+    m2 = make_model(two, np.zeros(1), PLAIN)
     out = multiplier_update(np.array([1.0, 0.0]), m2, np.zeros(1), 0.5)
     assert np.allclose(out, [0.5, 2.0])
 
@@ -88,7 +87,8 @@ def test_multiplier_update_nonexpansive_step():
             jac_g=lambda x: np.zeros((3, 1)))
         lam = np.abs(rng.normal(size=3))
         sigma = float(rng.uniform(0.1, 2))
-        out = multiplier_update(lam, build_plain(oracle), np.zeros(1), sigma)
+        model = make_model(oracle, np.zeros(1), PLAIN)
+        out = multiplier_update(lam, model, np.zeros(1), sigma)
         assert np.all(out >= 0)
         assert np.linalg.norm(out - lam) <= sigma * np.linalg.norm(g) + 1e-12
 
@@ -125,6 +125,19 @@ def subproblem_residual(model, x, lam, cfg, feasible_set, center):
     return float(np.linalg.norm(x - project(feasible_set, x - grad)))
 
 
+def _matches_tight_gradient_solve(model, center, lam, cfg, feasible):
+    """The solver's point is certified and within 1e-7 of a tol-1e-12 FISTA
+    solve; returns it."""
+    x = solve_subproblem(model, center, lam, cfg, feasible)
+    assert subproblem_residual(model, x, lam, cfg, feasible, center) <= cfg.tol
+    grad = _smooth_grad(model, center, lam, cfg.alpha, cfg.sigma)
+    x_ref, res_ref, _ = fista(center, grad, lambda z, step: project(feasible, z),
+                              tol=1e-12, max_iters=100_000, raise_on_fail=False)
+    assert res_ref <= 1e-10
+    assert np.max(np.abs(x - x_ref)) <= 1e-7
+    return x
+
+
 def test_solve_subproblem_1d_plain_hand_case():
     oracle = affine_round(0, [1.0], 0.0, [[1.0]], [-1.0])
     feasible = Box(np.array([-2.0]), np.array([2.0]))
@@ -154,8 +167,7 @@ def test_solve_subproblem_prox_dominates_at_tiny_sigma():
 def test_solve_subproblem_linearized_dispatch_meets_residual():
     # tight boxes force the closed form through its projection fallback
     rng = np.random.default_rng(4)
-    cfg = MalmConfig(alpha=1.0, sigma=2.0, T=1,
-                     inner=InnerSolverConfig(tol=1e-10))
+    cfg = MalmConfig(alpha=1.0, sigma=2.0, T=1, tol=1e-10)
     for _ in range(30):
         u = rng.normal(size=2)
         B = rng.normal(size=(1, 2))
@@ -197,7 +209,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MalmConfig(alpha=1.0, sigma=1.0, T=10, model_kind="cubic")
     with pytest.raises(ValueError):
-        InnerSolverConfig(tol=0.0)
+        MalmConfig(alpha=1.0, sigma=1.0, T=10, tol=0.0)
 
 
 def test_run_malm_initialization_and_feasibility():
@@ -285,8 +297,7 @@ def test_run_malm_l1_and_closed_form_paths_on_olr():
 
 def test_run_malm_reports_failing_round():
     problem = generate_oqcqp(4, 2, 3.0, 10, seed=5)
-    cfg = MalmConfig(alpha=1.0, sigma=0.5, T=10,
-                     inner=InnerSolverConfig(tol=1e-16, max_iters=2))
+    cfg = MalmConfig(alpha=1.0, sigma=0.5, T=10, tol=1e-16, max_iters=2)
     with pytest.raises(ConvergenceError) as exc:
         run_malm(problem, cfg)
     assert exc.value.round_index == 0
@@ -330,7 +341,7 @@ def newton_subproblems(draw):
     center = project(feasible, draw(arrays(float, n, elements=_floats(-3.0, 3.0))))
     lam = draw(arrays(float, p, elements=_floats(0.0, 3.0)))
     cfg = MalmConfig(alpha=draw(_floats(0.5, 5.0)), sigma=draw(_floats(0.01, 5.0)),
-                     T=1, inner=InnerSolverConfig(tol=1e-9))
+                     T=1, tol=1e-9)
     model = make_model(separable_quadratic_round(h, c, B, g0), center, kind,
                        iota=draw(_floats(0.0, 2.0)))
     return model, center, lam, cfg, feasible
@@ -341,14 +352,7 @@ def newton_subproblems(draw):
 def test_newton_subproblems_match_a_tight_gradient_solve(case, other_lam):
     model, center, lam, cfg, feasible = case
     assert model.quadratic_structure() is not None
-    x = solve_subproblem(model, center, lam, cfg, feasible)
-    assert subproblem_residual(model, x, lam, cfg, feasible, center) <= cfg.inner.tol
-
-    grad = _smooth_grad(model, center, lam, cfg.alpha, cfg.sigma)
-    x_ref, res_ref, _ = fista(center, grad, lambda z, step: project(feasible, z),
-                              tol=1e-12, max_iters=100_000, raise_on_fail=False)
-    assert res_ref <= 1e-10
-    assert np.max(np.abs(x - x_ref)) <= 1e-7
+    x = _matches_tight_gradient_solve(model, center, lam, cfg, feasible)
 
     # [lam + sigma G(x)]_+ moves by at most sigma ||G(x)|| and is
     # nonexpansive in the multiplier
@@ -359,6 +363,55 @@ def test_newton_subproblems_match_a_tight_gradient_solve(case, other_lam):
     other = other_lam[: model.p]
     assert np.linalg.norm(multiplier_update(other, model, x, cfg.sigma) - lam_next) \
         <= np.linalg.norm(other - lam) + 1e-12
+
+
+@st.composite
+def closed_form_subproblems(draw):
+    """A linearized model with one constraint, on a box, sup-norm or
+    Euclidean ball, anchored away from the prox center."""
+    n = draw(st.integers(1, 6))
+    h = draw(arrays(float, n, elements=_floats(0.0, 3.0)))
+    c = draw(arrays(float, n, elements=_floats(-3.0, 3.0)))
+    B = draw(arrays(float, (1, n), elements=_floats(-1.0, 1.0)))
+    g0 = draw(arrays(float, 1, elements=_floats(-2.0, 2.0)))
+    shape = draw(st.sampled_from(("box", "sup", "ball")))
+    if shape == "box":
+        feasible = Box(-draw(arrays(float, n, elements=_floats(0.1, 3.0))),
+                       draw(arrays(float, n, elements=_floats(0.1, 3.0))))
+    elif shape == "sup":
+        feasible = SupNormBall(draw(_floats(0.1, 3.0)), n)
+    else:
+        feasible = EuclideanBall(draw(_floats(0.1, 3.0)), n)
+    points = arrays(float, n, elements=_floats(-3.0, 3.0))
+    center = project(feasible, draw(points))
+    anchor = project(feasible, draw(points))
+    lam = draw(arrays(float, 1, elements=_floats(0.0, 3.0)))
+    cfg = MalmConfig(alpha=draw(_floats(0.5, 5.0)), sigma=draw(_floats(0.01, 5.0)),
+                     T=1)
+    model = make_model(separable_quadratic_round(h, c, B, g0), anchor, LINEARIZED)
+    return model, center, lam, cfg, feasible
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(closed_form_subproblems())
+def test_closed_form_subproblems_match_a_tight_gradient_solve(case):
+    fallbacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_solve_newton", "fista"):
+            solver = getattr(malm_module, name)
+            mp.setattr(malm_module, name,
+                       lambda *a, _solver=solver, **k:
+                       fallbacks.append(_solver) or _solver(*a, **k))
+        x = _matches_tight_gradient_solve(*case)
+    # a minimizer strictly inside the set is the unconstrained one, which the
+    # closed form gives exactly, so no other solver may run
+    feasible, margin = case[-1], 1e-6
+    if isinstance(feasible, EuclideanBall):
+        inside = np.linalg.norm(x) < feasible.radius - margin
+    else:
+        lower, upper = _box_bounds(feasible, x.size)
+        inside = np.all(x > lower + margin) and np.all(x < upper - margin)
+    assert not (inside and fallbacks)
 
 
 def test_nra_malm_runs_without_the_gradient_solver(monkeypatch):
@@ -396,5 +449,5 @@ def test_uncertified_newton_point_warm_starts_the_gradient_solver(monkeypatch):
     monkeypatch.setattr(malm_module, "fista", spy)
     x = solve_subproblem(model, center, lam, cfg, problem.set)
     assert len(starts) == 1 and np.array_equal(starts[0], corner)
-    assert subproblem_residual(model, x, lam, cfg, problem.set, center) <= cfg.inner.tol
+    assert subproblem_residual(model, x, lam, cfg, problem.set, center) <= cfg.tol
     assert np.max(np.abs(x - expected)) <= 1e-6

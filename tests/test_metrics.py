@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from ocobench import (Box, MalmConfig, ProblemConstants, RoundOracle,
-                      Trajectory, full_series, generate_oqcqp,
-                      lambda_norm_series, min_psi_bound,
-                      multiplier_bound_holds, psi_bound, regret_series,
-                      run_malm, solve_comparator, violation_series)
+                      Trajectory, full_series, generate_oqcqp, min_psi_bound,
+                      multiplier_bound_holds, psi_bound, run_malm,
+                      solve_comparator)
 from ocobench.metrics import psi_from_kappas, psi_kappas
 
 from helpers import affine_round, generic_problem
@@ -29,7 +28,7 @@ def test_regret_series_hand_case():
     rounds = [affine_round(t, [1.0], 0.0, [[1.0]], [0.0]) for t in range(2)]
     prob = generic_problem(rounds, SEG, 1)
     traj = Trajectory(xs=np.array([[2.0], [1.5]]), lambdas=np.zeros((3, 1)))
-    out = regret_series(traj, prob, np.array([1.0]))
+    out = full_series(traj, prob, np.array([1.0]))
     assert np.allclose(out.cum_regret, [1.0, 1.5])
     assert np.allclose(out.avg_regret, [1.0, 0.75])
 
@@ -39,7 +38,7 @@ def test_regret_is_zero_on_the_comparator():
     prob = generic_problem(rounds, SEG, 1)
     xs = np.full((4, 1), 0.7)
     traj = Trajectory(xs=xs, lambdas=np.zeros((5, 1)))
-    out = regret_series(traj, prob, np.array([0.7]))
+    out = full_series(traj, prob, np.array([0.7]))
     assert np.array_equal(out.cum_regret, np.zeros(4))
 
 
@@ -47,7 +46,7 @@ def test_violation_series_hand_case():
     rounds = [constant_g_round(0, [1.0, -1.0]), constant_g_round(1, [-3.0, 2.0])]
     prob = generic_problem(rounds, SEG, 1)
     traj = Trajectory(xs=np.zeros((2, 1)), lambdas=np.zeros((3, 2)))
-    out = violation_series(traj, prob)
+    out = full_series(traj, prob, np.zeros(1))
     assert np.allclose(out.cum_vio, [[1.0, -1.0], [-2.0, 1.0]])
     assert np.allclose(out.avg_vio_max, [1.0, 0.5])
     # hinge kills the satisfied component before the norm
@@ -60,7 +59,7 @@ def test_violation_series_identities_on_random_data():
     rounds = [constant_g_round(t, per[t]) for t in range(12)]
     prob = generic_problem(rounds, SEG, 1)
     traj = Trajectory(xs=np.zeros((12, 1)), lambdas=np.zeros((13, 3)))
-    out = violation_series(traj, prob)
+    out = full_series(traj, prob, np.zeros(1))
     cum = np.cumsum(per, axis=0)
     assert np.allclose(out.cum_vio, cum, atol=1e-12)
     for t in range(12):
@@ -73,7 +72,7 @@ def test_always_feasible_play_has_no_violation():
     rounds = [constant_g_round(t, [-1.0]) for t in range(6)]
     prob = generic_problem(rounds, SEG, 1)
     traj = Trajectory(xs=np.zeros((6, 1)), lambdas=np.zeros((7, 1)))
-    out = violation_series(traj, prob)
+    out = full_series(traj, prob, np.zeros(1))
     assert np.all(out.vio_d == 0)
     assert np.all(out.avg_vio_max <= 0)
 
@@ -87,9 +86,8 @@ def test_full_series_matches_direct_recomputation():
                     - prob.rounds[t].eval_f(x_star) for t in range(25)])
     assert np.allclose(out.cum_regret, np.cumsum(per), atol=1e-12)
     assert out.lambda_norm.shape == (25,)
-    assert np.allclose(out.lambda_norm,
-                       np.linalg.norm(traj.lambdas[:25], axis=1))
-    assert np.array_equal(out.lambda_norm, lambda_norm_series(traj))
+    assert np.array_equal(out.lambda_norm,
+                          np.linalg.norm(traj.lambdas[:25], axis=1))
 
 
 UNIT_CONSTANTS = ProblemConstants(D=1.0, kappa_f=1.0, kappa_g=1.0, nu_g=1.0,

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from ocobench import (LINEARIZED, MODEL_KINDS, PLAIN, QUADRATIC_LINEARIZED,
-                      TRUNCATED, RoundOracle, build_linearized, build_plain,
-                      build_quadratic_linearized, build_truncated,
-                      generate_nra, generate_olr, generate_oqcqp, make_model)
+                      TRUNCATED, RoundOracle, generate_nra, generate_olr,
+                      generate_oqcqp, make_model)
 
 from helpers import sample_in
 
@@ -32,7 +31,7 @@ def l1_round():
 
 
 def test_linearized_tangent_line():
-    m = build_linearized(square_round(), np.array([1.0]))
+    m = make_model(square_round(), np.array([1.0]), LINEARIZED)
     # F(x) = 1 + 2 (x - 1)
     assert m.eval_F(np.array([1.0])) == pytest.approx(1.0, abs=1e-15)
     assert m.eval_F(np.array([3.0])) == pytest.approx(5.0, abs=1e-12)
@@ -41,7 +40,7 @@ def test_linearized_tangent_line():
 
 
 def test_linearized_kink_zero_subgradient():
-    m = build_linearized(l1_round(), np.zeros(2))
+    m = make_model(l1_round(), np.zeros(2), LINEARIZED)
     # subgradient 0 at the kink makes G constant -2
     for y in ([0.3, -1.0], [2.0, 2.0], [0.0, 0.0]):
         assert m.eval_G(np.array(y))[0] == pytest.approx(-2.0, abs=1e-15)
@@ -49,8 +48,9 @@ def test_linearized_kink_zero_subgradient():
 
 def test_quadratic_linearized_degenerate_iota():
     rng = np.random.default_rng(0)
-    lin = build_linearized(square_round(), np.array([0.7]))
-    quad = build_quadratic_linearized(square_round(), np.array([0.7]), 0.0)
+    lin = make_model(square_round(), np.array([0.7]), LINEARIZED)
+    quad = make_model(square_round(), np.array([0.7]), QUADRATIC_LINEARIZED,
+                      iota=0.0)
     for _ in range(10):
         y = rng.uniform(-2, 2, size=1)
         assert quad.eval_F(y) == pytest.approx(lin.eval_F(y), abs=1e-14)
@@ -58,7 +58,8 @@ def test_quadratic_linearized_degenerate_iota():
 
 def test_quadratic_linearized_recovers_square():
     # f(x) = x^2 is 2-strongly convex; iota=2 reproduces it exactly
-    m = build_quadratic_linearized(square_round(), np.array([1.0]), 2.0)
+    m = make_model(square_round(), np.array([1.0]), QUADRATIC_LINEARIZED,
+                   iota=2.0)
     for y in np.linspace(-2, 2, 11):
         assert m.eval_F(np.array([y])) == pytest.approx(y ** 2, abs=1e-12)
     assert m.eval_F(np.array([1.0])) == pytest.approx(1.0, abs=1e-15)
@@ -66,12 +67,13 @@ def test_quadratic_linearized_recovers_square():
 
 def test_quadratic_linearized_rejects_negative_iota():
     with pytest.raises(ValueError):
-        build_quadratic_linearized(square_round(), np.array([0.0]), -0.5)
+        make_model(square_round(), np.array([0.0]), QUADRATIC_LINEARIZED,
+                   iota=-0.5)
 
 
 def test_truncated_hinge():
-    m = build_truncated(square_round(), np.array([1.0]))
-    lin = build_linearized(square_round(), np.array([1.0]))
+    m = make_model(square_round(), np.array([1.0]), TRUNCATED)
+    lin = make_model(square_round(), np.array([1.0]), LINEARIZED)
     # tangent 1 + 2(y-1) = -3 at y = -1, = 5 at y = 3
     assert m.eval_F(np.array([-1.0])) == 0.0
     assert m.eval_F(np.array([3.0])) == pytest.approx(5.0, abs=1e-12)
@@ -83,7 +85,7 @@ def test_truncated_hinge():
 
 def test_plain_identity():
     oracle = square_round()
-    m = build_plain(oracle)
+    m = make_model(oracle, np.zeros(1), PLAIN)
     rng = np.random.default_rng(1)
     for _ in range(10):
         y = rng.uniform(-2, 2, size=1)
@@ -95,19 +97,19 @@ def test_quadratic_structure_of_each_model():
     # F's constant curvature diagonal and G's constant Jacobian, when they exist
     nra = generate_nra(2, 2, 3, seed=14)
     oracle, anchor = nra.rounds[1], np.full(nra.n, 1.0)
-    h, V = build_plain(oracle, anchor).quadratic_structure()
+    h, V = make_model(oracle, anchor, PLAIN).quadratic_structure()
     assert np.array_equal(h, 2.0 * nra.data["q"][1])
     assert np.array_equal(V, nra.data["A"])
-    h, V = build_linearized(oracle, anchor).quadratic_structure()
+    h, V = make_model(oracle, anchor, LINEARIZED).quadratic_structure()
     assert np.array_equal(h, np.zeros(nra.n)) and np.array_equal(V, nra.data["A"])
-    h, V = build_quadratic_linearized(oracle, anchor, 0.7).quadratic_structure()
+    h, V = make_model(oracle, anchor, QUADRATIC_LINEARIZED,
+                      iota=0.7).quadratic_structure()
     assert np.array_equal(h, np.full(nra.n, 0.7))
-    assert build_truncated(oracle, anchor).quadratic_structure() is None
+    assert make_model(oracle, anchor, TRUNCATED).quadratic_structure() is None
     # the plain model needs both a Hessian diagonal and affine constraints
-    assert build_plain(square_round()).quadratic_structure() is None
-    assert build_plain(l1_round()).quadratic_structure() is None
-    oqcqp = generate_oqcqp(3, 2, 2.0, 2, seed=1)
-    assert build_plain(oqcqp.rounds[0]).quadratic_structure() is None
+    for other in (square_round(), l1_round(),
+                  generate_oqcqp(3, 2, 2.0, 2, seed=1).rounds[0]):
+        assert make_model(other, np.zeros(other.n), PLAIN).quadratic_structure() is None
 
 
 def test_make_model_dispatch_and_unknown_kind():
@@ -143,7 +145,7 @@ def test_model_invariants_on_generators(name, gen, kinds):
             iota = 0.0
             if kind == QUADRATIC_LINEARIZED and problem.strong_convexity:
                 iota = problem.strong_convexity(t)
-            m = make_model(oracle, anchor, kind, nu_g=const.nu_g, iota=iota)
+            m = make_model(oracle, anchor, kind, iota=iota)
             # anchoring equalities
             assert m.eval_F(anchor) == pytest.approx(
                 float(oracle.eval_f(anchor)), abs=1e-12, rel=1e-12)
@@ -174,7 +176,7 @@ def test_anchor_subgradients_are_valid(name, gen, kinds):
         u = np.asarray(oracle.subgrad_f(anchor), float)
         fa = float(oracle.eval_f(anchor))
         ga = oracle.eval_g(anchor)
-        jac = oracle.constraint_jacobian(anchor)
+        jac = oracle.jac_g(anchor)
         for y in sample_in(problem.set, rng, 6):
             gap = y - anchor
             assert float(oracle.eval_f(y)) >= fa + float(u @ gap) - 1e-9

@@ -39,7 +39,7 @@ def test_nra_round_matches_data_arrays():
         oracle = prob.rounds[t]
         assert oracle.eval_f(x) == pytest.approx(float(q[t] @ (x * x)))
         assert np.allclose(oracle.eval_g(x), A @ x + b[t])
-        assert np.allclose(oracle.constraint_jacobian(x), A)
+        assert np.allclose(oracle.jac_g(x), A)
 
 
 def test_nra_loss_equals_its_second_order_expansion():
@@ -153,7 +153,7 @@ def test_rounds_are_convex_with_valid_subgradients(kind):
             assert np.all(oracle.eval_g(mid) <= 0.5 * (gx + gy) + 1e-9)
             for i in range(prob.p):
                 assert gy[i] >= gx[i] \
-                    + float(oracle.constraint_jacobian(x)[i] @ (y - x)) - 1e-9
+                    + float(oracle.jac_g(x)[i] @ (y - x)) - 1e-9
 
 
 @pytest.mark.parametrize("kind", ["nra", "olr", "oqcqp"])
