@@ -159,7 +159,8 @@ def main(argv=None) -> int:
         parser.error(str(err))
     try:
         path = run_experiment(config)
-    except (UnsupportedProblemError, ProblemArgumentError) as err:
+    except (UnsupportedProblemError, ProblemArgumentError,
+            FileNotFoundError) as err:
         parser.error(str(err))
     except (ConvergenceError, InfeasibleProblemError) as err:
         print(f"ocobench: numeric failure{_where(err)}: {err}", file=sys.stderr)

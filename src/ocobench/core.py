@@ -82,8 +82,8 @@ class EuclideanBall:
     dim: int
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
@@ -96,8 +96,8 @@ class SupNormBall:
     dim: int
 
     def __post_init__(self):
-        if self.bound <= 0:
-            raise ValueError("bound must be positive")
+        if not 0.0 < self.bound < np.inf:
+            raise ValueError(f"bound must be positive and finite, got {self.bound!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
@@ -133,22 +133,6 @@ def project(feasible_set: FeasibleSet, point: Array) -> Array:
         m = feasible_set.bound
         return np.minimum(np.maximum(x, -m), m)
     raise TypeError(f"unknown feasible set type: {type(feasible_set)!r}")
-
-
-def diameter(feasible_set: FeasibleSet) -> float:
-    """Exact Euclidean diameter of the set."""
-    if isinstance(feasible_set, Box):
-        return float(np.linalg.norm(feasible_set.upper - feasible_set.lower))
-    if isinstance(feasible_set, EuclideanBall):
-        return 2.0 * feasible_set.radius
-    if isinstance(feasible_set, SupNormBall):
-        return 2.0 * feasible_set.bound * float(np.sqrt(feasible_set.dim))
-    raise TypeError(f"unknown feasible set type: {type(feasible_set)!r}")
-
-
-def contains(feasible_set: FeasibleSet, point: Array, tol: float = 1e-9) -> bool:
-    """Membership test up to ``tol`` (used by preconditions, not hot loops)."""
-    return bool(np.linalg.norm(project(feasible_set, point) - np.asarray(point, float)) <= tol)
 
 
 def project_psd(matrix: Array) -> Array:
@@ -201,8 +185,8 @@ class RoundOracle:
 class ProblemConstants:
     """Problem-level constants used by the theoretical bound evaluator.
 
-    ``D`` is the exact set diameter; ``kappa_f``/``kappa_g`` are analytic
-    subgradient bounds; ``nu_g`` bounds ||G(y)|| over the set for every model
+    ``D`` is the exact set diameter; ``kappa_f`` is an analytic subgradient
+    bound of the losses; ``nu_g`` bounds ||G(y)|| over the set for every model
     kind; ``eps0`` is the Slater margin of ``slater_point`` (may come out
     nonpositive for generated instances whose rounds admit no strictly
     feasible point, in which case bound evaluation refuses to run).
@@ -210,7 +194,6 @@ class ProblemConstants:
 
     D: float
     kappa_f: float
-    kappa_g: float
     nu_g: float
     eps0: float
     slater_point: Array

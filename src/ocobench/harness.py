@@ -86,8 +86,8 @@ class ExperimentConfig:
             raise ValueError("need an output path")
         for name in ("tol_inner", "tol_comparator", "malm_alpha", "malm_sigma"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if any(seed < 0 for seed in self.seeds):
@@ -191,9 +191,13 @@ def run_experiment(config: ExperimentConfig) -> str:
 
     The rows go to a temporary file next to ``config.out`` that replaces it
     only once the whole grid is written, so a failed run leaves ``out`` as
-    it was and no partial file behind.
+    it was and no partial file behind.  A missing output directory is
+    refused with FileNotFoundError before any computation.
     """
     head, tail = os.path.split(os.path.abspath(config.out))
+    if not os.path.isdir(head):
+        raise FileNotFoundError(f"cannot write {config.out!r}: "
+                                f"directory {head!r} does not exist")
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex[:8]}.tmp")
     try:
         _write_grid(config, tmp)

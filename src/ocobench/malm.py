@@ -16,7 +16,7 @@ dual-informed subgradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -60,20 +60,21 @@ class MalmConfig:
             raise ValueError("tol must be positive")
 
 
-def aug_lagrangian(model: ModelAt, x: Array, lam: Array, sigma: float) -> float:
-    """Augmented Lagrangian F(x) + (||[lam + sigma G(x)]_+||^2 - ||lam||^2)/(2 sigma)."""
+def subproblem_objective(model: ModelAt, x: Array, lam: Array,
+                         alpha: float, sigma: float, prox_center: Array) -> float:
+    """The augmented Lagrangian plus the proximal term.
+
+    F(x) + (||[lam + sigma G(x)]_+||^2 - ||lam||^2)/(2 sigma)
+    + (alpha/2)||x - prox_center||^2.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     lam = np.asarray(lam, dtype=float)
     shifted = np.maximum(lam + sigma * model.eval_G(x), 0.0)
-    return float(model.eval_F(x)) + (float(shifted @ shifted) - float(lam @ lam)) / (2.0 * sigma)
-
-
-def subproblem_objective(model: ModelAt, x: Array, lam: Array,
-                         alpha: float, sigma: float, prox_center: Array) -> float:
-    """aug_lagrangian plus the proximal term (alpha/2)||x - prox_center||^2."""
     d = np.asarray(x, float) - np.asarray(prox_center, float)
-    return aug_lagrangian(model, x, lam, sigma) + 0.5 * alpha * float(d @ d)
+    return (float(model.eval_F(x))
+            + (float(shifted @ shifted) - float(lam @ lam)) / (2.0 * sigma)
+            + 0.5 * alpha * float(d @ d))
 
 
 def multiplier_update(lam: Array, model: ModelAt, x_next: Array, sigma: float) -> Array:
@@ -103,22 +104,11 @@ def closed_form_linearized_p1(a: Array, b: Array, gamma: float,
 
 
 def _smooth_grad(model: ModelAt, prox_center: Array, lam: Array,
-                 alpha: float, sigma: float, mu_f: Optional[float] = None):
-    """Gradient closure of the (smoothed) subproblem objective.
-
-    ``mu_f`` replaces a truncated model's hinge by the fixed combination
-    mu_f * (linearization); None means use model.subgrad_F directly.
-    """
+                 alpha: float, sigma: float):
+    """Gradient closure of the subproblem objective, with model.subgrad_F for F."""
     lam = np.asarray(lam, dtype=float)
     center = np.asarray(prox_center, dtype=float)
-
-    if mu_f is None:
-        grad_F = model.subgrad_F
-    else:
-        u = model.u
-
-        def grad_F(x: Array) -> Array:
-            return mu_f * u
+    grad_F = model.subgrad_F
 
     def grad(x: Array) -> Array:
         shifted = np.maximum(lam + sigma * model.eval_G(x), 0.0)
@@ -135,71 +125,58 @@ def _initial_lipschitz(model: ModelAt, prox_center: Array, alpha: float,
     return alpha + model.iota + sigma * float(np.sum(jac * jac)) + 1.0
 
 
-def _solve_smooth(model: ModelAt, prox_center: Array, lam: Array,
-                  cfg: MalmConfig, feasible_set: FeasibleSet,
-                  x_start: Optional[Array] = None, mu_f: Optional[float] = None,
-                  tol: Optional[float] = None):
-    grad = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma, mu_f)
-
-    def prox(z: Array, step: float) -> Array:
-        return project(feasible_set, z)
-
-    x0 = np.asarray(prox_center if x_start is None else x_start, dtype=float)
-    return fista(x0, grad, prox,
-                 tol=cfg.tol if tol is None else tol,
-                 max_iters=cfg.max_iters,
-                 l0=_initial_lipschitz(model, prox_center, cfg.alpha, cfg.sigma))
-
-
 def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
                      cfg: MalmConfig, feasible_set: FeasibleSet) -> Array:
     """Handle the hinged objective [f + <u, x-a>]_+ through its scalar dual.
 
     [w]_+ = max_{0 <= mu <= 1} mu w, so for each fixed mu the inner problem
-    is smooth; the dual function is concave with derivative equal to the
-    hinge argument at the inner solution, located by bisection.
+    is the linearized model with the tangent plane of f scaled by mu, which
+    solve_subproblem certifies at tol/4.  The dual function is concave with
+    derivative equal to the hinge argument at the inner solution, located
+    by bisection.  The inner certificate uses mu * u, a valid subgradient
+    selection of the hinge at the returned point, so it also certifies the
+    truncated objective.
     """
-    tol = cfg.tol
-    inner_tol = 0.25 * tol
+    inner_cfg = replace(cfg, tol=0.25 * cfg.tol)
     anchor, f_anchor, u = model.anchor, model.f_anchor, model.u
 
     def hinge_arg(mu: float, x: Array) -> float:
         return f_anchor + float(u @ (x - anchor))
 
-    def solve_inner(mu: float, x_start: Optional[Array]) -> Array:
-        x, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set,
-                                x_start=x_start, mu_f=mu, tol=inner_tol)
-        return x
+    def solve_inner(mu: float, _x_warm) -> Array:
+        scaled = replace(model, kind=LINEARIZED, f_anchor=mu * f_anchor, u=mu * u)
+        return solve_subproblem(scaled, prox_center, lam, inner_cfg, feasible_set)
 
     x_lo = solve_inner(0.0, None)
     if hinge_arg(0.0, x_lo) <= 0.0:
-        return _certify_truncated(model, prox_center, lam, cfg, feasible_set, x_lo, 0.0)
-    x_hi = solve_inner(1.0, x_lo)
+        return x_lo
+    x_hi = solve_inner(1.0, None)
     if hinge_arg(1.0, x_hi) >= 0.0:
-        return _certify_truncated(model, prox_center, lam, cfg, feasible_set, x_hi, 1.0)
+        return x_hi
 
     # Dual derivative changes sign inside (0, 1): bisect it until the hinge
     # argument at the inner solution reaches the inner solver's noise floor,
     # so the final mu is dual-optimal up to that floor and mu * u is a valid
     # epsilon-subgradient selection of the hinge at the returned point.
     u_norm = float(np.linalg.norm(u))
-    width_target = min(tol / (4.0 * (1.0 + u_norm)), 1e-12)
-    h_floor = 4.0 * u_norm * inner_tol / cfg.alpha + 1e-15 * (1.0 + abs(f_anchor))
-    mu, x_fin = _bisect_dual(solve_inner, hinge_arg, 1.0, x_hi, width_target,
-                             lambda h: abs(h) <= h_floor)
-    return _certify_truncated(model, prox_center, lam, cfg, feasible_set, x_fin, mu)
+    width_target = min(cfg.tol / (4.0 * (1.0 + u_norm)), 1e-12)
+    h_floor = (4.0 * u_norm * inner_cfg.tol / cfg.alpha
+               + 1e-15 * (1.0 + abs(f_anchor)))
+    return _bisect_dual(solve_inner, hinge_arg, 1.0, x_hi, width_target,
+                        lambda h: abs(h) <= h_floor)
 
 
 def _bisect_dual(solve_inner, slope, hi: float, x_start: Array,
                  width_target: float, at_floor):
     """Bisect a concave scalar dual on [0, hi] by the sign of its slope.
 
-    ``solve_inner(mu, x_warm)`` is the warm-started inner minimizer for the
-    dual variable mu and ``slope(mu, x)`` the dual derivative there, which is
-    nonnegative at 0 and negative at ``hi``.  The search stops when the
+    ``solve_inner(mu, x_warm)`` is the inner minimizer for the dual variable
+    mu, which may start from the previous inner solution ``x_warm``, and
+    ``slope(mu, x)`` the dual derivative there, which is nonnegative at 0
+    and negative at ``hi``.  The search stops when the
     interval is ``width_target`` wide or when ``at_floor(slope)`` says the
-    slope is within the inner solver's noise floor.  Returns mu and the
-    inner solution at mu.
+    slope is within the inner solver's noise floor.  Returns the inner
+    solution at the final mu, the midpoint of the last interval.
     """
     lo = 0.0
     x_warm = x_start
@@ -216,22 +193,7 @@ def _bisect_dual(solve_inner, slope, hi: float, x_start: Array,
             lo = mid
         else:
             hi = mid
-    mu = 0.5 * (lo + hi)
-    return mu, solve_inner(mu, x_warm)
-
-
-def _certify_truncated(model: ModelAt, prox_center: Array, lam: Array,
-                       cfg: MalmConfig, feasible_set: FeasibleSet,
-                       x: Array, mu: float) -> Array:
-    # Residual of the true objective using the dual-informed subgradient
-    # mu * u of the hinge (a valid selection at the crease).
-    grad_mu = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma, mu_f=mu)
-    res = float(np.linalg.norm(x - project(feasible_set, x - grad_mu(x))))
-    if res <= cfg.tol:
-        return x
-    raise ConvergenceError(
-        f"truncated-model subproblem residual {res:.3e} above tol {cfg.tol:.1e}",
-        residual=res)
+    return solve_inner(0.5 * (lo + hi), x_warm)
 
 
 def _box_bounds(feasible_set: FeasibleSet, n: int):
@@ -249,7 +211,10 @@ def _solve_plain_l1(model: ModelAt, prox_center: Array, lam: Array,
     for fixed mu the subproblem is smooth-plus-(mu ||x||_1), handled by the
     proximal gradient method with a soft-threshold-and-clamp prox.  The
     optimal mu solves mu = [lam + sigma (||x(mu)||_1 + c)]_+ by bisection on
-    the concave dual's derivative.
+    the concave dual's derivative.  Each inner solve is certified at tol/4
+    by its proximal-gradient residual, which measures the penalty with the
+    subgradient mu selects and, unlike a fixed mu * sign(x), stays
+    continuous where a coordinate of x reaches zero.
     """
     if not isinstance(feasible_set, (Box, SupNormBall)):
         raise UnsupportedProblemError(
@@ -282,7 +247,7 @@ def _solve_plain_l1(model: ModelAt, prox_center: Array, lam: Array,
 
     x_cur = solve_inner(0.0, center)
     if dual_slope(0.0, x_cur) <= 0.0:
-        return _certify_plain_l1(x_cur, 0.0, smooth_grad, lo_b, hi_b, tol)
+        return x_cur
 
     mu_hi = max(lam0 + sigma * (float(np.abs(x_cur).sum()) + c), 0.0) + 1.0
     x_hi = solve_inner(mu_hi, x_cur)
@@ -299,29 +264,9 @@ def _solve_plain_l1(model: ModelAt, prox_center: Array, lam: Array,
     n = oracle.n
     slope_floor = (4.0 * np.sqrt(n) * inner_tol / alpha
                    + tol / (4.0 * sigma * np.sqrt(n)))
-    mu, x_fin = _bisect_dual(solve_inner, dual_slope, mu_hi, x_hi,
-                             1e-13 * (1.0 + mu_hi),
-                             lambda slope: abs(slope) * sigma <= slope_floor)
-    return _certify_plain_l1(x_fin, mu, smooth_grad, lo_b, hi_b, tol)
-
-
-def _certify_plain_l1(x: Array, mu: float, smooth_grad, lo_b: Array,
-                      hi_b: Array, tol: float) -> Array:
-    # Componentwise optimal subgradient of mu ||x||_1: the sign where x is
-    # nonzero, and at zeros the element of [-mu, mu] minimizing the residual.
-    base = smooth_grad(x)
-    s = base + mu * np.sign(x)
-    zero = (x == 0.0)
-    if np.any(zero):
-        s_lo, s_hi = base[zero] - mu, base[zero] + mu
-        s[zero] = np.minimum(np.maximum(0.0, s_lo), s_hi)
-    stepped = np.minimum(np.maximum(x - s, lo_b), hi_b)
-    res = float(np.linalg.norm(x - stepped))
-    if res <= tol:
-        return x
-    raise ConvergenceError(
-        f"l1-constrained subproblem residual {res:.3e} above tol {tol:.1e}",
-        residual=res)
+    return _bisect_dual(solve_inner, dual_slope, mu_hi, x_hi,
+                        1e-13 * (1.0 + mu_hi),
+                        lambda slope: abs(slope) * sigma <= slope_floor)
 
 
 # Projected Newton: step cap, Armijo slope fraction, smallest trial step and
@@ -399,10 +344,11 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     constraint under the linearized model; the projected Newton method when
     the model has constant diagonal curvature and an affine G
     (``ModelAt.quadratic_structure``) and the set is a box or sup-norm
-    ball; the dual bisections of the truncated model and of the plain model
-    with an l1 constraint; and the accelerated projected gradient method,
-    which also takes over, warm-started, from a closed-form or Newton point
-    that fails the residual check.  The result satisfies the
+    ball; the dual bisections of the truncated model, whose inner problems
+    come back here as linearized models, and of the plain model with an l1
+    constraint; and the accelerated projected gradient method, which also
+    takes over, warm-started, from a closed-form or Newton point that fails
+    the residual check.  The result satisfies the
     projected-(sub)gradient residual bound cfg.tol.
     """
     prox_center = np.asarray(prox_center, dtype=float)
@@ -440,8 +386,11 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
             raise UnsupportedProblemError(
                 "plain model requires a smooth g_t (or the l1 structure)")
 
-    x, _, _ = _solve_smooth(model, prox_center, lam, cfg, feasible_set,
-                            x_start=x_start)
+    x, _, _ = fista(prox_center if x_start is None else x_start,
+                    _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma),
+                    lambda z, step: project(feasible_set, z),
+                    tol=cfg.tol, max_iters=cfg.max_iters,
+                    l0=_initial_lipschitz(model, prox_center, cfg.alpha, cfg.sigma))
     return x
 
 

@@ -20,16 +20,14 @@ class MetricsSeries:
 
     ``cum_regret[t]`` sums rounds 0..t of f_s(x_s) - f_s(x*);
     ``cum_vio[t, i]`` sums g_s^(i)(x_s); ``avg_vio_max`` is the worst
-    time-averaged component; ``vio_d[t]`` is the norm of the hinged
-    cumulative constraint vector; ``lambda_norm[t]`` is the multiplier norm
-    held when decision t was submitted.
+    time-averaged component; ``lambda_norm[t]`` is the multiplier norm held
+    when decision t was submitted.
     """
 
     cum_regret: Array
     avg_regret: Array
     cum_vio: Array
     avg_vio_max: Array
-    vio_d: Array
     lambda_norm: Array
 
 
@@ -59,7 +57,6 @@ def full_series(trajectory: Trajectory, problem, x_star: Array) -> MetricsSeries
         avg_regret=cum_regret / np.arange(1, T + 1),
         cum_vio=cum_vio,
         avg_vio_max=cum_vio.max(axis=1) / np.arange(1, T + 1),
-        vio_d=np.linalg.norm(np.maximum(cum_vio, 0.0), axis=1),
         lambda_norm=np.linalg.norm(trajectory.lambdas[:T], axis=1))
 
 

@@ -138,7 +138,6 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
     q_max = np.concatenate([c, price.max(axis=0)])
     kappa_f = float(np.linalg.norm(2.0 * q_max * xbar))
     row_norms = np.linalg.norm(A, axis=1)
-    kappa_g = float(row_norms.max())
     # Componentwise range of Ax + b_t over the box and over t.
     hi = np.maximum(A, 0.0) @ xbar + b_all.max(axis=0)
     lo = np.minimum(A, 0.0) @ xbar + b_all.min(axis=0)
@@ -159,8 +158,8 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
     eps0 = float(-res.fun)
     slater = res.x[:E]
 
-    constants = ProblemConstants(D=D, kappa_f=kappa_f, kappa_g=kappa_g,
-                                 nu_g=nu_g, eps0=eps0, slater_point=slater)
+    constants = ProblemConstants(D=D, kappa_f=kappa_f, nu_g=nu_g, eps0=eps0,
+                                 slater_point=slater)
     c_min = float(c.min())
     price_min = price.min(axis=1)
 
@@ -220,8 +219,8 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     ProblemInstance
         With p = 1; the origin is the Slater point and eps0 = min_t a_t.
     """
-    if n < 1 or k < 1 or M <= 0:
-        raise ProblemArgumentError("need n, k >= 1 and M > 0")
+    if n < 1 or k < 1 or not 0.0 < M < np.inf:
+        raise ProblemArgumentError(f"need n, k >= 1 and a finite M > 0, got M = {M!r}")
     rng_u_init, rng_u_steps, rng_labels, rng_a_steps = _rngs(seed, 4)
 
     # Walk steps at paper round t are U[-1/(2t), 1/(2t)]; the first stored
@@ -253,9 +252,8 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     # g ranges over [-a_t, n M - a_t] on the set.
     gamma = max(float(a.max()), n * M - float(a.min()))
     nu_g = gamma + kappa_g * D
-    constants = ProblemConstants(D=D, kappa_f=kappa_f, kappa_g=kappa_g,
-                                 nu_g=nu_g, eps0=float(a.min()),
-                                 slater_point=np.zeros(n))
+    constants = ProblemConstants(D=D, kappa_f=kappa_f, nu_g=nu_g,
+                                 eps0=float(a.min()), slater_point=np.zeros(n))
 
     return ProblemInstance(
         kind="olr", set=feasible_set, rounds=rounds, constants=constants,
@@ -320,8 +318,8 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
         Smooth in both loss and constraints; ``strong_convexity(t)`` is the
         smallest eigenvalue of A_t.
     """
-    if n < 1 or p < 1 or R <= 0:
-        raise ProblemArgumentError("need n, p >= 1 and R > 0")
+    if n < 1 or p < 1 or not 0.0 < R < np.inf:
+        raise ProblemArgumentError(f"need n, p >= 1 and a finite R > 0, got R = {R!r}")
     (rng_A, rng_C, rng_b_init, rng_b_steps, rng_d_init, rng_d_steps,
      rng_h, rng_xhat) = _rngs(seed, 8)
 
@@ -368,12 +366,10 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
     C_eigs = np.linalg.eigvalsh(C_all)[..., -1]
     d_norms = np.linalg.norm(d_all, axis=2)
     kappa_g_per = (C_eigs * R + d_norms).max(axis=0)
-    kappa_g = float(kappa_g_per.max())
     gamma = (0.5 * C_eigs * R * R + d_norms * R + np.abs(e_all)).max(axis=0)
     nu_g = float(np.linalg.norm(gamma + kappa_g_per * D))
-    constants = ProblemConstants(D=D, kappa_f=kappa_f, kappa_g=kappa_g,
-                                 nu_g=nu_g, eps0=float(h.min()),
-                                 slater_point=xhat)
+    constants = ProblemConstants(D=D, kappa_f=kappa_f, nu_g=nu_g,
+                                 eps0=float(h.min()), slater_point=xhat)
     A_min = np.maximum(A_eigs[:, 0], 0.0)
 
     def strong_convexity(t, _m=A_min):

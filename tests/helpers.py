@@ -44,6 +44,14 @@ def generic_problem(rounds, feasible_set, n, constants=None):
                            T=len(rounds), seed=0)
 
 
+def contains(feasible_set, point, tol=1e-9):
+    """Membership test up to ``tol``: the point is its own projection."""
+    from ocobench import project
+
+    return bool(np.linalg.norm(project(feasible_set, point)
+                               - np.asarray(point, float)) <= tol)
+
+
 def sample_in(feasible_set, rng, count):
     """Uniform-ish sample of feasible points, shape (count, n)."""
     from ocobench import Box, EuclideanBall, SupNormBall, project

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ocobench import (BaselineConfig, Box,
-                      UnsupportedProblemError, cl_step, contains, czp_step,
+                      UnsupportedProblemError, cl_step, czp_step,
                       generate_nra, generate_oqcqp, mosp_step, ny_step,
                       paper_baseline_config, project, run_baseline)
 
-from helpers import affine_round
+from helpers import affine_round, contains
 
 SEG = Box(np.array([-2.0]), np.array([2.0]))
 LINE = affine_round(0, [1.0], 0.0, [[1.0]], [-1.0])  # f = x, g = x - 1

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ocobench import (Box, ConvergenceError, EuclideanBall, SupNormBall,
-                      Trajectory, contains, diameter, project, project_psd)
+                      Trajectory, project, project_psd)
 from ocobench.core import run_schedule
+
+from helpers import contains
 
 BOX = Box(np.array([-1.0, 0.0, -2.0, 0.5]), np.array([1.0, 3.0, -1.0, 0.5]))
 BALL = EuclideanBall(2.5, 4)
@@ -40,12 +42,6 @@ def test_project_dimension_mismatch():
         project(BALL, np.zeros(3))
     with pytest.raises(ValueError):
         project(BOX, np.zeros(2))
-
-
-def test_diameter_values():
-    assert diameter(Box(np.zeros(2), np.array([3.0, 4.0]))) == 5.0
-    assert diameter(EuclideanBall(10.0, 7)) == 20.0
-    assert diameter(SupNormBall(1.0, 4)) == 4.0
 
 
 def test_contains():
@@ -154,6 +150,11 @@ def test_box_validation():
         EuclideanBall(-1.0, 3)
     with pytest.raises(ValueError):
         SupNormBall(0.0, 3)
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            EuclideanBall(value, 3)
+        with pytest.raises(ValueError, match="finite"):
+            SupNormBall(value, 3)
 
 
 def test_trajectory_T():

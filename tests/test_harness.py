@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -250,7 +251,9 @@ def test_preset_problem_params_stay_with_the_preset_problem(tmp_path):
 def test_config_refuses_empty_and_nonpositive_settings():
     for bad in ({"algos": ()}, {"out": ""}, {"tol_inner": 0.0},
                 {"tol_comparator": -1e-7}, {"malm_alpha": 0.0},
-                {"malm_sigma": -1.0}):
+                {"malm_sigma": -1.0}, {"tol_inner": math.inf},
+                {"tol_comparator": math.nan}, {"malm_alpha": math.inf},
+                {"malm_sigma": math.nan}):
         with pytest.raises(ValueError):
             ExperimentConfig(problem="oqcqp", **bad)
 
@@ -318,3 +321,44 @@ def test_count_arguments_must_be_integral(tmp_path):
     assert res.returncode == 2
     assert "'J' must be an integer, got 2.5" in res.stderr
     assert not out.exists()
+
+
+OLR_INI = ("[experiment]\nproblem = olr\nalgos = malm\nT = 20\n"
+           "[problem]\nM = 2.0\n")
+
+# (INI text, extra flags, part of the refusal message) per non-finite input.
+NON_FINITE = {
+    "R-nan": (EXP_INI.replace("R = 5.0", "R = nan"), [], "finite R > 0"),
+    "R-inf": (EXP_INI.replace("R = 5.0", "R = inf"), [], "finite R > 0"),
+    "M-nan": (OLR_INI.replace("M = 2.0", "M = nan"), [], "finite M > 0"),
+    "M-inf": (OLR_INI.replace("M = 2.0", "M = inf"), [], "finite M > 0"),
+    "alpha-inf": (EXP_INI.replace("alpha = 2.0", "alpha = inf"), [],
+                  "malm_alpha must be positive and finite"),
+    "tol-inner-inf": (EXP_INI, ["--tol-inner", "inf"],
+                      "tol_inner must be positive and finite"),
+    "tol-comparator-inf": (EXP_INI, ["--tol-comparator", "inf"],
+                           "tol_comparator must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_cli_refuses_non_finite_inputs(tmp_path, case):
+    text, flags, message = NON_FINITE[case]
+    ini = tmp_path / "x.ini"
+    ini.write_text(text)
+    out = tmp_path / "x.csv"
+    res = run_cli(["--config", str(ini), *flags, "--out", str(out)], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_cli_out_in_a_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    res = run_cli(["--preset", "smoke", "--T", "10", "--out", str(out)],
+                  tmp_path)
+    assert res.returncode == 2
+    assert str(out) in res.stderr
+    assert ".tmp" not in res.stderr and "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -7,15 +7,16 @@ from hypothesis.extra.numpy import arrays
 import ocobench.malm as malm_module
 from ocobench import (LINEARIZED, PLAIN, QUADRATIC_LINEARIZED, TRUNCATED, Box,
                       ConvergenceError, EuclideanBall, MalmConfig,
-                      RoundOracle, SupNormBall, aug_lagrangian,
-                      closed_form_linearized_p1, contains, generate_nra,
-                      generate_olr, generate_oqcqp, make_model,
+                      RoundOracle, SupNormBall, UnsupportedProblemError,
+                      closed_form_linearized_p1, generate_nra, generate_olr,
+                      generate_oqcqp, make_model,
                       multiplier_update, project, run_malm, solve_comparator,
                       solve_subproblem, subproblem_objective)
 from ocobench._apg import fista
 from ocobench.malm import _box_bounds, _smooth_grad
 
-from helpers import affine_round, generic_problem, quad_round, run_malm_no_delay
+from helpers import (affine_round, contains, generic_problem, quad_round,
+                     run_malm_no_delay, sample_in)
 
 
 def constant_round(value_f, value_g):
@@ -26,6 +27,12 @@ def constant_round(value_f, value_g):
         eval_g=lambda x: np.array([float(value_g)]),
         jac_g=lambda x: np.zeros((1, 1)),
         linear_g=True)
+
+
+# The augmented Lagrangian is subproblem_objective without its prox term.
+
+def aug_lagrangian(model, x, lam, sigma):
+    return subproblem_objective(model, x, lam, 0.0, sigma, x)
 
 
 def test_aug_lagrangian_hinge_vanishes():
@@ -49,7 +56,7 @@ def test_aug_lagrangian_zero_G_returns_F():
 def test_aug_lagrangian_rejects_bad_sigma():
     m = make_model(constant_round(1.0, 1.0), np.zeros(1), PLAIN)
     with pytest.raises(ValueError):
-        aug_lagrangian(m, np.zeros(1), np.zeros(1), 0.0)
+        subproblem_objective(m, np.zeros(1), np.zeros(1), 1.0, 0.0, np.zeros(1))
 
 
 def test_subproblem_objective_adds_prox_term():
@@ -197,6 +204,47 @@ def test_l1_subproblem_beats_random_feasible_points():
         assert best <= subproblem_objective(m, y, lam, 2.0, 1.5, center) + 1e-9
 
 
+def test_plain_model_refuses_a_nonsmooth_g_without_l1_structure():
+    # FISTA's residual on a nonsmooth g could pass with a subgradient
+    # choice that does not certify optimality
+    oracle = RoundOracle(
+        t=0, n=2, p=1,
+        eval_f=lambda x: float(x @ x),
+        subgrad_f=lambda x: 2.0 * x,
+        eval_g=lambda x: np.array([np.abs(x).max() - 1.0]),
+        jac_g=lambda x: np.eye(2)[[int(np.argmax(np.abs(x)))]] * np.sign(x),
+        smooth_g=False)
+    feasible = Box(np.full(2, -2.0), np.full(2, 2.0))
+    model = make_model(oracle, np.zeros(2), PLAIN)
+    with pytest.raises(UnsupportedProblemError, match="smooth g_t"):
+        solve_subproblem(model, np.zeros(2), np.zeros(1),
+                         MalmConfig(alpha=1.0, sigma=1.0, T=1), feasible)
+
+
+def test_l1_constraint_needs_a_single_constraint():
+    oracle = RoundOracle(
+        t=0, n=2, p=2,
+        eval_f=lambda x: float(x @ x),
+        subgrad_f=lambda x: 2.0 * x,
+        eval_g=lambda x: np.abs(x).sum() - np.array([1.0, 2.0]),
+        jac_g=lambda x: np.vstack([np.sign(x), np.sign(x)]),
+        l1_g=True, smooth_g=False)
+    feasible = Box(np.full(2, -2.0), np.full(2, 2.0))
+    model = make_model(oracle, np.zeros(2), PLAIN)
+    with pytest.raises(UnsupportedProblemError, match="p = 1"):
+        solve_subproblem(model, np.zeros(2), np.zeros(2),
+                         MalmConfig(alpha=1.0, sigma=1.0, T=1), feasible)
+
+
+def test_l1_constraint_needs_a_box_like_set():
+    oracle = generate_olr(3, 4, 2, 2.0, seed=0).rounds[1]
+    model = make_model(oracle, np.zeros(3), PLAIN)
+    with pytest.raises(UnsupportedProblemError, match="box-like"):
+        solve_subproblem(model, np.zeros(3), np.zeros(1),
+                         MalmConfig(alpha=1.0, sigma=1.0, T=1),
+                         EuclideanBall(2.0, 3))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MalmConfig(alpha=0.0, sigma=1.0, T=10)
@@ -306,11 +354,11 @@ def test_run_malm_reports_failing_round():
 
 # Newton path: separable quadratic F and affine G over a box-like set.
 
-def separable_quadratic_round(h, c, B, g0):
-    """f(x) = 0.5 h.(x*x) + c.x with Hessian diagonal h; g(x) = B x + g0."""
+def separable_quadratic_round(h, c, B, g0, f0=0.0):
+    """f(x) = 0.5 h.(x*x) + c.x + f0 with Hessian diagonal h; g(x) = B x + g0."""
     return RoundOracle(
         t=0, n=h.size, p=g0.size,
-        eval_f=lambda x: float(0.5 * h @ (x * x) + c @ x),
+        eval_f=lambda x: float(0.5 * h @ (x * x) + c @ x) + f0,
         subgrad_f=lambda x: h * x + c,
         eval_g=lambda x: B @ x + g0,
         jac_g=lambda x: B.copy(),
@@ -451,3 +499,188 @@ def test_uncertified_newton_point_warm_starts_the_gradient_solver(monkeypatch):
     assert len(starts) == 1 and np.array_equal(starts[0], corner)
     assert subproblem_residual(model, x, lam, cfg, problem.set, center) <= cfg.tol
     assert np.max(np.abs(x - expected)) <= 1e-6
+
+
+def test_truncated_malm_runs_without_the_gradient_solver(monkeypatch):
+    # the inner problems of the truncated model's dual take the closed form
+    # (one constraint) or projected Newton (box-like set)
+    def no_fista(*args, **kwargs):
+        raise AssertionError("fista called on a truncated-model subproblem")
+
+    monkeypatch.setattr(malm_module, "fista", no_fista)
+    for problem, alpha in ((generate_nra(3, 3, 30, seed=14), 1.0),
+                           (generate_olr(4, 5, 30, 2.0, seed=1), 0.05)):
+        cfg = MalmConfig(alpha=alpha, sigma=0.5, T=30, model_kind=TRUNCATED)
+        traj = run_malm(problem, cfg)
+        for t in range(30):
+            assert contains(problem.set, traj.xs[t])
+
+
+# Dual paths (truncated model, plain model with an l1 constraint) and the
+# plain model on a Euclidean ball: certified, equal to a tight gradient solve
+# at the dual value the path selected, and not beaten by feasible samples.
+
+def _box_like(draw, n):
+    if draw(st.booleans()):
+        return Box(-draw(arrays(float, n, elements=_floats(0.1, 2.0))),
+                   draw(arrays(float, n, elements=_floats(0.1, 2.0))))
+    return SupNormBall(draw(_floats(0.1, 2.0)), n)
+
+
+def _config(draw):
+    return MalmConfig(alpha=draw(_floats(0.5, 5.0)),
+                      sigma=draw(_floats(0.01, 5.0)), T=1)
+
+
+@st.composite
+def truncated_subproblems(draw):
+    """A truncated model with one or more affine constraints on a box-like set."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 4))
+    h = draw(arrays(float, n, elements=_floats(0.0, 3.0)))
+    c = draw(arrays(float, n, elements=_floats(-3.0, 3.0)))
+    B = draw(arrays(float, (p, n), elements=_floats(-1.0, 1.0)))
+    g0 = draw(arrays(float, p, elements=_floats(-2.0, 2.0)))
+    feasible = _box_like(draw, n)
+    points = arrays(float, n, elements=_floats(-3.0, 3.0))
+    center = project(feasible, draw(points))
+    # MALM anchors at the prox center; other anchors move the hinge's crease
+    anchor = center if draw(st.booleans()) else project(feasible, draw(points))
+    oracle = separable_quadratic_round(h, c, B, g0, f0=draw(_floats(-1.0, 4.0)))
+    model = make_model(oracle, anchor, TRUNCATED)
+    lam = draw(arrays(float, p, elements=_floats(0.0, 3.0)))
+    return model, center, lam, _config(draw), feasible
+
+
+def l1_round(h, c, offset):
+    """f(x) = 0.5 h.(x*x) + c.x with g(x) = ||x||_1 + offset."""
+    return RoundOracle(
+        t=0, n=h.size, p=1,
+        eval_f=lambda x: float(0.5 * h @ (x * x) + c @ x),
+        subgrad_f=lambda x: h * x + c,
+        eval_g=lambda x: np.array([np.abs(x).sum() + offset]),
+        jac_g=lambda x: np.sign(x)[None, :],
+        l1_g=True, smooth_g=False)
+
+
+@st.composite
+def l1_subproblems(draw):
+    """A plain model whose one constraint is ||x||_1 + offset, on a box-like set."""
+    n = draw(st.integers(1, 6))
+    h = draw(arrays(float, n, elements=_floats(0.0, 3.0)))
+    c = draw(arrays(float, n, elements=_floats(-3.0, 3.0)))
+    feasible = _box_like(draw, n)
+    center = project(feasible, draw(arrays(float, n, elements=_floats(-3.0, 3.0))))
+    model = make_model(l1_round(h, c, draw(_floats(-3.0, 1.0))), center, PLAIN)
+    lam = draw(arrays(float, 1, elements=_floats(0.0, 3.0)))
+    return model, center, lam, _config(draw), feasible
+
+
+@st.composite
+def ball_subproblems(draw):
+    """A plain model with convex quadratic constraints on a Euclidean ball."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 4))
+    h = draw(arrays(float, n, elements=_floats(0.0, 3.0)))
+    c = draw(arrays(float, n, elements=_floats(-3.0, 3.0)))
+    q = draw(arrays(float, p, elements=_floats(0.0, 2.0)))
+    B = draw(arrays(float, (p, n), elements=_floats(-1.0, 1.0)))
+    g0 = draw(arrays(float, p, elements=_floats(-2.0, 2.0)))
+    oracle = RoundOracle(
+        t=0, n=n, p=p,
+        eval_f=lambda x: float(0.5 * h @ (x * x) + c @ x),
+        subgrad_f=lambda x: h * x + c,
+        eval_g=lambda x: 0.5 * q * float(x @ x) + B @ x + g0,
+        jac_g=lambda x: q[:, None] * x[None, :] + B)
+    feasible = EuclideanBall(draw(_floats(0.1, 3.0)), n)
+    center = project(feasible, draw(arrays(float, n, elements=_floats(-3.0, 3.0))))
+    model = make_model(oracle, center, PLAIN)
+    lam = draw(arrays(float, p, elements=_floats(0.0, 3.0)))
+    return model, center, lam, _config(draw), feasible
+
+
+def _solve_recording_dual(model, center, lam, cfg, feasible):
+    """solve_subproblem's point and the dual value of the bisection's last
+    inner solve (None when the path stopped at an end point without
+    bisecting)."""
+    chosen = []
+    bisect = malm_module._bisect_dual
+
+    def recording(solve_inner, *args):
+        def recorded(mu, x_warm):
+            chosen.append(mu)
+            return solve_inner(mu, x_warm)
+        return bisect(recorded, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(malm_module, "_bisect_dual", recording)
+        x = solve_subproblem(model, center, lam, cfg, feasible)
+    return x, (chosen[-1] if chosen else None)
+
+
+def _matches_tight_solve(x, center, smooth_grad, prox, tol):
+    """x passes the prox-gradient residual check at tol and lies within 1e-7
+    of a tol-1e-12 FISTA solve of the same smooth-plus-prox problem."""
+    assert np.linalg.norm(x - prox(x - smooth_grad(x), 1.0)) <= tol
+    x_ref, res_ref, _ = fista(center, smooth_grad, prox, tol=1e-12,
+                              max_iters=100_000, raise_on_fail=False)
+    assert res_ref <= 1e-10
+    assert np.max(np.abs(x - x_ref)) <= 1e-7
+
+
+def _no_sampled_point_is_better(model, x, lam, cfg, feasible, center):
+    def value(y):
+        return subproblem_objective(model, y, lam, cfg.alpha, cfg.sigma, center)
+
+    rng = np.random.default_rng(0)
+    near = [project(feasible, x + 1e-3 * rng.normal(size=x.size))
+            for _ in range(50)]
+    best = value(x)
+    for y in [*sample_in(feasible, rng, 100), *near]:
+        assert best <= value(y) + 1e-9 * (1.0 + abs(best))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(truncated_subproblems())
+def test_truncated_subproblems_match_a_tight_solve_at_the_selected_dual(case):
+    model, center, lam, cfg, feasible = case
+    x, mu = _solve_recording_dual(*case)
+    if mu is None:
+        # no bisection: mu = 0 when the hinge is off at x_0, else mu = 1
+        mu = 0.0 if model.f_anchor + float(model.u @ (x - model.anchor)) <= 0.0 \
+            else 1.0
+
+    def grad(y):
+        shifted = np.maximum(lam + cfg.sigma * model.eval_G(y), 0.0)
+        return mu * model.u + model.V.T @ shifted + cfg.alpha * (y - center)
+
+    _matches_tight_solve(x, center, grad, lambda z, step: project(feasible, z),
+                         cfg.tol)
+    _no_sampled_point_is_better(model, x, lam, cfg, feasible, center)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(l1_subproblems())
+def test_l1_subproblems_match_a_tight_solve_at_the_selected_dual(case):
+    model, center, lam, cfg, feasible = case
+    x, mu = _solve_recording_dual(*case)
+    mu = 0.0 if mu is None else mu
+    lower, upper = _box_bounds(feasible, x.size)
+
+    def grad(y):
+        return model.oracle.subgrad_f(y) + cfg.alpha * (y - center)
+
+    def prox(z, step):
+        soft = np.sign(z) * np.maximum(np.abs(z) - step * mu, 0.0)
+        return np.clip(soft, lower, upper)
+
+    _matches_tight_solve(x, center, grad, prox, cfg.tol)
+    _no_sampled_point_is_better(model, x, lam, cfg, feasible, center)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ball_subproblems())
+def test_ball_subproblems_match_a_tight_gradient_solve(case):
+    model, center, lam, cfg, feasible = case
+    x = _matches_tight_gradient_solve(*case)
+    _no_sampled_point_is_better(model, x, lam, cfg, feasible, center)

@@ -49,8 +49,6 @@ def test_violation_series_hand_case():
     out = full_series(traj, prob, np.zeros(1))
     assert np.allclose(out.cum_vio, [[1.0, -1.0], [-2.0, 1.0]])
     assert np.allclose(out.avg_vio_max, [1.0, 0.5])
-    # hinge kills the satisfied component before the norm
-    assert np.allclose(out.vio_d, [1.0, 1.0])
 
 
 def test_violation_series_identities_on_random_data():
@@ -63,8 +61,6 @@ def test_violation_series_identities_on_random_data():
     cum = np.cumsum(per, axis=0)
     assert np.allclose(out.cum_vio, cum, atol=1e-12)
     for t in range(12):
-        assert out.vio_d[t] == pytest.approx(
-            np.linalg.norm(np.maximum(cum[t], 0.0)))
         assert out.avg_vio_max[t] == pytest.approx(cum[t].max() / (t + 1))
 
 
@@ -73,7 +69,7 @@ def test_always_feasible_play_has_no_violation():
     prob = generic_problem(rounds, SEG, 1)
     traj = Trajectory(xs=np.zeros((6, 1)), lambdas=np.zeros((7, 1)))
     out = full_series(traj, prob, np.zeros(1))
-    assert np.all(out.vio_d == 0)
+    assert np.all(out.cum_vio < 0)
     assert np.all(out.avg_vio_max <= 0)
 
 
@@ -90,8 +86,8 @@ def test_full_series_matches_direct_recomputation():
                           np.linalg.norm(traj.lambdas[:25], axis=1))
 
 
-UNIT_CONSTANTS = ProblemConstants(D=1.0, kappa_f=1.0, kappa_g=1.0, nu_g=1.0,
-                                  eps0=1.0, slater_point=np.zeros(1))
+UNIT_CONSTANTS = ProblemConstants(D=1.0, kappa_f=1.0, nu_g=1.0, eps0=1.0,
+                                  slater_point=np.zeros(1))
 
 
 def test_bound_coefficients_frozen_values():
@@ -107,7 +103,7 @@ def test_bound_from_unit_coefficients():
 
 
 def test_bound_rejects_bad_inputs():
-    bad = ProblemConstants(D=1.0, kappa_f=1.0, kappa_g=1.0, nu_g=1.0,
+    bad = ProblemConstants(D=1.0, kappa_f=1.0, nu_g=1.0,
                            eps0=0.0, slater_point=np.zeros(1))
     with pytest.raises(ValueError):
         psi_kappas(bad)
@@ -117,7 +113,7 @@ def test_bound_rejects_bad_inputs():
 
 def test_bound_refuses_nu_g_below_slater_margin():
     # k2 = nu_g^2/eps0 - nu_g < 0; refused even when asserts are stripped
-    low = ProblemConstants(D=1.0, kappa_f=1.0, kappa_g=1.0, nu_g=0.5,
+    low = ProblemConstants(D=1.0, kappa_f=1.0, nu_g=0.5,
                            eps0=1.0, slater_point=np.zeros(1))
     with pytest.raises(ValueError, match="nu_g"):
         psi_kappas(low)

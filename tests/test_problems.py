@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ocobench import (Box, EuclideanBall, SupNormBall, contains, generate_nra,
+from ocobench import (Box, EuclideanBall, SupNormBall, generate_nra,
                       generate_olr, generate_oqcqp)
 
-from helpers import sample_in
+from helpers import contains, sample_in
 
 
 def make(kind, T, seed):
@@ -160,7 +160,7 @@ def test_rounds_are_convex_with_valid_subgradients(kind):
 def test_constants_and_structure(kind):
     prob = make(kind, 25, GOOD_SEED[kind])
     c = prob.constants
-    assert c.D > 0 and c.kappa_f > 0 and c.kappa_g > 0 and c.nu_g > 0
+    assert c.D > 0 and c.kappa_f > 0 and c.nu_g > 0
     assert len(prob.rounds) == 25 and prob.T == 25
     assert prob.rounds[0].n == prob.n and prob.rounds[0].p == prob.p
     assert prob.strong_convexity(0) >= 0
@@ -182,6 +182,11 @@ def test_generator_validation():
         generate_olr(0, 5, 5, 2.0, seed=0)
     with pytest.raises(ValueError):
         generate_oqcqp(4, 2, -1.0, 5, seed=0)
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite R"):
+            generate_oqcqp(4, 2, value, 5, seed=0)
+        with pytest.raises(ValueError, match="finite M"):
+            generate_olr(4, 5, 5, value, seed=0)
 
 
 def test_nra_feasible_set_is_capacity_box():
