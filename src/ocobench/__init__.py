@@ -6,7 +6,7 @@ from .baselines import (BaselineConfig, cl_step, czp_step, mosp_step, ny_step,
                         paper_baseline_config, run_baseline)
 from .core import (Box, ConvergenceError, EuclideanBall,
                    InfeasibleProblemError, ProblemArgumentError,
-                   ProblemConstants, RoundOracle, SupNormBall, Trajectory,
+                   ProblemConstants, RoundOracle, Trajectory,
                    UnsupportedProblemError, project, project_psd)
 from .harness import (ALGO_IDS, PRESETS, ExperimentConfig, generate_problem,
                       run_cell, run_experiment)
@@ -27,7 +27,7 @@ __all__ = [
     "ExperimentConfig", "InfeasibleProblemError", "LINEARIZED", "MODEL_KINDS",
     "MalmConfig", "MetricsSeries", "ModelAt", "PLAIN", "PRESETS",
     "ProblemArgumentError", "ProblemConstants", "ProblemInstance",
-    "QUADRATIC_LINEARIZED", "RoundOracle", "SupNormBall", "TRUNCATED",
+    "QUADRATIC_LINEARIZED", "RoundOracle", "TRUNCATED",
     "Trajectory", "UnsupportedProblemError", "cl_step",
     "closed_form_linearized_p1", "czp_step", "full_series", "generate_nra",
     "generate_olr", "generate_oqcqp", "generate_problem", "make_model",

@@ -40,8 +40,9 @@ class BaselineConfig:
             raise ValueError("tau must be nonnegative")
         for name in ("alpha", "mu", "eta", "nu"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ValueError(f"{name} must be positive when set")
+            if val is not None and not 0.0 < val < np.inf:
+                raise ValueError(f"{name} must be positive and finite when "
+                                 f"set, got {val!r}")
 
 
 def paper_baseline_config(algo: str, T: int, tau: int = 0) -> BaselineConfig:

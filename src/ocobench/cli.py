@@ -39,13 +39,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="start from a named experiment preset")
     parser.add_argument("--config", metavar="FILE",
                         help="INI config file (sections: experiment, problem, malm)")
+    # Every other flag's dest is the ExperimentConfig field it sets.
     parser.add_argument("--problem", choices=("nra", "olr", "oqcqp"))
-    parser.add_argument("--algo", type=_split, metavar="A[,B...]",
+    parser.add_argument("--algo", type=_split, dest="algos", metavar="A[,B...]",
                         help="comma-separated algorithms: malm,mosp,cl,ny,czp")
     parser.add_argument("--T", type=int, help="number of rounds")
-    parser.add_argument("--tau", type=_int_list, metavar="T0[,T1...]",
+    parser.add_argument("--tau", type=_int_list, dest="taus", metavar="T0[,T1...]",
                         help="comma-separated feedback delays")
-    parser.add_argument("--seed", type=_int_list, metavar="S0[,S1...]",
+    parser.add_argument("--seed", type=_int_list, dest="seeds", metavar="S0[,S1...]",
                         help="comma-separated instance seeds")
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--tol-inner", type=float, dest="tol_inner",
@@ -108,22 +109,9 @@ def _file_updates(path: str) -> dict:
     return updates
 
 
-# Flag (argparse dest, parsed by its ``type``) -> ExperimentConfig field.
-_FLAG_FIELDS = {
-    "problem": "problem",
-    "algo": "algos",
-    "T": "T",
-    "tau": "taus",
-    "seed": "seeds",
-    "out": "out",
-    "tol_inner": "tol_inner",
-    "tol_comparator": "tol_comparator",
-}
-
-
 def _cli_updates(args: argparse.Namespace) -> dict:
-    return {field: getattr(args, dest) for dest, field in _FLAG_FIELDS.items()
-            if getattr(args, dest) is not None}
+    return {field: value for field, value in vars(args).items()
+            if value is not None and field not in ("preset", "config")}
 
 
 def assemble_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -64,6 +64,8 @@ class Box:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("box bounds must be 1-D vectors of equal length")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("box bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("box requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lower)
@@ -88,21 +90,7 @@ class EuclideanBall:
             raise ValueError("dim must be >= 1")
 
 
-@dataclass(frozen=True)
-class SupNormBall:
-    """Sup-norm ball {||x||_inf <= bound} in R^dim."""
-
-    bound: float
-    dim: int
-
-    def __post_init__(self):
-        if not 0.0 < self.bound < np.inf:
-            raise ValueError(f"bound must be positive and finite, got {self.bound!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-
-
-FeasibleSet = Box | EuclideanBall | SupNormBall
+FeasibleSet = Box | EuclideanBall
 
 
 def project(feasible_set: FeasibleSet, point: Array) -> Array:
@@ -110,7 +98,7 @@ def project(feasible_set: FeasibleSet, point: Array) -> Array:
 
     Parameters
     ----------
-    feasible_set : Box, EuclideanBall or SupNormBall
+    feasible_set : Box or EuclideanBall
     point : ndarray
         Vector whose dimension must match the set.
 
@@ -128,11 +116,40 @@ def project(feasible_set: FeasibleSet, point: Array) -> Array:
         if nrm <= feasible_set.radius:
             return x.copy()
         return x * (feasible_set.radius / nrm)
-    if isinstance(feasible_set, SupNormBall):
-        x = _check_vector(point, feasible_set.dim)
-        m = feasible_set.bound
-        return np.minimum(np.maximum(x, -m), m)
     raise TypeError(f"unknown feasible set type: {type(feasible_set)!r}")
+
+
+def _l1_threshold(abs_z: Array, floor, cap, a: float, w: float) -> float:
+    """The threshold theta >= 0 where sum_i clip(|z_i| - theta, floor_i, cap_i)
+    falls to the budget a + w theta (w >= 0).
+
+    The sum is nonincreasing and piecewise linear in theta, with breakpoints
+    where a coordinate leaves its cap or reaches its floor; the root lies on
+    the segment where the sorted breakpoint values cross the budget (Duchi
+    et al., ICML 2008).  Returns 0 when the sum at theta = 0 is already
+    within the budget.  A root past the last breakpoint, where every
+    coordinate sits at its floor, clips z to the same point as the last
+    breakpoint does, which is returned instead.
+    """
+    bps = np.unique(np.concatenate([[0.0], abs_z - cap, abs_z - floor]))
+    bps = bps[bps >= 0.0]
+
+    def excess(theta):
+        return float(np.minimum(np.maximum(abs_z - theta, floor), cap).sum()) \
+            - w * theta
+
+    vals = np.array([excess(b) for b in bps])
+    idx = int(np.searchsorted(-vals, -a))
+    if idx == 0:
+        return 0.0
+    if idx == bps.size:
+        return float(bps[-1])
+    hi_bp, hi_val = float(bps[idx]), float(vals[idx])
+    lo_bp, lo_val = float(bps[idx - 1]), vals[idx - 1]
+    if hi_val == a:
+        return hi_bp
+    slope = (hi_val - lo_val) / (hi_bp - lo_bp)
+    return lo_bp + (a - lo_val) / slope
 
 
 def project_psd(matrix: Array) -> Array:

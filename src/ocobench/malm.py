@@ -6,12 +6,11 @@ The per-round subproblem is
                   + (alpha/2) ||x - prox_center||^2
 
 solved by a closed form (single affine constraint, linearized model), by a
-projected Newton method (separable quadratic F and affine G over a box-like
-set, where the objective is piecewise quadratic), or by an accelerated
-projected gradient method.  Nonsmooth cases (truncated model hinge, plain
-model with an l1 constraint) are reduced to smooth inner problems through a
-scalar dual variable and certified against the original objective with the
-dual-informed subgradient.
+projected Newton method (separable quadratic F and affine G over a box,
+where the objective is piecewise quadratic), or by an accelerated proximal
+gradient method.  The truncated model's hinge is reduced to smooth inner
+problems through a scalar dual variable; the plain model's l1 constraint
+keeps its squared-hinge penalty in an exact prox.
 """
 
 from __future__ import annotations
@@ -22,8 +21,9 @@ from typing import Optional
 import numpy as np
 
 from ._apg import fista
-from .core import (Array, Box, ConvergenceError, FeasibleSet, SupNormBall,
-                   Trajectory, UnsupportedProblemError, project, run_schedule)
+from .core import (Array, Box, FeasibleSet, Trajectory,
+                   UnsupportedProblemError, _l1_threshold, project,
+                   run_schedule)
 from .models import (LINEARIZED, MODEL_KINDS, PLAIN, QUADRATIC_LINEARIZED,
                      TRUNCATED, ModelAt, make_model)
 
@@ -48,16 +48,18 @@ class MalmConfig:
     x0: Optional[Array] = None
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.sigma <= 0:
-            raise ValueError("alpha and sigma must be positive")
+        for name in ("alpha", "sigma", "tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
         if self.T <= self.tau:
             raise ValueError("time horizon T must exceed the delay tau")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 def subproblem_objective(model: ModelAt, x: Array, lam: Array,
@@ -196,77 +198,36 @@ def _bisect_dual(solve_inner, slope, hi: float, x_start: Array,
     return solve_inner(0.5 * (lo + hi), x_warm)
 
 
-def _box_bounds(feasible_set: FeasibleSet, n: int):
-    """Lower and upper bound vectors of a Box or SupNormBall."""
-    if isinstance(feasible_set, Box):
-        return feasible_set.lower, feasible_set.upper
-    return np.full(n, -feasible_set.bound), np.full(n, feasible_set.bound)
+def _plain_l1_parts(model: ModelAt, prox_center: Array, lam: Array,
+                    cfg: MalmConfig, feasible_set: Box):
+    """Gradient and prox of the plain model with g(x) = ||x||_1 + c.
 
-
-def _solve_plain_l1(model: ModelAt, prox_center: Array, lam: Array,
-                    cfg: MalmConfig, feasible_set: FeasibleSet) -> Array:
-    """Plain model whose single constraint is g(x) = ||x||_1 + c.
-
-    The squared hinge satisfies [v]_+^2/2 = max_{mu>=0} (mu v - mu^2/2), so
-    for fixed mu the subproblem is smooth-plus-(mu ||x||_1), handled by the
-    proximal gradient method with a soft-threshold-and-clamp prox.  The
-    optimal mu solves mu = [lam + sigma (||x(mu)||_1 + c)]_+ by bisection on
-    the concave dual's derivative.  Each inner solve is certified at tol/4
-    by its proximal-gradient residual, which measures the penalty with the
-    subgradient mu selects and, unlike a fixed mu * sign(x), stays
-    continuous where a coordinate of x reaches zero.
+    The gradient is that of f + (alpha/2)||x - prox_center||^2.  The prox is
+    the exact one of the squared-hinge penalty plus the box indicator: the
+    penalty is phi(||x||_1) with phi(r) = [lam + sigma (r + c)]_+^2 / (2 sigma),
+    convex and nondecreasing, so prox(z, step) soft-thresholds z at
+    kappa = step * phi'(r) and clamps it to the box, where r is the l1 norm
+    of that point.  Since r falls as kappa grows, kappa is the one root of
+    r(kappa) = kappa / (step sigma) - lam / sigma - c, found by
+    ``_l1_threshold`` on the coordinates' magnitudes: each lies between the
+    magnitude of the box point nearest 0 and the bound on z's side.
     """
-    if not isinstance(feasible_set, (Box, SupNormBall)):
-        raise UnsupportedProblemError(
-            "plain model with an l1 constraint needs a box-like feasible set")
-    oracle = model.oracle
-    tol = cfg.tol
-    inner_tol = 0.25 * tol
-    sigma, alpha = cfg.sigma, cfg.alpha
-    lam0 = float(np.asarray(lam, float)[0])
-    center = np.asarray(prox_center, dtype=float)
-    c = float(oracle.eval_g(np.zeros(oracle.n))[0])
+    sigma = cfg.sigma
+    lower, upper = feasible_set.lower, feasible_set.upper
+    floor = np.abs(np.clip(0.0, lower, upper))
+    c = float(model.oracle.eval_g(np.zeros(lower.size))[0])
+    budget = -(float(lam[0]) / sigma + c)
 
-    lo_b, hi_b = _box_bounds(feasible_set, oracle.n)
+    def grad(x: Array) -> Array:
+        return model.subgrad_F(x) + cfg.alpha * (x - prox_center)
 
-    def smooth_grad(x: Array) -> Array:
-        return np.asarray(oracle.subgrad_f(x), float) + alpha * (x - center)
+    def prox(z: Array, step: float) -> Array:
+        abs_z = np.abs(z)
+        cap = np.where(z >= 0.0, np.abs(upper), np.abs(lower))
+        kappa = _l1_threshold(abs_z, floor, cap, budget, 1.0 / (step * sigma))
+        return np.clip(np.sign(z) * np.maximum(abs_z - kappa, 0.0), lower, upper)
 
-    def solve_inner(mu: float, x_start: Array) -> Array:
-        def prox(z: Array, step: float) -> Array:
-            soft = np.sign(z) * np.maximum(np.abs(z) - step * mu, 0.0)
-            return np.minimum(np.maximum(soft, lo_b), hi_b)
-
-        x, _, _ = fista(x_start, smooth_grad, prox,
-                        tol=inner_tol, max_iters=cfg.max_iters,
-                        l0=alpha + 1.0)
-        return x
-
-    def dual_slope(mu: float, x: Array) -> float:
-        return lam0 / sigma + float(np.abs(x).sum()) + c - mu / sigma
-
-    x_cur = solve_inner(0.0, center)
-    if dual_slope(0.0, x_cur) <= 0.0:
-        return x_cur
-
-    mu_hi = max(lam0 + sigma * (float(np.abs(x_cur).sum()) + c), 0.0) + 1.0
-    x_hi = solve_inner(mu_hi, x_cur)
-    while dual_slope(mu_hi, x_hi) > 0.0:
-        mu_hi *= 2.0
-        x_hi = solve_inner(mu_hi, x_hi)
-        if mu_hi > 1e18:
-            raise ConvergenceError("l1 dual variable diverged", residual=np.inf)
-
-    # Bisect the concave dual's derivative; the optimal mu reproduces the
-    # hinge weight [lam + sigma (||x||_1 + c)]_+ at the solution, so the
-    # slope scale tells how far mu * sign(x) is from a true subgradient of
-    # the penalty.  Stop at the inner solver's noise floor.
-    n = oracle.n
-    slope_floor = (4.0 * np.sqrt(n) * inner_tol / alpha
-                   + tol / (4.0 * sigma * np.sqrt(n)))
-    return _bisect_dual(solve_inner, dual_slope, mu_hi, x_hi,
-                        1e-13 * (1.0 + mu_hi),
-                        lambda slope: abs(slope) * sigma <= slope_floor)
+    return grad, prox
 
 
 # Projected Newton: step cap, Armijo slope fraction, smallest trial step and
@@ -297,7 +258,7 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     """
     alpha, sigma, tol = cfg.alpha, cfg.sigma, cfg.tol
     grad = _smooth_grad(model, prox_center, lam, alpha, sigma)
-    lower, upper = _box_bounds(feasible_set, curvature.size)
+    lower, upper = feasible_set.lower, feasible_set.upper
     diag = curvature + alpha
 
     def objective(x: Array) -> float:
@@ -343,17 +304,24 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     Paths, in the order they are tried: the closed form for a single affine
     constraint under the linearized model; the projected Newton method when
     the model has constant diagonal curvature and an affine G
-    (``ModelAt.quadratic_structure``) and the set is a box or sup-norm
-    ball; the dual bisections of the truncated model, whose inner problems
-    come back here as linearized models, and of the plain model with an l1
-    constraint; and the accelerated projected gradient method, which also
-    takes over, warm-started, from a closed-form or Newton point that fails
-    the residual check.  The result satisfies the
-    projected-(sub)gradient residual bound cfg.tol.
+    (``ModelAt.quadratic_structure``) and the set is a box; the dual
+    bisection of the truncated model, whose inner problems come back here as
+    linearized models; and the accelerated proximal gradient method, which
+    also takes over, warm-started, from a closed-form or Newton point that
+    fails the residual check.  For the plain model with an l1 constraint it
+    runs on f plus the prox term, with the penalty and the box in its exact
+    prox.  The result satisfies the proximal-gradient residual bound
+    cfg.tol.
     """
     prox_center = np.asarray(prox_center, dtype=float)
     lam = np.asarray(lam, dtype=float)
     x_start = None
+    grad = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma)
+
+    def prox(z: Array, step: float) -> Array:
+        return project(feasible_set, z)
+
+    l0 = None
 
     if model.kind == LINEARIZED and model.p == 1:
         a = model.u - cfg.alpha * prox_center
@@ -362,14 +330,13 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
                  - float(model.V[0] @ model.anchor))
         x_cf = closed_form_linearized_p1(a, b, gamma, cfg.alpha, cfg.sigma,
                                          feasible_set)
-        grad = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma)
         res = float(np.linalg.norm(x_cf - project(feasible_set, x_cf - grad(x_cf))))
         if res <= cfg.tol:
             return x_cf
         x_start = x_cf
 
     structure = model.quadratic_structure()
-    if structure is not None and isinstance(feasible_set, (Box, SupNormBall)):
+    if structure is not None and isinstance(feasible_set, Box):
         x_nt, res = _solve_newton(model, prox_center, lam, cfg, feasible_set,
                                   *structure, x_start=x_start)
         if res <= cfg.tol:
@@ -381,16 +348,20 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
         if model.oracle.l1_g:
             if model.p != 1:
                 raise UnsupportedProblemError("l1 constraint handling assumes p = 1")
-            return _solve_plain_l1(model, prox_center, lam, cfg, feasible_set)
-        if not model.oracle.smooth_g:
+            if not isinstance(feasible_set, Box):
+                raise UnsupportedProblemError(
+                    "plain model with an l1 constraint needs a box-like feasible set")
+            grad, prox = _plain_l1_parts(model, prox_center, lam, cfg,
+                                         feasible_set)
+            l0 = cfg.alpha + 1.0
+        elif not model.oracle.smooth_g:
             raise UnsupportedProblemError(
                 "plain model requires a smooth g_t (or the l1 structure)")
 
-    x, _, _ = fista(prox_center if x_start is None else x_start,
-                    _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma),
-                    lambda z, step: project(feasible_set, z),
-                    tol=cfg.tol, max_iters=cfg.max_iters,
-                    l0=_initial_lipschitz(model, prox_center, cfg.alpha, cfg.sigma))
+    if l0 is None:
+        l0 = _initial_lipschitz(model, prox_center, cfg.alpha, cfg.sigma)
+    x, _, _ = fista(prox_center if x_start is None else x_start, grad, prox,
+                    tol=cfg.tol, max_iters=cfg.max_iters, l0=l0)
     return x
 
 

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.special import expit
 
 from ._apg import fista
-from .core import Array, ConvergenceError, InfeasibleProblemError, project
+from .core import (Array, ConvergenceError, InfeasibleProblemError,
+                   _l1_threshold, project)
 from .problems import ProblemInstance
 
 _MAX_OUTER = 100
@@ -26,7 +27,8 @@ def project_l1_box(point: Array, a: float, M: float) -> Array:
 
     Both sets are sign-symmetric, so the projection keeps signs and applies
     a soft threshold followed by the box clamp; the threshold solves the
-    piecewise-linear budget equation by sorting its breakpoints.
+    piecewise-linear budget equation by sorting its breakpoints
+    (``core._l1_threshold``).
 
     Parameters
     ----------
@@ -52,29 +54,7 @@ def project_l1_box(point: Array, a: float, M: float) -> Array:
         return np.clip(z, -M, M)
     if a == 0.0:
         return np.zeros_like(z)
-
-    # budget(theta) = sum_i clip(|z_i| - theta, 0, M) is nonincreasing and
-    # piecewise linear with breakpoints where a coordinate leaves the cap M
-    # or reaches 0; find the segment where it crosses a.
-    bps = np.unique(np.concatenate([abs_z - M, abs_z]))
-    bps = bps[bps > 0.0]
-
-    def budget(theta):
-        return float(np.minimum(np.maximum(abs_z - theta, 0.0), M).sum())
-
-    vals = np.array([budget(b) for b in bps])
-    idx = int(np.searchsorted(-vals, -a))
-    if idx >= bps.size:
-        theta = float(bps[-1])
-    else:
-        hi_bp, hi_val = float(bps[idx]), float(vals[idx])
-        lo_bp = float(bps[idx - 1]) if idx > 0 else 0.0
-        lo_val = vals[idx - 1] if idx > 0 else budget(0.0)
-        if hi_val == a or hi_bp == lo_bp:
-            theta = hi_bp
-        else:
-            slope = (hi_val - lo_val) / (hi_bp - lo_bp)
-            theta = lo_bp + (a - lo_val) / slope
+    theta = _l1_threshold(abs_z, 0.0, M, a, 0.0)
     return np.sign(z) * np.minimum(np.maximum(abs_z - theta, 0.0), M)
 
 

@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from .core import (Array, Box, EuclideanBall, FeasibleSet,
                    ProblemArgumentError, ProblemConstants, RoundOracle,
-                   SupNormBall, project_psd)
+                   project_psd)
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,8 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     loss f_t(x) = sum_i log(1 + exp(-l_{i,t} u_{i,t}^T x)); the constraint
     g_t(x) = ||x||_1 - a_t <= 0 caps the l1 norm by a budget a_t that
     performs a hinged random walk.  Features drift by steps shrinking as
-    1/(2t), labels are independent signs, and the feasible set is the sup
-    norm ball of radius M.
+    1/(2t), labels are independent signs, and the feasible set is the box
+    [-M, M]^n.
 
     Parameters
     ----------
@@ -242,7 +242,7 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
         a[t] = max(a[t - 1] + a_steps[t - 1], 0.0)
 
     Z_all = labels[:, :, None] * u_all
-    feasible_set = SupNormBall(M, n)
+    feasible_set = Box(np.full(n, -M), np.full(n, M))
     rounds = tuple(_logistic_round(t, Z_all[t], float(a[t]), n)
                    for t in range(T))
 

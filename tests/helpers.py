@@ -54,14 +54,11 @@ def contains(feasible_set, point, tol=1e-9):
 
 def sample_in(feasible_set, rng, count):
     """Uniform-ish sample of feasible points, shape (count, n)."""
-    from ocobench import Box, EuclideanBall, SupNormBall, project
+    from ocobench import Box, EuclideanBall
 
     if isinstance(feasible_set, Box):
         lo, hi = feasible_set.lower, feasible_set.upper
         return rng.uniform(lo, hi, size=(count, lo.size))
-    if isinstance(feasible_set, SupNormBall):
-        m, n = feasible_set.bound, feasible_set.dim
-        return rng.uniform(-m, m, size=(count, n))
     if isinstance(feasible_set, EuclideanBall):
         pts = rng.normal(size=(count, feasible_set.dim))
         radii = rng.uniform(0, feasible_set.radius, size=count) ** 1.0

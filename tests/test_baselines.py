@@ -94,6 +94,10 @@ def test_baseline_config_validation():
         BaselineConfig("cl", T=5, tau=-1)
     with pytest.raises(ValueError):
         BaselineConfig("cl", T=5, eta=-0.1)
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        BaselineConfig("cl", T=5, eta=float("nan"))
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        BaselineConfig("mosp", T=5, alpha=float("inf"), mu=0.1)
 
 
 def test_run_baseline_rejects_delay_for_undelayed_algos():

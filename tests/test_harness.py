@@ -222,6 +222,17 @@ def test_config_file_problem_keys_keep_case_and_unknown_keys_are_refused(tmp_pat
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_each_flag_sets_the_config_field_it_is_named_for():
+    args = _build_parser().parse_args(
+        ["--problem", "olr", "--algo", "malm,cl", "--T", "50", "--tau", "0,2",
+         "--seed", "1,3", "--out", "x.csv", "--tol-inner", "1e-8",
+         "--tol-comparator", "1e-6"])
+    config = assemble_config(args)
+    assert (config.problem, config.algos, config.T, config.taus, config.seeds,
+            config.out, config.tol_inner, config.tol_comparator) \
+        == ("olr", ("malm", "cl"), 50, (0, 2), (1, 3), "x.csv", 1e-8, 1e-6)
+
+
 def test_config_file_problem_keys_merge_over_the_preset(tmp_path):
     ini = tmp_path / "r.ini"
     ini.write_text("[problem]\nR = 2.0\n")

@@ -7,13 +7,13 @@ from hypothesis.extra.numpy import arrays
 import ocobench.malm as malm_module
 from ocobench import (LINEARIZED, PLAIN, QUADRATIC_LINEARIZED, TRUNCATED, Box,
                       ConvergenceError, EuclideanBall, MalmConfig,
-                      RoundOracle, SupNormBall, UnsupportedProblemError,
+                      RoundOracle, UnsupportedProblemError,
                       closed_form_linearized_p1, generate_nra, generate_olr,
                       generate_oqcqp, make_model,
                       multiplier_update, project, run_malm, solve_comparator,
                       solve_subproblem, subproblem_objective)
 from ocobench._apg import fista
-from ocobench.malm import _box_bounds, _smooth_grad
+from ocobench.malm import _plain_l1_parts, _smooth_grad
 
 from helpers import (affine_round, contains, generic_problem, quad_round,
                      run_malm_no_delay, sample_in)
@@ -258,6 +258,14 @@ def test_config_validation():
         MalmConfig(alpha=1.0, sigma=1.0, T=10, model_kind="cubic")
     with pytest.raises(ValueError):
         MalmConfig(alpha=1.0, sigma=1.0, T=10, tol=0.0)
+    # max_iters = 0 used to end the first solve in an UnboundLocalError
+    with pytest.raises(ValueError, match="max_iters"):
+        MalmConfig(alpha=1.0, sigma=1.0, T=10, max_iters=0)
+    for name in ("alpha", "sigma", "tol"):
+        for value in (np.nan, np.inf):
+            kwargs = {"alpha": 1.0, "sigma": 1.0, name: value}
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                MalmConfig(T=10, **kwargs)
 
 
 def test_run_malm_initialization_and_feasibility():
@@ -370,6 +378,11 @@ def _floats(lo, hi):
                      allow_subnormal=False)
 
 
+def _symmetric_box(draw, n, bound):
+    m = draw(_floats(0.1, bound))
+    return Box(np.full(n, -m), np.full(n, m))
+
+
 @st.composite
 def newton_subproblems(draw):
     """A Newton-eligible model, prox center, multiplier, config and set."""
@@ -385,7 +398,7 @@ def newton_subproblems(draw):
         feasible = Box(-draw(arrays(float, n, elements=_floats(0.1, 2.0))),
                        draw(arrays(float, n, elements=_floats(0.1, 2.0))))
     else:
-        feasible = SupNormBall(draw(_floats(0.1, 2.0)), n)
+        feasible = _symmetric_box(draw, n, 2.0)
     center = project(feasible, draw(arrays(float, n, elements=_floats(-3.0, 3.0))))
     lam = draw(arrays(float, p, elements=_floats(0.0, 3.0)))
     cfg = MalmConfig(alpha=draw(_floats(0.5, 5.0)), sigma=draw(_floats(0.01, 5.0)),
@@ -415,7 +428,7 @@ def test_newton_subproblems_match_a_tight_gradient_solve(case, other_lam):
 
 @st.composite
 def closed_form_subproblems(draw):
-    """A linearized model with one constraint, on a box, sup-norm or
+    """A linearized model with one constraint, on a box, a symmetric box or a
     Euclidean ball, anchored away from the prox center."""
     n = draw(st.integers(1, 6))
     h = draw(arrays(float, n, elements=_floats(0.0, 3.0)))
@@ -427,7 +440,7 @@ def closed_form_subproblems(draw):
         feasible = Box(-draw(arrays(float, n, elements=_floats(0.1, 3.0))),
                        draw(arrays(float, n, elements=_floats(0.1, 3.0))))
     elif shape == "sup":
-        feasible = SupNormBall(draw(_floats(0.1, 3.0)), n)
+        feasible = _symmetric_box(draw, n, 3.0)
     else:
         feasible = EuclideanBall(draw(_floats(0.1, 3.0)), n)
     points = arrays(float, n, elements=_floats(-3.0, 3.0))
@@ -457,8 +470,8 @@ def test_closed_form_subproblems_match_a_tight_gradient_solve(case):
     if isinstance(feasible, EuclideanBall):
         inside = np.linalg.norm(x) < feasible.radius - margin
     else:
-        lower, upper = _box_bounds(feasible, x.size)
-        inside = np.all(x > lower + margin) and np.all(x < upper - margin)
+        inside = (np.all(x > feasible.lower + margin)
+                  and np.all(x < feasible.upper - margin))
     assert not (inside and fallbacks)
 
 
@@ -516,15 +529,16 @@ def test_truncated_malm_runs_without_the_gradient_solver(monkeypatch):
             assert contains(problem.set, traj.xs[t])
 
 
-# Dual paths (truncated model, plain model with an l1 constraint) and the
-# plain model on a Euclidean ball: certified, equal to a tight gradient solve
-# at the dual value the path selected, and not beaten by feasible samples.
+# The truncated model's dual path, the plain model with an l1 constraint and
+# the plain model on a Euclidean ball: certified, equal to a tight gradient
+# solve at the dual value the path selected, and not beaten by feasible
+# samples.
 
 def _box_like(draw, n):
     if draw(st.booleans()):
         return Box(-draw(arrays(float, n, elements=_floats(0.1, 2.0))),
                    draw(arrays(float, n, elements=_floats(0.1, 2.0))))
-    return SupNormBall(draw(_floats(0.1, 2.0)), n)
+    return _symmetric_box(draw, n, 2.0)
 
 
 def _config(draw):
@@ -563,13 +577,21 @@ def l1_round(h, c, offset):
         l1_g=True, smooth_g=False)
 
 
+def _any_box(draw, n):
+    """A box around the origin, or one that may exclude it."""
+    if draw(st.booleans()):
+        return _box_like(draw, n)
+    lower = draw(arrays(float, n, elements=_floats(-2.0, 2.0)))
+    return Box(lower, lower + draw(arrays(float, n, elements=_floats(0.0, 2.0))))
+
+
 @st.composite
 def l1_subproblems(draw):
-    """A plain model whose one constraint is ||x||_1 + offset, on a box-like set."""
+    """A plain model whose one constraint is ||x||_1 + offset, on a box."""
     n = draw(st.integers(1, 6))
     h = draw(arrays(float, n, elements=_floats(0.0, 3.0)))
     c = draw(arrays(float, n, elements=_floats(-3.0, 3.0)))
-    feasible = _box_like(draw, n)
+    feasible = _any_box(draw, n)
     center = project(feasible, draw(arrays(float, n, elements=_floats(-3.0, 3.0))))
     model = make_model(l1_round(h, c, draw(_floats(-3.0, 1.0))), center, PLAIN)
     lam = draw(arrays(float, 1, elements=_floats(0.0, 3.0)))
@@ -663,19 +685,93 @@ def test_truncated_subproblems_match_a_tight_solve_at_the_selected_dual(case):
 @given(l1_subproblems())
 def test_l1_subproblems_match_a_tight_solve_at_the_selected_dual(case):
     model, center, lam, cfg, feasible = case
-    x, mu = _solve_recording_dual(*case)
-    mu = 0.0 if mu is None else mu
-    lower, upper = _box_bounds(feasible, x.size)
+    x = solve_subproblem(*case)
+    # the penalty's weight at x, which the exact prox uses as its threshold
+    mu = max(lam[0] + cfg.sigma * float(model.eval_G(x)[0]), 0.0)
 
     def grad(y):
         return model.oracle.subgrad_f(y) + cfg.alpha * (y - center)
 
     def prox(z, step):
         soft = np.sign(z) * np.maximum(np.abs(z) - step * mu, 0.0)
-        return np.clip(soft, lower, upper)
+        return np.clip(soft, feasible.lower, feasible.upper)
 
-    _matches_tight_solve(x, center, grad, prox, cfg.tol)
+    # the certified residual is taken at the threshold of the prox's own
+    # output u, with ||u - x|| <= tol: the two thresholds differ by at most
+    # sigma sqrt(n) tol, which moves the fixed-threshold prox by sigma n tol
+    _matches_tight_solve(x, center, grad, prox,
+                         cfg.tol * (1.0 + cfg.sigma * x.size))
     _no_sampled_point_is_better(model, x, lam, cfg, feasible, center)
+
+
+@st.composite
+def l1_prox_inputs(draw):
+    """A point, stepsize and the l1 penalty's data on a box."""
+    n = draw(st.integers(1, 6))
+    z = draw(arrays(float, n, elements=_floats(-4.0, 4.0)))
+    oracle = l1_round(np.zeros(n), np.zeros(n), draw(_floats(-3.0, 1.0)))
+    feasible = _any_box(draw, n)
+    model = make_model(oracle, np.zeros(n), PLAIN)
+    lam = draw(arrays(float, 1, elements=_floats(0.0, 3.0)))
+    return z, draw(_floats(0.01, 5.0)), model, lam, _config(draw), feasible
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(l1_prox_inputs())
+def test_l1_prox_is_exact(case):
+    z, step, model, lam, cfg, feasible = case
+    _, prox = _plain_l1_parts(model, np.zeros(z.size), lam, cfg, feasible)
+    u = prox(z, step)
+    assert np.all(u >= feasible.lower) and np.all(u <= feasible.upper)
+
+    def weight(y):
+        return max(lam[0] + cfg.sigma * float(model.eval_G(y)[0]), 0.0)
+
+    def penalty(y):
+        return weight(y) ** 2 / (2.0 * cfg.sigma)
+
+    # the threshold is a fixed point: step * [lam + sigma g(u)]_+
+    # soft-thresholds and clamps z back to u
+    kappa = step * weight(u)
+    soft = np.sign(z) * np.maximum(np.abs(z) - kappa, 0.0)
+    assert np.max(np.abs(np.clip(soft, feasible.lower, feasible.upper) - u)) \
+        <= 1e-9 * (1.0 + kappa)
+
+    def value(y):
+        return step * penalty(y) + 0.5 * float((y - z) @ (y - z))
+
+    best = value(u)
+    rng = np.random.default_rng(0)
+    near = [project(feasible, u + 1e-3 * rng.normal(size=u.size))
+            for _ in range(50)]
+    for y in [*sample_in(feasible, rng, 100), *near]:
+        assert best <= value(y) + 1e-12 * (1.0 + abs(best))
+
+
+def test_l1_subproblem_is_one_certified_gradient_solve(monkeypatch):
+    # f = x^2/2, g = |x|, prox center 1, lam = 1, alpha = sigma = 1 on
+    # [-1, 1]: the optimum is 0, where the hinge weight 1 times the
+    # subgradient 1 of |x| cancels the prox term's slope -1.  A FISTA solve
+    # at a fixed dual value near 1 stalls above tol/4 on this case.
+    solves = []
+
+    def spy(*args, **kwargs):
+        out = fista(*args, **kwargs)
+        solves.append(out)
+        return out
+
+    monkeypatch.setattr(malm_module, "fista", spy)
+    model = make_model(l1_round(np.ones(1), np.zeros(1), 0.0), np.ones(1), PLAIN)
+    x = solve_subproblem(model, np.ones(1), np.ones(1),
+                         MalmConfig(alpha=1.0, sigma=1.0, T=1),
+                         Box(np.full(1, -1.0), np.full(1, 1.0)))
+    assert len(solves) == 1 and solves[0][1] <= 1e-9
+    assert abs(x[0]) <= 1e-12
+
+    problem = generate_olr(4, 5, 15, 2.0, seed=1)
+    solves.clear()
+    run_malm(problem, MalmConfig(alpha=2.0, sigma=0.5, T=15))
+    assert len(solves) == 15
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

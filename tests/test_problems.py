@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ocobench import (Box, EuclideanBall, SupNormBall, generate_nra,
-                      generate_olr, generate_oqcqp)
+from ocobench import Box, EuclideanBall, generate_nra, generate_olr, generate_oqcqp
 
 from helpers import contains, sample_in
 
@@ -100,8 +99,9 @@ def test_olr_budget_walk_and_flags():
     assert np.all(np.abs(np.diff(a)) <= 0.5 / np.arange(1, 200) + 1e-15)
     assert prob.p == 1
     assert prob.rounds[0].l1_g and not prob.rounds[0].smooth_g
-    assert isinstance(prob.set, SupNormBall)
-    assert prob.set.bound == 2.0
+    assert isinstance(prob.set, Box)
+    assert np.array_equal(prob.set.lower, np.full(4, -2.0))
+    assert np.array_equal(prob.set.upper, np.full(4, 2.0))
     assert prob.constants.eps0 == pytest.approx(a.min())
 
 
