@@ -13,7 +13,7 @@ from .harness import (ALGO_IDS, PRESETS, ExperimentConfig, generate_problem,
 from .malm import (MalmConfig, closed_form_linearized_p1, multiplier_update,
                    run_malm, solve_subproblem, subproblem_objective)
 from .metrics import (MetricsSeries, full_series, min_psi_bound,
-                      multiplier_bound_holds, psi_bound, psi_kappas)
+                      multiplier_bound_holds, psi_kappas)
 from .models import (LINEARIZED, MODEL_KINDS, PLAIN, QUADRATIC_LINEARIZED,
                      TRUNCATED, ModelAt, make_model)
 from .offline import project_l1_box, solve_comparator
@@ -33,7 +33,7 @@ __all__ = [
     "generate_olr", "generate_oqcqp", "generate_problem", "make_model",
     "min_psi_bound", "mosp_step", "multiplier_bound_holds",
     "multiplier_update", "ny_step", "paper_baseline_config", "project",
-    "project_l1_box", "project_psd", "psi_bound", "psi_kappas", "run_baseline",
+    "project_l1_box", "project_psd", "psi_kappas", "run_baseline",
     "run_cell", "run_experiment", "run_malm", "solve_comparator",
     "solve_subproblem", "subproblem_objective",
 ]

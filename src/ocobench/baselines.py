@@ -19,10 +19,22 @@ from .core import (Array, FeasibleSet, RoundOracle, Trajectory,
                    UnsupportedProblemError, project, run_schedule)
 
 
+# The stepsizes each algorithm's step reads, and the algorithms that have
+# no delayed variant.
+_STEPSIZES = {"mosp": ("alpha", "mu"), "cl": ("eta", "delta"),
+              "ny": ("alpha", "nu"), "czp": ("eta", "delta")}
+_UNDELAYED = ("mosp", "cl")
+
+
 @dataclass(frozen=True)
 class BaselineConfig:
     """Algorithm selector plus stepsizes; ``paper_baseline_config`` fills the
-    published settings for a given horizon and delay."""
+    published settings for a given horizon and delay.
+
+    Refuses an unknown algorithm, a delay for MOSP or CL, and a missing or
+    invalid stepsize: ``delta`` must be finite and nonnegative, the others
+    positive and finite.
+    """
 
     algo: str
     T: int
@@ -34,35 +46,40 @@ class BaselineConfig:
     nu: Optional[float] = None
 
     def __post_init__(self):
+        if self.algo not in _STEPSIZES:
+            raise ValueError(f"unknown baseline {self.algo!r}")
         if self.T <= self.tau:
             raise ValueError("time horizon T must exceed the delay tau")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
+        if self.algo in _UNDELAYED and self.tau != 0:
+            raise UnsupportedProblemError(
+                f"{self.algo} has no delayed variant (tau = {self.tau})")
         for name in ("alpha", "mu", "eta", "nu"):
             val = getattr(self, name)
             if val is not None and not 0.0 < val < np.inf:
                 raise ValueError(f"{name} must be positive and finite when "
                                  f"set, got {val!r}")
+        if self.delta is not None and not 0.0 <= self.delta < np.inf:
+            raise ValueError(f"delta must be nonnegative and finite when set, "
+                             f"got {self.delta!r}")
+        for name in _STEPSIZES[self.algo]:
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.algo} needs the stepsize {name}")
 
 
 def paper_baseline_config(algo: str, T: int, tau: int = 0) -> BaselineConfig:
     """Published parameter settings per algorithm, horizon and delay."""
     if algo == "mosp":
         step = float(T) ** (-1.0 / 3.0)
-        return BaselineConfig("mosp", T, 0, alpha=step, mu=step)
+        return BaselineConfig("mosp", T, tau, alpha=step, mu=step)
     if algo == "cl":
-        return BaselineConfig("cl", T, 0, eta=2.0 * T ** (-0.5), delta=0.01)
+        return BaselineConfig("cl", T, tau, eta=2.0 * T ** (-0.5), delta=0.01)
+    scale = float(max(tau, 1) * T)
     if algo == "ny":
-        if tau >= 1:
-            return BaselineConfig("ny", T, tau, alpha=float(tau * T),
-                                  nu=float(tau * T) ** 0.5)
-        return BaselineConfig("ny", T, 0, alpha=float(T), nu=float(T) ** 0.5)
-    if algo == "czp":
-        if tau >= 1:
-            return BaselineConfig("czp", T, tau, eta=float(tau * T) ** (-0.5),
-                                  delta=10.0)
-        return BaselineConfig("czp", T, 0, eta=float(T) ** (-0.5), delta=10.0)
-    raise ValueError(f"unknown baseline {algo!r}")
+        return BaselineConfig("ny", T, tau, alpha=scale, nu=scale ** 0.5)
+    # czp; BaselineConfig refuses any other name
+    return BaselineConfig(algo, T, tau, eta=scale ** (-0.5), delta=10.0)
 
 
 def mosp_step(x: Array, lam: Array, oracle: RoundOracle,
@@ -135,8 +152,6 @@ def run_baseline(problem, config: BaselineConfig) -> Trajectory:
     t.  Decisions 0..T-1 are returned with the full multiplier sequence.
     """
     algo, tau = config.algo, config.tau
-    if algo in ("mosp", "cl") and tau != 0:
-        raise UnsupportedProblemError(f"{algo} has no delayed variant")
 
     def step(t, oracle, xs, lambdas):
         x, lam = xs[t], lambdas[t]
@@ -149,10 +164,8 @@ def run_baseline(problem, config: BaselineConfig) -> Trajectory:
         if algo == "ny":
             return ny_step(x, lam, oracle, problem.set, config.alpha, config.nu,
                            xs[t - tau], lambdas[t - tau])
-        if algo == "czp":
-            return czp_step(x, lam, xs[t - tau], lambdas[t - tau], oracle,
-                            problem.set, config.eta, config.delta)
-        raise ValueError(f"unknown baseline {algo!r}")
+        return czp_step(x, lam, xs[t - tau], lambdas[t - tau], oracle,
+                        problem.set, config.eta, config.delta)
 
     return run_schedule(problem, config.T, tau,
                         project(problem.set, np.zeros(problem.n)), step)

@@ -57,7 +57,8 @@ class ExperimentConfig:
     generator does not take is refused.  ``malm_alpha``/``malm_sigma``
     override the delay-aware defaults alpha = sqrt(T/(tau+1)),
     sigma = sqrt((tau+1)/T); baselines always use their published
-    stepsizes.
+    stepsizes, and a delay for MOSP or CL is refused here, before any cell
+    runs.
     """
 
     problem: str
@@ -100,6 +101,10 @@ class ExperimentConfig:
             raise ValueError("time horizon T must exceed every delay")
         if self.malm_model not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.malm_model!r}")
+        for algo in self.algos:
+            if algo != "malm":
+                for tau in self.taus:
+                    paper_baseline_config(algo, self.T, tau)
 
 
 PRESETS = {

@@ -34,7 +34,7 @@ class MalmConfig:
 
     ``alpha`` is the proximal stepsize, ``sigma`` the penalty, ``tau`` the
     feedback delay and ``model_kind`` one of the four model names.  ``tol``
-    and ``max_iters`` are the subproblem solver's termination contract.
+    bounds the returned subproblem solution's projected-gradient residual.
     ``x0`` overrides the default initial action project(C, 0).
     """
 
@@ -44,7 +44,6 @@ class MalmConfig:
     tau: int = 0
     model_kind: str = PLAIN
     tol: float = 1e-9
-    max_iters: int = 100_000
     x0: Optional[Array] = None
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class MalmConfig:
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
         if self.T <= self.tau:
@@ -121,12 +118,6 @@ def _smooth_grad(model: ModelAt, prox_center: Array, lam: Array,
     return grad
 
 
-def _initial_lipschitz(model: ModelAt, prox_center: Array, alpha: float,
-                       sigma: float) -> float:
-    jac = model.jac_G(np.asarray(prox_center, float))
-    return alpha + model.iota + sigma * float(np.sum(jac * jac)) + 1.0
-
-
 def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
                      cfg: MalmConfig, feasible_set: FeasibleSet) -> Array:
     """Handle the hinged objective [f + <u, x-a>]_+ through its scalar dual.
@@ -142,19 +133,17 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     inner_cfg = replace(cfg, tol=0.25 * cfg.tol)
     anchor, f_anchor, u = model.anchor, model.f_anchor, model.u
 
-    def hinge_arg(mu: float, x: Array) -> float:
-        return f_anchor + float(u @ (x - anchor))
-
-    def solve_inner(mu: float, _x_warm) -> Array:
+    def solve_at(mu: float):
         scaled = replace(model, kind=LINEARIZED, f_anchor=mu * f_anchor, u=mu * u)
-        return solve_subproblem(scaled, prox_center, lam, inner_cfg, feasible_set)
+        x = solve_subproblem(scaled, prox_center, lam, inner_cfg, feasible_set)
+        return x, f_anchor + float(u @ (x - anchor))
 
-    x_lo = solve_inner(0.0, None)
-    if hinge_arg(0.0, x_lo) <= 0.0:
-        return x_lo
-    x_hi = solve_inner(1.0, None)
-    if hinge_arg(1.0, x_hi) >= 0.0:
-        return x_hi
+    x, h = solve_at(0.0)
+    if h <= 0.0:
+        return x
+    x, h = solve_at(1.0)
+    if h >= 0.0:
+        return x
 
     # Dual derivative changes sign inside (0, 1): bisect it until the hinge
     # argument at the inner solution reaches the inner solver's noise floor,
@@ -164,38 +153,19 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     width_target = min(cfg.tol / (4.0 * (1.0 + u_norm)), 1e-12)
     h_floor = (4.0 * u_norm * inner_cfg.tol / cfg.alpha
                + 1e-15 * (1.0 + abs(f_anchor)))
-    return _bisect_dual(solve_inner, hinge_arg, 1.0, x_hi, width_target,
-                        lambda h: abs(h) <= h_floor)
-
-
-def _bisect_dual(solve_inner, slope, hi: float, x_start: Array,
-                 width_target: float, at_floor):
-    """Bisect a concave scalar dual on [0, hi] by the sign of its slope.
-
-    ``solve_inner(mu, x_warm)`` is the inner minimizer for the dual variable
-    mu, which may start from the previous inner solution ``x_warm``, and
-    ``slope(mu, x)`` the dual derivative there, which is nonnegative at 0
-    and negative at ``hi``.  The search stops when the
-    interval is ``width_target`` wide or when ``at_floor(slope)`` says the
-    slope is within the inner solver's noise floor.  Returns the inner
-    solution at the final mu, the midpoint of the last interval.
-    """
-    lo = 0.0
-    x_warm = x_start
+    lo, hi = 0.0, 1.0
     for _ in range(200):
         if hi - lo <= width_target:
             break
         mid = 0.5 * (lo + hi)
-        x_warm = solve_inner(mid, x_warm)
-        s = slope(mid, x_warm)
-        if at_floor(s):
-            lo = hi = mid
-            break
-        if s >= 0.0:
+        x, h = solve_at(mid)
+        if abs(h) <= h_floor:
+            return x
+        if h >= 0.0:
             lo = mid
         else:
             hi = mid
-    return solve_inner(0.5 * (lo + hi), x_warm)
+    return solve_at(0.5 * (lo + hi))[0]
 
 
 def _plain_l1_parts(model: ModelAt, prox_center: Array, lam: Array,
@@ -230,9 +200,10 @@ def _plain_l1_parts(model: ModelAt, prox_center: Array, lam: Array,
     return grad, prox
 
 
-# Projected Newton: step cap, Armijo slope fraction, smallest trial step and
-# the relative rounding allowance of the objective values the line search
-# compares.
+# FISTA's iteration cap on a subproblem.  Projected Newton: step cap, Armijo
+# slope fraction, smallest trial step and the relative rounding allowance of
+# the objective values the line search compares.
+_FISTA_MAX_ITERS = 100_000
 _NEWTON_MAX_STEPS = 50
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-12
@@ -240,8 +211,8 @@ _ROUNDING = 1e-14
 
 
 def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
-                  cfg: MalmConfig, feasible_set: FeasibleSet, curvature: Array,
-                  V: Array, x_start: Optional[Array] = None):
+                  cfg: MalmConfig, feasible_set: FeasibleSet, x_start: Array,
+                  curvature: Array, V: Array):
     """Projected Newton method for a piecewise-quadratic subproblem over a box.
 
     With F quadratic of Hessian diag(curvature) and G(x) = V x + const, the
@@ -251,7 +222,8 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     sit within tol of a bound their gradient pushes against (Bertsekas,
     SIAM J. Control Optim. 1982), takes the Newton direction on the others
     by a Woodbury solve of size |S| <= p, scales the fixed ones by D, and
-    searches the projection arc by Armijo on the subproblem objective.
+    searches the projection arc by Armijo on the subproblem objective,
+    starting from the projection of ``x_start``.
     Returns the last point and its projected-gradient residual, which is
     above tol when the step cap is reached or the line search finds no
     decrease.
@@ -264,7 +236,7 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     def objective(x: Array) -> float:
         return subproblem_objective(model, x, lam, alpha, sigma, prox_center)
 
-    x = project(feasible_set, prox_center if x_start is None else x_start)
+    x = project(feasible_set, x_start)
     value = objective(x)
     steps = 0
     while True:
@@ -301,67 +273,62 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
                      cfg: MalmConfig, feasible_set: FeasibleSet) -> Array:
     """Minimize the augmented Lagrangian plus proximal term over the set.
 
-    Paths, in the order they are tried: the closed form for a single affine
+    The truncated model goes to its dual bisection, whose inner problems come
+    back here as linearized models.  Any other model starts at the prox
+    center and tries, in order: the closed form for a single affine
     constraint under the linearized model; the projected Newton method when
     the model has constant diagonal curvature and an affine G
-    (``ModelAt.quadratic_structure``) and the set is a box; the dual
-    bisection of the truncated model, whose inner problems come back here as
-    linearized models; and the accelerated proximal gradient method, which
-    also takes over, warm-started, from a closed-form or Newton point that
-    fails the residual check.  For the plain model with an l1 constraint it
-    runs on f plus the prox term, with the penalty and the box in its exact
-    prox.  The result satisfies the proximal-gradient residual bound
-    cfg.tol.
+    (``ModelAt.quadratic_structure``) and the set is a box; and the
+    accelerated proximal gradient method, warm-started from the point the
+    path before it could not certify.  For the plain model with an l1
+    constraint FISTA runs on f plus the prox term, with the penalty and the
+    box in its exact prox.  The result satisfies the proximal-gradient
+    residual bound cfg.tol.
     """
     prox_center = np.asarray(prox_center, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    x_start = None
+    if model.kind == TRUNCATED:
+        return _solve_truncated(model, prox_center, lam, cfg, feasible_set)
     grad = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma)
-
-    def prox(z: Array, step: float) -> Array:
-        return project(feasible_set, z)
-
-    l0 = None
+    x = prox_center
 
     if model.kind == LINEARIZED and model.p == 1:
         a = model.u - cfg.alpha * prox_center
         b = model.V[0]
         gamma = (lam[0] / cfg.sigma + model.g_anchor[0]
                  - float(model.V[0] @ model.anchor))
-        x_cf = closed_form_linearized_p1(a, b, gamma, cfg.alpha, cfg.sigma,
-                                         feasible_set)
-        res = float(np.linalg.norm(x_cf - project(feasible_set, x_cf - grad(x_cf))))
-        if res <= cfg.tol:
-            return x_cf
-        x_start = x_cf
+        x = closed_form_linearized_p1(a, b, gamma, cfg.alpha, cfg.sigma,
+                                      feasible_set)
+        if np.linalg.norm(x - project(feasible_set, x - grad(x))) <= cfg.tol:
+            return x
 
     structure = model.quadratic_structure()
     if structure is not None and isinstance(feasible_set, Box):
-        x_nt, res = _solve_newton(model, prox_center, lam, cfg, feasible_set,
-                                  *structure, x_start=x_start)
+        x, res = _solve_newton(model, prox_center, lam, cfg, feasible_set, x,
+                               *structure)
         if res <= cfg.tol:
-            return x_nt
-        x_start = x_nt
-    elif model.kind == TRUNCATED:
-        return _solve_truncated(model, prox_center, lam, cfg, feasible_set)
-    elif model.kind == PLAIN:
-        if model.oracle.l1_g:
-            if model.p != 1:
-                raise UnsupportedProblemError("l1 constraint handling assumes p = 1")
-            if not isinstance(feasible_set, Box):
-                raise UnsupportedProblemError(
-                    "plain model with an l1 constraint needs a box-like feasible set")
-            grad, prox = _plain_l1_parts(model, prox_center, lam, cfg,
-                                         feasible_set)
-            l0 = cfg.alpha + 1.0
-        elif not model.oracle.smooth_g:
+            return x
+
+    if model.kind == PLAIN and model.oracle.l1_g:
+        if model.p != 1:
+            raise UnsupportedProblemError("l1 constraint handling assumes p = 1")
+        if not isinstance(feasible_set, Box):
+            raise UnsupportedProblemError(
+                "plain model with an l1 constraint needs a box-like feasible set")
+        grad, prox = _plain_l1_parts(model, prox_center, lam, cfg, feasible_set)
+        l0 = cfg.alpha + 1.0
+    else:
+        if model.kind == PLAIN and not model.oracle.smooth_g:
             raise UnsupportedProblemError(
                 "plain model requires a smooth g_t (or the l1 structure)")
 
-    if l0 is None:
-        l0 = _initial_lipschitz(model, prox_center, cfg.alpha, cfg.sigma)
-    x, _, _ = fista(prox_center if x_start is None else x_start, grad, prox,
-                    tol=cfg.tol, max_iters=cfg.max_iters, l0=l0)
+        def prox(z: Array, step: float) -> Array:
+            return project(feasible_set, z)
+
+        jac = model.jac_G(prox_center)
+        l0 = cfg.alpha + model.iota + cfg.sigma * float(np.sum(jac * jac)) + 1.0
+    x, _, _ = fista(x, grad, prox, tol=cfg.tol, max_iters=_FISTA_MAX_ITERS,
+                    l0=l0)
     return x
 
 

@@ -90,32 +90,6 @@ def psi_from_kappas(k0: float, k1: float, k2: float, k3: float,
     return k0 + (tau + 1) * k1 * (alpha / s) + k2 * sigma + k3 * sigma * s
 
 
-def psi_bound(constants: ProblemConstants, sigma: float, alpha: float,
-              tau: int, s: int) -> float:
-    """Multiplier-norm bound evaluated at window length s.
-
-    Parameters
-    ----------
-    constants : ProblemConstants
-        Problem constants with a positive Slater margin.
-    sigma, alpha : float
-        Penalty and proximal weights of the algorithm being bounded.
-    tau : int
-        Feedback delay.
-    s : int
-        Window length, s >= 1.
-
-    Returns
-    -------
-    float
-        k0 + (tau+1) k1 (alpha/s) + k2 sigma + k3 sigma s.
-    """
-    if s < 1:
-        raise ValueError("window length s must be a positive integer")
-    k0, k1, k2, k3 = psi_kappas(constants)
-    return psi_from_kappas(k0, k1, k2, k3, sigma, alpha, tau, int(s))
-
-
 def min_psi_bound(constants: ProblemConstants, sigma: float, alpha: float,
                   tau: int, T: int) -> float:
     """Sharpest bound over the admissible window lengths 1..2*ceil(sqrt(T(tau+1)))."""

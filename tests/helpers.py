@@ -6,6 +6,7 @@ from ocobench import (QUADRATIC_LINEARIZED, ConvergenceError, MalmConfig,
                       ProblemInstance, RoundOracle, Trajectory, make_model,
                       multiplier_update, solve_subproblem)
 from ocobench.malm import _default_x0
+from ocobench.metrics import psi_from_kappas, psi_kappas
 
 
 def affine_round(t, u, c0, B, g0):
@@ -97,3 +98,11 @@ def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
         lambdas[t + 1] = multiplier_update(lambdas[t], model, x_next, cfg.sigma)
 
     return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, tau=0)
+
+
+def psi_bound(constants, sigma, alpha, tau, s):
+    """Multiplier-norm bound k0 + (tau+1) k1 (alpha/s) + k2 sigma + k3 sigma s
+    at one window length s >= 1."""
+    if s < 1:
+        raise ValueError("window length s must be a positive integer")
+    return psi_from_kappas(*psi_kappas(constants), sigma, alpha, tau, int(s))

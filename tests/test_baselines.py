@@ -98,15 +98,28 @@ def test_baseline_config_validation():
         BaselineConfig("cl", T=5, eta=float("nan"))
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
         BaselineConfig("mosp", T=5, alpha=float("inf"), mu=0.1)
+    with pytest.raises(ValueError, match="unknown baseline"):
+        BaselineConfig("ogd", T=5, eta=0.1)
+    # a missing stepsize used to end run_baseline in a TypeError
+    for algo, given in (("mosp", {"alpha": 0.1}), ("cl", {"delta": 0.01}),
+                        ("ny", {"nu": 1.0}), ("czp", {"eta": 0.1})):
+        with pytest.raises(ValueError, match=f"{algo} needs the stepsize"):
+            BaselineConfig(algo, T=5, **given)
+    # a NaN delta used to give NaN multipliers from the first round
+    for delta in (float("nan"), float("inf"), -0.01):
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            BaselineConfig("cl", T=5, eta=0.1, delta=delta)
+    assert BaselineConfig("cl", T=5, eta=0.1, delta=0.0).delta == 0.0
 
 
 def test_run_baseline_rejects_delay_for_undelayed_algos():
-    problem = generate_nra(3, 3, 10, seed=14)
+    # refused when the config is built, so run_baseline never starts
     for algo in ("mosp", "cl"):
-        cfg = BaselineConfig(algo, T=10, tau=2, alpha=0.1, mu=0.1,
-                             eta=0.1, delta=0.01)
-        with pytest.raises(UnsupportedProblemError):
-            run_baseline(problem, cfg)
+        with pytest.raises(UnsupportedProblemError, match="no delayed variant"):
+            BaselineConfig(algo, T=10, tau=2, alpha=0.1, mu=0.1,
+                           eta=0.1, delta=0.01)
+        with pytest.raises(UnsupportedProblemError, match="no delayed variant"):
+            paper_baseline_config(algo, 10, tau=2)
 
 
 @pytest.mark.parametrize("algo,tau", [("mosp", 0), ("cl", 0), ("ny", 0),

@@ -56,6 +56,15 @@ def test_experiment_config_validation():
         ExperimentConfig(problem="olr", malm_model="affine")
 
 
+def test_config_refuses_a_delay_for_undelayed_baselines():
+    for algo in ("mosp", "cl"):
+        with pytest.raises(ValueError, match=f"{algo} has no delayed variant"):
+            ExperimentConfig(problem="nra", algos=("malm", algo), T=300,
+                             taus=(0, 5))
+    ExperimentConfig(problem="nra", algos=("malm", "ny", "czp"), T=300,
+                     taus=(0, 5))
+
+
 def test_malm_config_defaults_and_overrides():
     cfg = malm_config_for(SMALL, 3)
     assert cfg.alpha == pytest.approx(np.sqrt(40.0 / 4.0))
@@ -224,13 +233,13 @@ def test_config_file_problem_keys_keep_case_and_unknown_keys_are_refused(tmp_pat
 
 def test_each_flag_sets_the_config_field_it_is_named_for():
     args = _build_parser().parse_args(
-        ["--problem", "olr", "--algo", "malm,cl", "--T", "50", "--tau", "0,2",
+        ["--problem", "olr", "--algo", "malm,ny", "--T", "50", "--tau", "0,2",
          "--seed", "1,3", "--out", "x.csv", "--tol-inner", "1e-8",
          "--tol-comparator", "1e-6"])
     config = assemble_config(args)
     assert (config.problem, config.algos, config.T, config.taus, config.seeds,
             config.out, config.tol_inner, config.tol_comparator) \
-        == ("olr", ("malm", "cl"), 50, (0, 2), (1, 3), "x.csv", 1e-8, 1e-6)
+        == ("olr", ("malm", "ny"), 50, (0, 2), (1, 3), "x.csv", 1e-8, 1e-6)
 
 
 def test_config_file_problem_keys_merge_over_the_preset(tmp_path):
@@ -282,6 +291,15 @@ def test_cli_usage_errors_found_during_the_run_exit_2(tmp_path):
     res = run_cli(["--config", str(ini), "--out", str(out)], tmp_path)
     assert res.returncode == 2
     assert "R > 0" in res.stderr
+    assert not out.exists()
+
+
+def test_cli_refuses_a_delay_for_mosp_before_any_cell_runs(tmp_path):
+    out = tmp_path / "d.csv"
+    res = run_cli(["--problem", "nra", "--algo", "malm,mosp", "--tau", "0,5",
+                   "--T", "300", "--seed", "0", "--out", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert "mosp has no delayed variant" in res.stderr
     assert not out.exists()
 
 

@@ -258,9 +258,6 @@ def test_config_validation():
         MalmConfig(alpha=1.0, sigma=1.0, T=10, model_kind="cubic")
     with pytest.raises(ValueError):
         MalmConfig(alpha=1.0, sigma=1.0, T=10, tol=0.0)
-    # max_iters = 0 used to end the first solve in an UnboundLocalError
-    with pytest.raises(ValueError, match="max_iters"):
-        MalmConfig(alpha=1.0, sigma=1.0, T=10, max_iters=0)
     for name in ("alpha", "sigma", "tol"):
         for value in (np.nan, np.inf):
             kwargs = {"alpha": 1.0, "sigma": 1.0, name: value}
@@ -353,7 +350,7 @@ def test_run_malm_l1_and_closed_form_paths_on_olr():
 
 def test_run_malm_reports_failing_round():
     problem = generate_oqcqp(4, 2, 3.0, 10, seed=5)
-    cfg = MalmConfig(alpha=1.0, sigma=0.5, T=10, tol=1e-16, max_iters=2)
+    cfg = MalmConfig(alpha=1.0, sigma=0.5, T=10, tol=1e-30)
     with pytest.raises(ConvergenceError) as exc:
         run_malm(problem, cfg)
     assert exc.value.round_index == 0
@@ -529,6 +526,29 @@ def test_truncated_malm_runs_without_the_gradient_solver(monkeypatch):
             assert contains(problem.set, traj.xs[t])
 
 
+def test_truncated_rounds_solve_each_dual_value_once(monkeypatch):
+    # every inner problem is the linearized model at its own mu: the scaled
+    # tangent plane (mu f, mu u) names mu, so no round may repeat one
+    rounds = []
+    solve = malm_module.solve_subproblem
+
+    def recording(model, *args):
+        if model.kind == TRUNCATED:
+            rounds.append([])
+        else:
+            rounds[-1].append((model.f_anchor, model.u.tobytes()))
+        return solve(model, *args)
+
+    monkeypatch.setattr(malm_module, "solve_subproblem", recording)
+    problem = generate_olr(5, 10, 20, 10.0, seed=0)
+    run_malm(problem, MalmConfig(alpha=0.05, sigma=20 ** -0.5, T=20,
+                                 model_kind=TRUNCATED))
+    assert len(rounds) == 20
+    assert all(len(inner) > 2 for inner in rounds)  # every round bisects
+    for inner in rounds:
+        assert len(set(inner)) == len(inner)
+
+
 # The truncated model's dual path, the plain model with an l1 constraint and
 # the plain model on a Euclidean ball: certified, equal to a tight gradient
 # solve at the dual value the path selected, and not beaten by feasible
@@ -622,22 +642,20 @@ def ball_subproblems(draw):
 
 
 def _solve_recording_dual(model, center, lam, cfg, feasible):
-    """solve_subproblem's point and the dual value of the bisection's last
-    inner solve (None when the path stopped at an end point without
-    bisecting)."""
-    chosen = []
-    bisect = malm_module._bisect_dual
+    """solve_subproblem's point and the tangent slope mu * u of the dual
+    value it selected: the scaled u of the last inner linearized model."""
+    inner = []
+    solve = malm_module.solve_subproblem
 
-    def recording(solve_inner, *args):
-        def recorded(mu, x_warm):
-            chosen.append(mu)
-            return solve_inner(mu, x_warm)
-        return bisect(recorded, *args)
+    def recording(m, *args):
+        if m.kind == LINEARIZED:
+            inner.append(m)
+        return solve(m, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(malm_module, "_bisect_dual", recording)
-        x = solve_subproblem(model, center, lam, cfg, feasible)
-    return x, (chosen[-1] if chosen else None)
+        mp.setattr(malm_module, "solve_subproblem", recording)
+        x = solve(model, center, lam, cfg, feasible)
+    return x, inner[-1].u
 
 
 def _matches_tight_solve(x, center, smooth_grad, prox, tol):
@@ -666,15 +684,11 @@ def _no_sampled_point_is_better(model, x, lam, cfg, feasible, center):
 @given(truncated_subproblems())
 def test_truncated_subproblems_match_a_tight_solve_at_the_selected_dual(case):
     model, center, lam, cfg, feasible = case
-    x, mu = _solve_recording_dual(*case)
-    if mu is None:
-        # no bisection: mu = 0 when the hinge is off at x_0, else mu = 1
-        mu = 0.0 if model.f_anchor + float(model.u @ (x - model.anchor)) <= 0.0 \
-            else 1.0
+    x, scaled_u = _solve_recording_dual(*case)
 
     def grad(y):
         shifted = np.maximum(lam + cfg.sigma * model.eval_G(y), 0.0)
-        return mu * model.u + model.V.T @ shifted + cfg.alpha * (y - center)
+        return scaled_u + model.V.T @ shifted + cfg.alpha * (y - center)
 
     _matches_tight_solve(x, center, grad, lambda z, step: project(feasible, z),
                          cfg.tol)

@@ -5,11 +5,10 @@ import pytest
 
 from ocobench import (Box, MalmConfig, ProblemConstants, RoundOracle,
                       Trajectory, full_series, generate_oqcqp, min_psi_bound,
-                      multiplier_bound_holds, psi_bound, run_malm,
-                      solve_comparator)
+                      multiplier_bound_holds, run_malm, solve_comparator)
 from ocobench.metrics import psi_from_kappas, psi_kappas
 
-from helpers import affine_round, generic_problem
+from helpers import affine_round, generic_problem, psi_bound
 
 SEG = Box(np.array([-5.0]), np.array([5.0]))
 
