@@ -19,34 +19,31 @@ from .core import (Array, FeasibleSet, RoundOracle, Trajectory,
                    UnsupportedProblemError, project, run_schedule)
 
 
-# The stepsizes each algorithm's step reads, and the algorithms that have
-# no delayed variant.
-_STEPSIZES = {"mosp": ("alpha", "mu"), "cl": ("eta", "delta"),
-              "ny": ("alpha", "nu"), "czp": ("eta", "delta")}
+# Published (primal, dual) stepsizes per algorithm, in the order its step
+# takes them, from the horizon T and scale = max(tau, 1) T.
+_SCHEDULES = {
+    "mosp": lambda T, scale: (float(T) ** (-1.0 / 3.0),) * 2,
+    "cl": lambda T, scale: (2.0 * T ** (-0.5), 0.01),
+    "ny": lambda T, scale: (scale, scale ** 0.5),
+    "czp": lambda T, scale: (scale ** (-0.5), 10.0),
+}
 _UNDELAYED = ("mosp", "cl")
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Algorithm selector plus stepsizes; ``paper_baseline_config`` fills the
-    published settings for a given horizon and delay.
+    """A baseline at its published stepsizes for horizon T and delay tau.
 
-    Refuses an unknown algorithm, a delay for MOSP or CL, and a missing or
-    invalid stepsize: ``delta`` must be finite and nonnegative, the others
-    positive and finite.
+    Refuses an unknown algorithm, a delay that is negative or not below T,
+    and a delay for MOSP or CL, which have no delayed variant.
     """
 
     algo: str
     T: int
     tau: int = 0
-    alpha: Optional[float] = None
-    mu: Optional[float] = None
-    eta: Optional[float] = None
-    delta: Optional[float] = None
-    nu: Optional[float] = None
 
     def __post_init__(self):
-        if self.algo not in _STEPSIZES:
+        if self.algo not in _SCHEDULES:
             raise ValueError(f"unknown baseline {self.algo!r}")
         if self.T <= self.tau:
             raise ValueError("time horizon T must exceed the delay tau")
@@ -55,31 +52,15 @@ class BaselineConfig:
         if self.algo in _UNDELAYED and self.tau != 0:
             raise UnsupportedProblemError(
                 f"{self.algo} has no delayed variant (tau = {self.tau})")
-        for name in ("alpha", "mu", "eta", "nu"):
-            val = getattr(self, name)
-            if val is not None and not 0.0 < val < np.inf:
-                raise ValueError(f"{name} must be positive and finite when "
-                                 f"set, got {val!r}")
-        if self.delta is not None and not 0.0 <= self.delta < np.inf:
-            raise ValueError(f"delta must be nonnegative and finite when set, "
-                             f"got {self.delta!r}")
-        for name in _STEPSIZES[self.algo]:
-            if getattr(self, name) is None:
-                raise ValueError(f"{self.algo} needs the stepsize {name}")
+
+    @property
+    def stepsizes(self) -> tuple:
+        """The published (primal, dual) stepsize pair of ``algo``."""
+        return _SCHEDULES[self.algo](self.T, float(max(self.tau, 1) * self.T))
 
 
-def paper_baseline_config(algo: str, T: int, tau: int = 0) -> BaselineConfig:
-    """Published parameter settings per algorithm, horizon and delay."""
-    if algo == "mosp":
-        step = float(T) ** (-1.0 / 3.0)
-        return BaselineConfig("mosp", T, tau, alpha=step, mu=step)
-    if algo == "cl":
-        return BaselineConfig("cl", T, tau, eta=2.0 * T ** (-0.5), delta=0.01)
-    scale = float(max(tau, 1) * T)
-    if algo == "ny":
-        return BaselineConfig("ny", T, tau, alpha=scale, nu=scale ** 0.5)
-    # czp; BaselineConfig refuses any other name
-    return BaselineConfig(algo, T, tau, eta=scale ** (-0.5), delta=10.0)
+# The published settings are the only ones; the name is kept for callers.
+paper_baseline_config = BaselineConfig
 
 
 def mosp_step(x: Array, lam: Array, oracle: RoundOracle,
@@ -152,20 +133,21 @@ def run_baseline(problem, config: BaselineConfig) -> Trajectory:
     t.  Decisions 0..T-1 are returned with the full multiplier sequence.
     """
     algo, tau = config.algo, config.tau
+    a, b = config.stepsizes
 
     def step(t, oracle, xs, lambdas):
         x, lam = xs[t], lambdas[t]
         if algo == "mosp":
-            return mosp_step(x, lam, oracle, problem.set, config.alpha, config.mu)
+            return mosp_step(x, lam, oracle, problem.set, a, b)
         if algo == "cl":
-            return cl_step(x, lam, oracle, problem.set, config.eta, config.delta)
+            return cl_step(x, lam, oracle, problem.set, a, b)
         if algo == "ny" and tau == 0:
-            return ny_step(x, lam, oracle, problem.set, config.alpha, config.nu)
+            return ny_step(x, lam, oracle, problem.set, a, b)
         if algo == "ny":
-            return ny_step(x, lam, oracle, problem.set, config.alpha, config.nu,
+            return ny_step(x, lam, oracle, problem.set, a, b,
                            xs[t - tau], lambdas[t - tau])
         return czp_step(x, lam, xs[t - tau], lambdas[t - tau], oracle,
-                        problem.set, config.eta, config.delta)
+                        problem.set, a, b)
 
     return run_schedule(problem, config.T, tau,
                         project(problem.set, np.zeros(problem.n)), step)

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .core import (ConvergenceError, InfeasibleProblemError,
                    ProblemArgumentError, UnsupportedProblemError)
-from .harness import PRESETS, ExperimentConfig, run_experiment
+from .harness import PRESETS, PROBLEMS, ExperimentConfig, run_experiment
 
 
 def _split(text: str) -> tuple:
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="FILE",
                         help="INI config file (sections: experiment, problem, malm)")
     # Every other flag's dest is the ExperimentConfig field it sets.
-    parser.add_argument("--problem", choices=("nra", "olr", "oqcqp"))
+    parser.add_argument("--problem", choices=sorted(PROBLEMS))
     parser.add_argument("--algo", type=_split, dest="algos", metavar="A[,B...]",
                         help="comma-separated algorithms: malm,mosp,cl,ny,czp")
     parser.add_argument("--T", type=int, help="number of rounds")

@@ -15,8 +15,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .baselines import paper_baseline_config, run_baseline
-from .core import ConvergenceError, InfeasibleProblemError, Trajectory
+from .baselines import BaselineConfig, run_baseline
+from .core import (ConvergenceError, InfeasibleProblemError, Trajectory,
+                   UnsupportedProblemError)
 from .malm import MalmConfig, run_malm
 from .metrics import MetricsSeries, full_series
 from .models import LINEARIZED, MODEL_KINDS, PLAIN
@@ -24,28 +25,28 @@ from .offline import solve_comparator
 from .problems import (ProblemInstance, generate_nra, generate_olr,
                        generate_oqcqp)
 
-# Generator arguments other than T and seed, with their defaults.
-PROBLEM_DEFAULTS = {
-    "nra": {"J": 10, "K": 10},
-    "olr": {"n": 5, "k": 10, "M": 10.0},
-    "oqcqp": {"n": 8, "p": 3, "R": 10.0},
+# Each problem's generator and its arguments other than T and seed, with
+# their defaults.  An argument is converted by its default's type, so an
+# integer default marks a count, refused unless integral.
+PROBLEMS = {
+    "nra": (generate_nra, {"J": 10, "K": 10}),
+    "olr": (generate_olr, {"n": 5, "k": 10, "M": 10.0}),
+    "oqcqp": (generate_oqcqp, {"n": 8, "p": 3, "R": 10.0}),
 }
-PROBLEM_KINDS = tuple(PROBLEM_DEFAULTS)
 ALGO_IDS = ("malm", "mosp", "cl", "ny", "czp")
-# Generator arguments that are counts, refused unless integral.
-_INTEGER_PARAMS = ("J", "K", "n", "k", "p")
 
 
 def _check_problem_params(problem: str, params: Mapping) -> None:
-    unknown = sorted(set(params) - set(PROBLEM_DEFAULTS[problem]))
+    defaults = PROBLEMS[problem][1]
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
-        known = ", ".join(PROBLEM_DEFAULTS[problem])
         raise ValueError(f"unknown {problem} parameter(s) "
-                         f"{', '.join(map(repr, unknown))}; expected some of {known}")
-    for name in _INTEGER_PARAMS:
-        if name in params and not float(params[name]).is_integer():
+                         f"{', '.join(map(repr, unknown))}; expected some of "
+                         f"{', '.join(defaults)}")
+    for name, value in params.items():
+        if type(defaults[name]) is int and not float(value).is_integer():
             raise ValueError(f"{problem} parameter {name!r} must be an "
-                             f"integer, got {params[name]!r}")
+                             f"integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class ExperimentConfig:
     malm_model: str = PLAIN
 
     def __post_init__(self):
-        if self.problem not in PROBLEM_KINDS:
+        if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         _check_problem_params(self.problem, self.problem_params)
         if not self.algos:
@@ -104,7 +105,7 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo != "malm":
                 for tau in self.taus:
-                    paper_baseline_config(algo, self.T, tau)
+                    BaselineConfig(algo, self.T, tau)
 
 
 PRESETS = {
@@ -136,15 +137,10 @@ def generate_problem(config: ExperimentConfig, seed: int) -> ProblemInstance:
     generator does not take.
     """
     _check_problem_params(config.problem, config.problem_params)
-    params = {**PROBLEM_DEFAULTS[config.problem], **config.problem_params}
-    if config.problem == "nra":
-        return generate_nra(J=int(params["J"]), K=int(params["K"]),
-                            T=config.T, seed=seed)
-    if config.problem == "olr":
-        return generate_olr(n=int(params["n"]), k=int(params["k"]),
-                            T=config.T, M=float(params["M"]), seed=seed)
-    return generate_oqcqp(n=int(params["n"]), p=int(params["p"]),
-                          R=float(params["R"]), T=config.T, seed=seed)
+    generator, defaults = PROBLEMS[config.problem]
+    params = {name: type(default)(config.problem_params.get(name, default))
+              for name, default in defaults.items()}
+    return generator(**params, T=config.T, seed=seed)
 
 
 def malm_config_for(config: ExperimentConfig, tau: int) -> MalmConfig:
@@ -162,7 +158,7 @@ def run_cell(config: ExperimentConfig, problem: ProblemInstance,
     """Run one (algorithm, delay) cell on an instantiated problem."""
     if algo == "malm":
         return run_malm(problem, malm_config_for(config, tau))
-    return run_baseline(problem, paper_baseline_config(algo, config.T, tau))
+    return run_baseline(problem, BaselineConfig(algo, config.T, tau))
 
 
 def _format(x: float) -> str:
@@ -190,9 +186,10 @@ def _write_rows(writer, config: ExperimentConfig, algo: str, seed: int,
 def run_experiment(config: ExperimentConfig) -> str:
     """Run the whole grid and write one CSV; returns the output path.
 
-    Instances and comparators are computed once per seed and shared across
-    delays and algorithms.  Numeric failures propagate (the CLI maps them to
-    exit code 3 with a diagnostic naming the failing cell and round).
+    Every seed's instance and comparator are set up, and ``mosp`` refused on
+    nonlinear constraints, before the first cell runs; they are shared
+    across delays and algorithms.  Numeric failures propagate (the CLI maps
+    them to exit code 3 naming the failing cell and round).
 
     The rows go to a temporary file next to ``config.out`` that replaces it
     only once the whole grid is written, so a failed run leaves ``out`` as
@@ -225,25 +222,22 @@ def _naming_cell(**cell):
 
 
 def _write_grid(config: ExperimentConfig, path: str) -> None:
-    problems: dict = {}
-    comparators: dict = {}
+    problems, comparators = {}, {}
+    for seed in dict.fromkeys(config.seeds):
+        with _naming_cell(problem=config.problem, seed=seed):
+            problems[seed] = problem = generate_problem(config, seed)
+            if "mosp" in config.algos and not all(r.linear_g for r in problem.rounds):
+                raise UnsupportedProblemError(f"mosp requires linear constraints; "
+                                              f"{config.problem} has others")
+            comparators[seed] = solve_comparator(problem, config.tol_comparator)
     with open(path, "x", newline="") as fh:
         writer = csv.writer(fh)
-        first = True
+        writer.writerow(csv_header(problems[config.seeds[0]].p))
         for tau in config.taus:
             for algo in config.algos:
                 for seed in config.seeds:
-                    if seed not in problems:
-                        with _naming_cell(problem=config.problem, seed=seed):
-                            problems[seed] = generate_problem(config, seed)
-                            comparators[seed] = solve_comparator(
-                                problems[seed], config.tol_comparator)
-                    problem = problems[seed]
-                    if first:
-                        writer.writerow(csv_header(problem.p))
-                        first = False
                     with _naming_cell(problem=config.problem, algo=algo,
                                       seed=seed, tau=tau):
-                        traj = run_cell(config, problem, algo, tau)
-                    series = full_series(traj, problem, comparators[seed])
+                        traj = run_cell(config, problems[seed], algo, tau)
+                    series = full_series(traj, problems[seed], comparators[seed])
                     _write_rows(writer, config, algo, seed, tau, series)

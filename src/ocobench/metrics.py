@@ -13,6 +13,8 @@ import numpy as np
 
 from .core import Array, ProblemConstants, Trajectory
 
+_BOUND_SLACK = 1e-8  # float slack allowed above the multiplier-norm bound
+
 
 @dataclass(frozen=True)
 class MetricsSeries:
@@ -100,9 +102,8 @@ def min_psi_bound(constants: ProblemConstants, sigma: float, alpha: float,
 
 
 def multiplier_bound_holds(trajectory: Trajectory, constants: ProblemConstants,
-                           sigma: float, alpha: float,
-                           slack: float = 1e-8) -> bool:
+                           sigma: float, alpha: float) -> bool:
     """Whether max_t ||lambda_t|| stays within the bound (with float slack)."""
     max_norm = float(np.linalg.norm(trajectory.lambdas, axis=1).max())
     bound = min_psi_bound(constants, sigma, alpha, trajectory.tau, trajectory.T)
-    return max_norm <= bound + slack
+    return max_norm <= bound + _BOUND_SLACK

@@ -70,19 +70,18 @@ def test_mosp_rejects_nonlinear_constraints():
 
 
 def test_paper_baseline_config_values():
+    # the published schedules, with scale = max(tau, 1) T
     T = 1000
-    c = paper_baseline_config("mosp", T)
-    assert c.alpha == c.mu == pytest.approx(T ** (-1.0 / 3.0))
-    c = paper_baseline_config("cl", T)
-    assert c.eta == pytest.approx(2.0 / np.sqrt(T)) and c.delta == 0.01
-    c = paper_baseline_config("ny", T)
-    assert c.alpha == pytest.approx(float(T)) and c.nu == pytest.approx(np.sqrt(T))
-    c = paper_baseline_config("ny", T, tau=3)
-    assert c.alpha == pytest.approx(3.0 * T) and c.nu == pytest.approx(np.sqrt(3.0 * T))
-    c = paper_baseline_config("czp", T)
-    assert c.eta == pytest.approx(T ** -0.5) and c.delta == 10.0
-    c = paper_baseline_config("czp", T, tau=2)
-    assert c.eta == pytest.approx((2.0 * T) ** -0.5) and c.delta == 10.0
+    step = float(T) ** (-1.0 / 3.0)
+    assert paper_baseline_config("mosp", T).stepsizes == (step, step)
+    assert paper_baseline_config("cl", T).stepsizes == (2.0 * T ** (-0.5), 0.01)
+    for tau in (0, 1, 3):
+        scale = float(max(tau, 1) * T)
+        ny, czp = (paper_baseline_config(algo, T, tau).stepsizes
+                   for algo in ("ny", "czp"))
+        assert ny == (scale, scale ** 0.5)
+        assert czp == (scale ** (-0.5), 10.0)
+    assert paper_baseline_config("ny", T, 3).stepsizes == (3000.0, 3000.0 ** 0.5)
     with pytest.raises(ValueError):
         paper_baseline_config("ogd", T)
 
@@ -92,32 +91,15 @@ def test_baseline_config_validation():
         BaselineConfig("cl", T=5, tau=5)
     with pytest.raises(ValueError):
         BaselineConfig("cl", T=5, tau=-1)
-    with pytest.raises(ValueError):
-        BaselineConfig("cl", T=5, eta=-0.1)
-    with pytest.raises(ValueError, match="eta must be positive and finite"):
-        BaselineConfig("cl", T=5, eta=float("nan"))
-    with pytest.raises(ValueError, match="alpha must be positive and finite"):
-        BaselineConfig("mosp", T=5, alpha=float("inf"), mu=0.1)
     with pytest.raises(ValueError, match="unknown baseline"):
-        BaselineConfig("ogd", T=5, eta=0.1)
-    # a missing stepsize used to end run_baseline in a TypeError
-    for algo, given in (("mosp", {"alpha": 0.1}), ("cl", {"delta": 0.01}),
-                        ("ny", {"nu": 1.0}), ("czp", {"eta": 0.1})):
-        with pytest.raises(ValueError, match=f"{algo} needs the stepsize"):
-            BaselineConfig(algo, T=5, **given)
-    # a NaN delta used to give NaN multipliers from the first round
-    for delta in (float("nan"), float("inf"), -0.01):
-        with pytest.raises(ValueError, match="delta must be nonnegative"):
-            BaselineConfig("cl", T=5, eta=0.1, delta=delta)
-    assert BaselineConfig("cl", T=5, eta=0.1, delta=0.0).delta == 0.0
+        BaselineConfig("ogd", T=5)
 
 
 def test_run_baseline_rejects_delay_for_undelayed_algos():
     # refused when the config is built, so run_baseline never starts
     for algo in ("mosp", "cl"):
         with pytest.raises(UnsupportedProblemError, match="no delayed variant"):
-            BaselineConfig(algo, T=10, tau=2, alpha=0.1, mu=0.1,
-                           eta=0.1, delta=0.01)
+            BaselineConfig(algo, T=10, tau=2)
         with pytest.raises(UnsupportedProblemError, match="no delayed variant"):
             paper_baseline_config(algo, 10, tau=2)
 

@@ -303,6 +303,43 @@ def test_cli_refuses_a_delay_for_mosp_before_any_cell_runs(tmp_path):
     assert not out.exists()
 
 
+def _spy_on_cells(monkeypatch):
+    """Record every comparator solve and cell run the harness starts."""
+    import ocobench.harness as harness
+
+    calls = []
+    for name in ("solve_comparator", "run_cell"):
+        def spy(*args, real=getattr(harness, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(harness, name, spy)
+    return calls
+
+
+def test_mosp_on_nonlinear_constraints_is_refused_before_any_work(
+        tmp_path, monkeypatch):
+    calls = _spy_on_cells(monkeypatch)
+    out = tmp_path / "m.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--problem", "oqcqp", "--algo", "malm,mosp", "--T", "1000",
+              "--seed", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert calls == []
+    assert not out.exists()
+
+
+def test_a_failing_seed_is_refused_before_any_cell_runs(
+        tmp_path, monkeypatch, capsys):
+    # nra seed 1 is overloaded (Slater margin -0.98); seed 0 is feasible
+    calls = _spy_on_cells(monkeypatch)
+    out = tmp_path / "s.csv"
+    assert main(["--problem", "nra", "--T", "40", "--seed", "0,1",
+                 "--out", str(out)]) == 3
+    assert "seed 1" in capsys.readouterr().err
+    assert "run_cell" not in calls
+    assert not out.exists()
+
+
 def test_cli_lets_linear_algebra_failures_through(tmp_path, monkeypatch):
     # LinAlgError is a ValueError; it is a numeric fault, not a usage error
     def broken(config):
