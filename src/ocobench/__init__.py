@@ -8,8 +8,8 @@ from .core import (Box, ConvergenceError, EuclideanBall,
                    InfeasibleProblemError, ProblemArgumentError,
                    ProblemConstants, RoundOracle, Trajectory,
                    UnsupportedProblemError, project, project_psd)
-from .harness import (ALGO_IDS, PRESETS, ExperimentConfig, generate_problem,
-                      run_cell, run_experiment)
+from .harness import (PRESETS, ExperimentConfig, generate_problem, run_cell,
+                      run_experiment)
 from .malm import (MalmConfig, closed_form_linearized_p1, multiplier_update,
                    run_malm, solve_subproblem, subproblem_objective)
 from .metrics import (MetricsSeries, full_series, min_psi_bound,
@@ -23,7 +23,7 @@ from .problems import (ProblemInstance, generate_nra, generate_olr,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGO_IDS", "BaselineConfig", "Box", "ConvergenceError", "EuclideanBall",
+    "BaselineConfig", "Box", "ConvergenceError", "EuclideanBall",
     "ExperimentConfig", "InfeasibleProblemError", "LINEARIZED", "MODEL_KINDS",
     "MalmConfig", "MetricsSeries", "ModelAt", "PLAIN", "PRESETS",
     "ProblemArgumentError", "ProblemConstants", "ProblemInstance",

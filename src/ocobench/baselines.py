@@ -77,14 +77,9 @@ def mosp_step(x: Array, lam: Array, oracle: RoundOracle,
 
 def cl_step(x: Array, lam: Array, oracle: RoundOracle,
             feasible_set: FeasibleSet, eta: float, delta: float) -> tuple:
-    """Primal-dual gradient on f_t + lam.g_t - (delta/2)||lam||^2.
-
-    Note the dual step evaluates g_t at the current decision, not the new one.
-    """
-    x_new = project(feasible_set,
-                    x - eta * (oracle.subgrad_f(x) + oracle.jac_g(x).T @ lam))
-    lam_new = np.maximum(lam + eta * (oracle.eval_g(x) - delta * eta * lam), 0.0)
-    return x_new, lam_new
+    """Primal-dual gradient on f_t + lam.g_t - (delta/2)||lam||^2: the CZP
+    step with no delay, so g_t is evaluated at x, not at the new decision."""
+    return czp_step(x, lam, x, lam, oracle, feasible_set, eta, delta)
 
 
 def ny_step(x: Array, lam: Array, oracle: RoundOracle,
@@ -139,15 +134,13 @@ def run_baseline(problem, config: BaselineConfig) -> Trajectory:
         x, lam = xs[t], lambdas[t]
         if algo == "mosp":
             return mosp_step(x, lam, oracle, problem.set, a, b)
-        if algo == "cl":
-            return cl_step(x, lam, oracle, problem.set, a, b)
         if algo == "ny" and tau == 0:
             return ny_step(x, lam, oracle, problem.set, a, b)
         if algo == "ny":
             return ny_step(x, lam, oracle, problem.set, a, b,
                            xs[t - tau], lambdas[t - tau])
+        # CL is CZP at tau = 0.
         return czp_step(x, lam, xs[t - tau], lambdas[t - tau], oracle,
                         problem.set, a, b)
 
-    return run_schedule(problem, config.T, tau,
-                        project(problem.set, np.zeros(problem.n)), step)
+    return run_schedule(problem, config.T, tau, step)

@@ -20,15 +20,30 @@ def _split(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _ints(text: str) -> tuple:
-    return tuple(int(part) for part in _split(text))
-
-
 def _int_list(text: str) -> tuple:
     try:
-        return _ints(text)
+        return tuple(int(part) for part in _split(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+# The flags that set ExperimentConfig fields: (flag, field, type, other
+# add_argument keywords).  The field is the flag's dest and, matched in any
+# case, its [experiment] INI key, whose value the type parses.
+_FLAGS = (
+    ("--problem", "problem", str, {"choices": sorted(PROBLEMS)}),
+    ("--algo", "algos", _split, {"metavar": "A[,B...]", "help":
+                                 "comma-separated algorithms: malm,mosp,cl,ny,czp"}),
+    ("--T", "T", int, {"help": "number of rounds"}),
+    ("--tau", "taus", _int_list, {"metavar": "T0[,T1...]",
+                                  "help": "comma-separated feedback delays"}),
+    ("--seed", "seeds", _int_list, {"metavar": "S0[,S1...]",
+                                    "help": "comma-separated instance seeds"}),
+    ("--out", "out", str, {"help": "output CSV path"}),
+    ("--tol-inner", "tol_inner", float, {"help": "subproblem solver tolerance"}),
+    ("--tol-comparator", "tol_comparator", float,
+     {"help": "offline comparator tolerance"}),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,20 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="start from a named experiment preset")
     parser.add_argument("--config", metavar="FILE",
                         help="INI config file (sections: experiment, problem, malm)")
-    # Every other flag's dest is the ExperimentConfig field it sets.
-    parser.add_argument("--problem", choices=sorted(PROBLEMS))
-    parser.add_argument("--algo", type=_split, dest="algos", metavar="A[,B...]",
-                        help="comma-separated algorithms: malm,mosp,cl,ny,czp")
-    parser.add_argument("--T", type=int, help="number of rounds")
-    parser.add_argument("--tau", type=_int_list, dest="taus", metavar="T0[,T1...]",
-                        help="comma-separated feedback delays")
-    parser.add_argument("--seed", type=_int_list, dest="seeds", metavar="S0[,S1...]",
-                        help="comma-separated instance seeds")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--tol-inner", type=float, dest="tol_inner",
-                        help="subproblem solver tolerance")
-    parser.add_argument("--tol-comparator", type=float, dest="tol_comparator",
-                        help="offline comparator tolerance")
+    for flag, field, parse, keywords in _FLAGS:
+        parser.add_argument(flag, dest=field, type=parse, **keywords)
     return parser
 
 
@@ -63,25 +66,13 @@ def _coerce(text: str):
         return float(text)
 
 
-# INI key (matched case-insensitively) -> (ExperimentConfig field, parser),
-# per section.  The [problem] section is passed through by the generator's
-# own case-sensitive names instead.
+# [malm] INI key (matched case-insensitively) -> (ExperimentConfig field,
+# parser).  [experiment] keys come from _FLAGS, and the [problem] section is
+# passed through by the generator's own case-sensitive names.
 _INI_KEYS = {
-    "experiment": {
-        "problem": ("problem", str),
-        "algos": ("algos", _split),
-        "t": ("T", int),
-        "taus": ("taus", _ints),
-        "seeds": ("seeds", _ints),
-        "out": ("out", str),
-        "tol_inner": ("tol_inner", float),
-        "tol_comparator": ("tol_comparator", float),
-    },
-    "malm": {
-        "alpha": ("malm_alpha", float),
-        "sigma": ("malm_sigma", float),
-        "model": ("malm_model", str),
-    },
+    "alpha": ("malm_alpha", float),
+    "sigma": ("malm_sigma", float),
+    "model": ("malm_model", str),
 }
 
 
@@ -91,18 +82,21 @@ def _file_updates(path: str) -> dict:
     read = ini.read(path)
     if not read:
         raise ValueError(f"config file not found: {path}")
+    sections = {"experiment": {field.lower(): (field, parse)
+                               for _, field, parse, _ in _FLAGS},
+                "malm": _INI_KEYS}
     updates: dict = {}
     for section in ini.sections():
         items = ini[section].items()
         if section == "problem":
             updates["problem_params"] = {key: _coerce(val) for key, val in items}
             continue
-        if section not in _INI_KEYS:
+        if section not in sections:
             raise ValueError(f"{path}: unknown section [{section}]; expected "
                              f"experiment, problem or malm")
         for key, val in items:
             try:
-                field, parse = _INI_KEYS[section][key.lower()]
+                field, parse = sections[section][key.lower()]
             except KeyError:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
             updates[field] = parse(val)
@@ -143,12 +137,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = assemble_config(args)
-    except (ValueError, KeyError, configparser.Error) as err:
+    except (ValueError, KeyError, configparser.Error,
+            argparse.ArgumentTypeError) as err:
         parser.error(str(err))
     try:
         path = run_experiment(config)
     except (UnsupportedProblemError, ProblemArgumentError,
-            FileNotFoundError) as err:
+            FileNotFoundError, IsADirectoryError) as err:
         parser.error(str(err))
     except (ConvergenceError, InfeasibleProblemError) as err:
         print(f"ocobench: numeric failure{_where(err)}: {err}", file=sys.stderr)

@@ -235,19 +235,20 @@ class Trajectory:
         return self.xs.shape[0]
 
 
-def run_schedule(problem, T: int, tau: int, x0: Array, step) -> Trajectory:
+def run_schedule(problem, T: int, tau: int, step,
+                 x0: Optional[Array] = None) -> Trajectory:
     """Drive an online algorithm over the delayed-feedback schedule.
 
-    The first tau + 1 decisions are the blind initial action ``x0`` and the
-    multipliers start at zero.  At each step t = tau .. tau+T-1 the oracle
-    of round t - tau arrives and ``step(t, oracle, xs, lambdas)`` returns the
-    decision and multiplier for step t + 1; tau = 0 is the undelayed
-    schedule.  A ConvergenceError from the step gets the round index
-    t - tau.  Decisions 0..T-1 are returned with the full multiplier
-    sequence.
+    The first tau + 1 decisions are the blind initial action ``x0``, by
+    default project(C, 0), and the multipliers start at zero.  At each step
+    t = tau .. tau+T-1 the oracle of round t - tau arrives and
+    ``step(t, oracle, xs, lambdas)`` returns the decision and multiplier for
+    step t + 1; tau = 0 is the undelayed schedule.  A ConvergenceError from
+    the step gets the round index t - tau.  Decisions 0..T-1 are returned
+    with the full multiplier sequence.
     """
     xs = np.empty((tau + T + 1, problem.n))
-    xs[: tau + 1] = x0
+    xs[: tau + 1] = project(problem.set, np.zeros(problem.n)) if x0 is None else x0
     lambdas = np.zeros((tau + T + 1, problem.p))
     for t in range(tau, tau + T):
         try:

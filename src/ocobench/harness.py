@@ -15,6 +15,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .baselines import BaselineConfig, run_baseline
 from .core import (ConvergenceError, InfeasibleProblemError, Trajectory,
                    UnsupportedProblemError)
@@ -33,7 +35,6 @@ PROBLEMS = {
     "olr": (generate_olr, {"n": 5, "k": 10, "M": 10.0}),
     "oqcqp": (generate_oqcqp, {"n": 8, "p": 3, "R": 10.0}),
 }
-ALGO_IDS = ("malm", "mosp", "cl", "ny", "czp")
 
 
 def _check_problem_params(problem: str, params: Mapping) -> None:
@@ -59,7 +60,7 @@ class ExperimentConfig:
     override the delay-aware defaults alpha = sqrt(T/(tau+1)),
     sigma = sqrt((tau+1)/T); baselines always use their published
     stepsizes, and a delay for MOSP or CL is refused here, before any cell
-    runs.
+    runs, as are an unknown or repeated algorithm and a repeated delay or seed.
     """
 
     problem: str
@@ -81,9 +82,6 @@ class ExperimentConfig:
         _check_problem_params(self.problem, self.problem_params)
         if not self.algos:
             raise ValueError("need at least one algorithm")
-        for algo in self.algos:
-            if algo not in ALGO_IDS:
-                raise ValueError(f"unknown algorithm {algo!r}")
         if not self.out:
             raise ValueError("need an output path")
         for name in ("tol_inner", "tol_comparator", "malm_alpha", "malm_sigma"):
@@ -100,6 +98,10 @@ class ExperimentConfig:
             raise ValueError("delays must be nonnegative")
         if self.T <= max(self.taus):
             raise ValueError("time horizon T must exceed every delay")
+        for name in ("algos", "taus", "seeds"):
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{name} repeats an entry: {entries!r}")
         if self.malm_model not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.malm_model!r}")
         for algo in self.algos:
@@ -161,10 +163,6 @@ def run_cell(config: ExperimentConfig, problem: ProblemInstance,
     return run_baseline(problem, BaselineConfig(algo, config.T, tau))
 
 
-def _format(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def csv_header(p: int) -> list:
     return (["problem", "algo", "seed", "tau", "t", "cum_regret",
              "avg_regret", "max_avg_vio"]
@@ -173,14 +171,12 @@ def csv_header(p: int) -> list:
 
 def _write_rows(writer, config: ExperimentConfig, algo: str, seed: int,
                 tau: int, series: MetricsSeries) -> None:
-    T = series.cum_regret.shape[0]
-    for t in range(T):
-        row = [config.problem, algo, str(seed), str(tau), str(t + 1),
-               _format(series.cum_regret[t]), _format(series.avg_regret[t]),
-               _format(series.avg_vio_max[t])]
-        row.extend(_format(v) for v in series.cum_vio[t])
-        row.append(_format(series.lambda_norm[t]))
-        writer.writerow(row)
+    values = np.column_stack([series.cum_regret, series.avg_regret,
+                              series.avg_vio_max, series.cum_vio,
+                              series.lambda_norm]).tolist()
+    for t, row in enumerate(values, 1):
+        writer.writerow([config.problem, algo, str(seed), str(tau), str(t)]
+                        + [format(v, ".17g") for v in row])
 
 
 def run_experiment(config: ExperimentConfig) -> str:
@@ -193,13 +189,16 @@ def run_experiment(config: ExperimentConfig) -> str:
 
     The rows go to a temporary file next to ``config.out`` that replaces it
     only once the whole grid is written, so a failed run leaves ``out`` as
-    it was and no partial file behind.  A missing output directory is
-    refused with FileNotFoundError before any computation.
+    it was and no partial file behind.  A missing output directory, or an
+    ``out`` that is a directory, is refused with FileNotFoundError or
+    IsADirectoryError before any computation.
     """
     head, tail = os.path.split(os.path.abspath(config.out))
     if not os.path.isdir(head):
         raise FileNotFoundError(f"cannot write {config.out!r}: "
                                 f"directory {head!r} does not exist")
+    if os.path.isdir(config.out):
+        raise IsADirectoryError(f"cannot write {config.out!r}: it is a directory")
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex[:8]}.tmp")
     try:
         _write_grid(config, tmp)
@@ -223,7 +222,7 @@ def _naming_cell(**cell):
 
 def _write_grid(config: ExperimentConfig, path: str) -> None:
     problems, comparators = {}, {}
-    for seed in dict.fromkeys(config.seeds):
+    for seed in config.seeds:
         with _naming_cell(problem=config.problem, seed=seed):
             problems[seed] = problem = generate_problem(config, seed)
             if "mosp" in config.algos and not all(r.linear_g for r in problem.rounds):

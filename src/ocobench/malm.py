@@ -292,7 +292,7 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     grad = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma)
     x = prox_center
 
-    if model.kind == LINEARIZED and model.p == 1:
+    if model.kind == LINEARIZED and model.oracle.p == 1:
         a = model.u - cfg.alpha * prox_center
         b = model.V[0]
         gamma = (lam[0] / cfg.sigma + model.g_anchor[0]
@@ -310,7 +310,7 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
             return x
 
     if model.kind == PLAIN and model.oracle.l1_g:
-        if model.p != 1:
+        if model.oracle.p != 1:
             raise UnsupportedProblemError("l1 constraint handling assumes p = 1")
         if not isinstance(feasible_set, Box):
             raise UnsupportedProblemError(
@@ -330,12 +330,6 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     x, _, _ = fista(x, grad, prox, tol=cfg.tol, max_iters=_FISTA_MAX_ITERS,
                     l0=l0)
     return x
-
-
-def _default_x0(problem, cfg: MalmConfig) -> Array:
-    if cfg.x0 is not None:
-        return np.asarray(cfg.x0, dtype=float)
-    return project(problem.set, np.zeros(problem.n))
 
 
 def run_malm(problem, cfg: MalmConfig) -> Trajectory:
@@ -358,4 +352,4 @@ def run_malm(problem, cfg: MalmConfig) -> Trajectory:
         x_next = solve_subproblem(model, anchor, lambdas[t], cfg, problem.set)
         return x_next, multiplier_update(lambdas[t], model, x_next, cfg.sigma)
 
-    return run_schedule(problem, cfg.T, tau, _default_x0(problem, cfg), step)
+    return run_schedule(problem, cfg.T, tau, step, cfg.x0)

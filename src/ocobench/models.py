@@ -37,7 +37,6 @@ class ModelAt:
 
     kind: str
     anchor: Array
-    p: int
     oracle: RoundOracle
     f_anchor: Optional[float] = None
     u: Optional[Array] = None
@@ -108,12 +107,12 @@ def make_model(oracle: RoundOracle, anchor: Array, kind: str,
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     anchor = np.asarray(anchor, dtype=float)
     if kind == PLAIN:
-        return ModelAt(kind=kind, anchor=anchor, p=oracle.p, oracle=oracle)
+        return ModelAt(kind=kind, anchor=anchor, oracle=oracle)
     if kind != QUADRATIC_LINEARIZED:
         iota = 0.0
     elif iota < 0:
         raise ValueError("iota must be nonnegative")
-    return ModelAt(kind=kind, anchor=anchor, p=oracle.p, oracle=oracle,
+    return ModelAt(kind=kind, anchor=anchor, oracle=oracle,
                    f_anchor=float(oracle.eval_f(anchor)),
                    u=np.asarray(oracle.subgrad_f(anchor), dtype=float),
                    g_anchor=np.asarray(oracle.eval_g(anchor), dtype=float),

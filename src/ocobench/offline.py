@@ -155,7 +155,7 @@ def _solve_nra(problem: ProblemInstance, tol: float) -> Array:
 
 def _solve_olr(problem: ProblemInstance, tol: float) -> Array:
     a_min = float(problem.data["a"].min())
-    M = float(problem.params["M"])
+    M = float(problem.set.upper[0])
     Z = (problem.data["labels"][:, :, None] * problem.data["u"]) \
         .reshape(-1, problem.n)
 

@@ -39,7 +39,6 @@ class ProblemInstance:
     p: int
     T: int
     seed: int
-    params: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)
     strong_convexity: Optional[Callable[[int], float]] = None
 
@@ -47,6 +46,12 @@ class ProblemInstance:
 def _rngs(seed: int, count: int) -> list:
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.default_rng(c) for c in children]
+
+
+def _walk(first: Array, steps: Array) -> Array:
+    """The random walk ``first``, then ``first`` plus each partial sum of
+    ``steps`` (stacked along axis 0)."""
+    return np.concatenate([first[None], first + np.cumsum(steps, axis=0)])
 
 
 def _diag_quadratic_round(t: int, q_t: Array, b_t: Array, A: Array) -> RoundOracle:
@@ -168,7 +173,7 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
 
     return ProblemInstance(
         kind="nra", set=feasible_set, rounds=rounds, constants=constants,
-        n=E, p=p, T=T, seed=seed, params={"J": J, "K": K, "T": T},
+        n=E, p=p, T=T, seed=seed,
         data={"A": A, "b": b_all, "q": q_all, "zbar": zbar, "ybar": ybar,
               "c": c, "price": price},
         strong_convexity=strong_convexity)
@@ -226,13 +231,9 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     # Walk steps at paper round t are U[-1/(2t), 1/(2t)]; the first stored
     # round is t = 1.
     scale = 1.0 / (2.0 * np.arange(1, T, dtype=float)) if T > 1 else np.empty(0)
-    u1 = rng_u_init.uniform(-1.0, 1.0, (k, n))
-    u_steps = rng_u_steps.uniform(-1.0, 1.0, (max(T - 1, 0), k, n)) \
-        * scale[:, None, None]
-    u_all = np.empty((T, k, n))
-    u_all[0] = u1
-    if T > 1:
-        u_all[1:] = u1 + np.cumsum(u_steps, axis=0)
+    u_all = _walk(rng_u_init.uniform(-1.0, 1.0, (k, n)),
+                  rng_u_steps.uniform(-1.0, 1.0, (max(T - 1, 0), k, n))
+                  * scale[:, None, None])
 
     labels = 2.0 * rng_labels.integers(0, 2, (T, k)) - 1.0
     a_steps = rng_a_steps.uniform(-1.0, 1.0, max(T - 1, 0)) * scale
@@ -257,8 +258,7 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
 
     return ProblemInstance(
         kind="olr", set=feasible_set, rounds=rounds, constants=constants,
-        n=n, p=1, T=T, seed=seed, params={"n": n, "k": k, "T": T, "M": M},
-        data={"u": u_all, "labels": labels, "a": a},
+        n=n, p=1, T=T, seed=seed, data={"u": u_all, "labels": labels, "a": a},
         strong_convexity=lambda t: 0.0)
 
 
@@ -337,18 +337,10 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
         for i in range(p):
             C_all[t, i] = project_psd(C_all[t - 1, i] + C_deltas[t - 1, i])
 
-    b1 = rng_b_init.uniform(-1.0, 1.0, n)
-    b_all = np.empty((T, n))
-    b_all[0] = b1
-    if T > 1:
-        b_all[1:] = b1 + np.cumsum(rng_b_steps.uniform(-0.1, 0.1, (steps, n)),
-                                   axis=0)
-    d1 = rng_d_init.uniform(-1.0, 1.0, (p, n))
-    d_all = np.empty((T, p, n))
-    d_all[0] = d1
-    if T > 1:
-        d_all[1:] = d1 + np.cumsum(rng_d_steps.uniform(-0.1, 0.1, (steps, p, n)),
-                                   axis=0)
+    b_all = _walk(rng_b_init.uniform(-1.0, 1.0, n),
+                  rng_b_steps.uniform(-0.1, 0.1, (steps, n)))
+    d_all = _walk(rng_d_init.uniform(-1.0, 1.0, (p, n)),
+                  rng_d_steps.uniform(-0.1, 0.1, (steps, p, n)))
 
     h = rng_h.uniform(0.0, 1.0, (T, p))
     bound = R / np.sqrt(n)
@@ -378,7 +370,6 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
     return ProblemInstance(
         kind="oqcqp", set=feasible_set, rounds=rounds, constants=constants,
         n=n, p=p, T=T, seed=seed,
-        params={"n": n, "p": p, "R": R, "T": T},
         data={"A": A_all, "b": b_all, "C": C_all, "d": d_all, "e": e_all,
               "h": h, "xhat": xhat},
         strong_convexity=strong_convexity)

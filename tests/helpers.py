@@ -4,8 +4,7 @@ import numpy as np
 
 from ocobench import (QUADRATIC_LINEARIZED, ConvergenceError, MalmConfig,
                       ProblemInstance, RoundOracle, Trajectory, make_model,
-                      multiplier_update, solve_subproblem)
-from ocobench.malm import _default_x0
+                      multiplier_update, project, solve_subproblem)
 from ocobench.metrics import psi_from_kappas, psi_kappas
 
 
@@ -47,8 +46,6 @@ def generic_problem(rounds, feasible_set, n, constants=None):
 
 def contains(feasible_set, point, tol=1e-9):
     """Membership test up to ``tol``: the point is its own projection."""
-    from ocobench import project
-
     return bool(np.linalg.norm(project(feasible_set, point)
                                - np.asarray(point, float)) <= tol)
 
@@ -77,9 +74,9 @@ def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
     if cfg.tau != 0:
         raise ValueError("the undelayed schedule requires tau = 0")
     T = cfg.T
-    x0 = _default_x0(problem, cfg)
     xs = np.empty((T + 1, problem.n))
-    xs[0] = x0
+    xs[0] = project(problem.set, np.zeros(problem.n)) if cfg.x0 is None \
+        else cfg.x0
     lambdas = np.zeros((T + 1, problem.p))
 
     for t in range(T):

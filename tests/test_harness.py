@@ -11,7 +11,8 @@ import pytest
 
 from ocobench import (PRESETS, ExperimentConfig, full_series, run_experiment,
                       solve_comparator)
-from ocobench.cli import _build_parser, _file_updates, assemble_config, main
+from ocobench.cli import (_FLAGS, _build_parser, _file_updates,
+                          assemble_config, main)
 from ocobench.harness import (csv_header, generate_problem, malm_config_for,
                               run_cell)
 
@@ -208,7 +209,7 @@ def test_config_file_problem_keys_keep_case_and_unknown_keys_are_refused(tmp_pat
     assert updates["problem_params"] == {"n": 4, "p": 2, "R": 5.0}
     assert updates["T"] == 40
     config = dataclasses.replace(SMALL, problem_params=updates["problem_params"])
-    assert generate_problem(config, 0).params["R"] == 5.0
+    assert generate_problem(config, 0).set.radius == 5.0
 
     with pytest.raises(ValueError, match="bogus"):
         ExperimentConfig(problem="oqcqp", problem_params={"bogus": 3})
@@ -240,6 +241,44 @@ def test_each_flag_sets_the_config_field_it_is_named_for():
     assert (config.problem, config.algos, config.T, config.taus, config.seeds,
             config.out, config.tol_inner, config.tol_comparator) \
         == ("olr", ("malm", "ny"), 50, (0, 2), (1, 3), "x.csv", 1e-8, 1e-6)
+
+
+# [experiment] INI key -> (the flag that sets the same field, a value).
+EXPERIMENT_KEYS = {
+    "problem": ("--problem", "oqcqp"),
+    "algos": ("--algo", "malm, ny,czp"),
+    "T": ("--T", "50"),
+    "taus": ("--tau", "0, 2"),
+    "seeds": ("--seed", "1,3"),
+    "out": ("--out", "x.csv"),
+    "tol_inner": ("--tol-inner", "1e-8"),
+    "tol_comparator": ("--tol-comparator", "1e-6"),
+}
+
+
+def test_each_ini_key_parses_as_its_flag(tmp_path):
+    fields = {flag: field for flag, field, _, _ in _FLAGS}
+    assert {field.lower() for field in fields.values()} \
+        == {key.lower() for key in EXPERIMENT_KEYS}
+    ini = tmp_path / "k.ini"
+    for key, (flag, value) in EXPERIMENT_KEYS.items():
+        problem = "" if key == "problem" else "problem = olr\n"
+        for spelling in (key, key.upper()):
+            ini.write_text(f"[experiment]\n{problem}{spelling} = {value}\n")
+            from_file = assemble_config(
+                _build_parser().parse_args(["--config", str(ini)]))
+            from_flag = assemble_config(
+                _build_parser().parse_args(["--problem", "olr", flag, value]))
+            a, b = getattr(from_file, fields[flag]), getattr(from_flag, fields[flag])
+            assert a == b and type(a) is type(b)
+
+    for key, flag in (("taus", "--tau"), ("seeds", "--seed")):
+        ini.write_text(f"[experiment]\nproblem = olr\n{key} = 0,x\n")
+        for argv in (["--config", str(ini)], ["--problem", "olr", flag, "0,x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(tmp_path / "k.csv")])
+            assert exc.value.code == 2
+    assert not (tmp_path / "k.csv").exists()
 
 
 def test_config_file_problem_keys_merge_over_the_preset(tmp_path):
@@ -328,6 +367,35 @@ def test_mosp_on_nonlinear_constraints_is_refused_before_any_work(
     assert not out.exists()
 
 
+def test_cli_out_that_is_a_directory_exits_2_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    calls = _spy_on_cells(monkeypatch)
+    out = tmp_path / "d"
+    out.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["--preset", "smoke", "--T", "20", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+def test_repeated_grid_entries_are_refused_before_any_work(
+        tmp_path, monkeypatch):
+    for repeat in ({"algos": ("malm", "ny", "malm")}, {"taus": (0, 2, 2)},
+                   {"seeds": (0, 0)}):
+        with pytest.raises(ValueError, match="repeats an entry"):
+            ExperimentConfig(problem="olr", T=20, **repeat)
+    calls = _spy_on_cells(monkeypatch)
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--problem", "olr", "--T", "20", "--seed", "0,0",
+              "--algo", "malm,malm", "--out", str(out)])
+    assert exc.value.code == 2
+    assert calls == []
+    assert not out.exists()
+
+
 def test_a_failing_seed_is_refused_before_any_cell_runs(
         tmp_path, monkeypatch, capsys):
     # nra seed 1 is overloaded (Slater margin -0.98); seed 0 is feasible
@@ -378,7 +446,7 @@ def test_count_arguments_must_be_integral(tmp_path):
         with pytest.raises(ValueError, match=f"'{name}' must be an integer"):
             ExperimentConfig(problem=problem, problem_params={name: 2.5})
     config = ExperimentConfig(problem="nra", T=5, problem_params={"J": 3.0})
-    assert generate_problem(config, 0).params["J"] == 3
+    assert generate_problem(config, 0).p == 3 + 10
 
     ini = tmp_path / "j.ini"
     ini.write_text("[experiment]\nproblem = nra\nT = 20\n[problem]\nJ = 2.5\n")

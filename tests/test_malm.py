@@ -418,7 +418,7 @@ def test_newton_subproblems_match_a_tight_gradient_solve(case, other_lam):
     assert np.all(lam_next >= 0)
     assert np.linalg.norm(lam_next - lam) \
         <= cfg.sigma * np.linalg.norm(model.eval_G(x)) + 1e-12
-    other = other_lam[: model.p]
+    other = other_lam[: model.oracle.p]
     assert np.linalg.norm(multiplier_update(other, model, x, cfg.sigma) - lam_next) \
         <= np.linalg.norm(other - lam) + 1e-12
 

@@ -4,14 +4,14 @@ Usage::
 
     python tools/same_csv.py REF
 
-Runs the standard byte-identity runs (the presets cut short, a delay grid
-and four INI model runs) twice: on this checkout, uncommitted edits
-included, and on REF, checked out in a temporary ``git worktree``.  Each
-run is ``PYTHONPATH=<tree>/src python -m ocobench ...`` in a scratch
-directory.  The two CSVs of each run are compared with ``cmp``; the runs
-that differ, or fail in either tree, are printed, and the exit code is 1
-if there is any, else 0.  A refactor that must not move any number should
-pass it against its parent commit.
+Runs the standard byte-identity runs (the presets cut short, a delay
+grid, four INI model runs and one INI run that sets every key) twice: on
+this checkout, uncommitted edits included, and on REF, checked out in a
+temporary ``git worktree``.  Each run is ``PYTHONPATH=<tree>/src python
+-m ocobench ...`` in a scratch directory.  The two CSVs of each run are
+compared with ``cmp``; the runs that differ, or fail in either tree, are
+printed, and the exit code is 1 if there is any, else 0.  A refactor that
+must not move any number should pass it against its parent commit.
 """
 
 from __future__ import annotations
@@ -33,6 +33,12 @@ INI_FILES = {
                        "seeds = 0\n[malm]\nmodel = quadratic_linearized\n",
     "nra-linearized.ini": "[experiment]\nproblem = nra\nT = 150\nseeds = 0\n"
                           "[malm]\nmodel = linearized\n",
+    # Every [experiment] and [malm] key; the --out flag overrides out.
+    "all-keys.ini": "[experiment]\nproblem = oqcqp\nalgos = malm,czp,ny\n"
+                    "T = 80\ntaus = 0,3\nseeds = 1,2\nout = unused.csv\n"
+                    "tol_inner = 1e-10\ntol_comparator = 1e-8\n"
+                    "[problem]\nn = 5\np = 2\nR = 4.0\n"
+                    "[malm]\nalpha = 6.0\nsigma = 0.2\nmodel = quadratic_linearized\n",
 }
 
 # (name, CLI flags); each run writes <name>.csv.
