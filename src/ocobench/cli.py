@@ -59,16 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 # [malm] INI key (matched case-insensitively) -> (ExperimentConfig field,
 # parser).  [experiment] keys come from _FLAGS, and the [problem] section is
-# passed through by the generator's own case-sensitive names.
+# passed through as floats by the generator's own case-sensitive names.
 _INI_KEYS = {
     "alpha": ("malm_alpha", float),
     "sigma": ("malm_sigma", float),
@@ -89,7 +82,7 @@ def _file_updates(path: str) -> dict:
     for section in ini.sections():
         items = ini[section].items()
         if section == "problem":
-            updates["problem_params"] = {key: _coerce(val) for key, val in items}
+            updates["problem_params"] = {key: float(val) for key, val in items}
             continue
         if section not in sections:
             raise ValueError(f"{path}: unknown section [{section}]; expected "

@@ -1,11 +1,11 @@
 """Best fixed decision in hindsight: minimize the summed losses subject to
 every round's constraints over the feasible set.
 
-Structure is exploited where it is exact: the network problem's constraints
-aggregate to A x <= -max_t b_t, and the regression problem's reduce to an
-l1 ball intersected with the sup-norm box, solved by projected gradient.
-Everything else goes through an augmented-Lagrangian loop over the stacked
-per-round constraints.
+The regression problem's constraints reduce to an l1 ball intersected with
+the sup-norm box, solved by projected gradient.  Every other family goes
+through one augmented-Lagrangian loop (method of multipliers) over its
+stacked constraints, of which the network problem's aggregate exactly to
+A x <= -max_t b_t.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ def project_l1_box(point: Array, a: float, M: float) -> Array:
     ndarray
         The unique nearest point of the intersection.
     """
-    if a < 0:
-        raise ValueError("l1 budget a must be nonnegative")
-    if M <= 0:
-        raise ValueError("box bound M must be positive")
+    if not a >= 0:
+        raise ValueError(f"l1 budget a must be nonnegative, got {a!r}")
+    if not M > 0:
+        raise ValueError(f"box bound M must be positive, got {M!r}")
     z = np.asarray(point, dtype=float)
     abs_z = np.abs(z)
     if np.minimum(abs_z, M).sum() <= a:
@@ -58,146 +58,48 @@ def project_l1_box(point: Array, a: float, M: float) -> Array:
     return np.sign(z) * np.minimum(np.maximum(abs_z - theta, 0.0), M)
 
 
-def _al_loop(grad, cons, weighted_jac, feasible_set, x0, tol, l0, label):
-    """Minimize the objective with gradient ``grad`` over the set subject to
-    cons(x) <= 0 componentwise.
+def _stacked_parts(problem: ProblemInstance):
+    """(grad, cons, weighted_jac, l0): the summed losses' gradient, the
+    stacked constraints cons(x) <= 0, w -> J(x)^T w and a Lipschitz guess.
 
-    Outer multiplier steps on the hinged penalty, inner accelerated projected
-    gradient; the penalty grows tenfold whenever the worst violation fails to
-    halve, and a stalled violation under a huge penalty reports infeasibility.
-    Once the multipliers settle and the point is feasible to ``tol``, the
-    returned point is re-solved against the fixed-multiplier Lagrangian: its
-    gradient carries no penalty amplification, so the stationarity residual
-    can be certified at ``tol`` even when the hinged penalty gradient is too
-    noisy for that.
+    Any kind but ``nra`` and ``oqcqp`` stacks its rounds' oracles, assuming
+    smooth losses and constraints, as the hand-built test instances have.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    lam = np.zeros_like(cons(x))
-    rho = 1.0
-    viol_prev = np.inf
+    data = problem.data
+    if problem.kind == "nra":
+        A = data["A"]
+        b_max = data["b"].max(axis=0)
+        q_sum = data["q"].sum(axis=0)
 
-    def prox(z, step):
-        return project(feasible_set, z)
+        def grad(x):
+            return 2.0 * q_sum * x
 
-    for _ in range(_MAX_OUTER):
-        def pen_grad(y, _lam=lam, _rho=rho):
-            hinge = np.maximum(_lam + _rho * cons(y), 0.0)
-            return grad(y) + weighted_jac(y, hinge)
+        def cons(x):
+            return A @ x + b_max
 
-        inner_tol = max(tol, min(1e-3, 0.1 * viol_prev))
-        x, res, _ = fista(x, pen_grad, prox, tol=inner_tol,
-                          max_iters=200_000, l0=l0, raise_on_fail=False)
-        gv = cons(x)
-        viol = float(np.maximum(gv, 0.0).max(initial=0.0))
-        lam_new = np.maximum(lam + rho * gv, 0.0)
-        dual_move = float(np.linalg.norm(lam_new - lam))
-        lam = lam_new
-        if viol <= tol \
-                and dual_move <= max(tol, 1e-6) * (1.0 + float(np.linalg.norm(lam))):
-            return _polish(grad, cons, weighted_jac, prox, x, lam, tol, l0,
-                           label)
-        if viol > 0.5 * viol_prev and viol > tol:
-            rho *= 10.0
-        if rho > _RHO_CAP and viol > max(10.0 * tol, 1e-8):
-            raise InfeasibleProblemError(
-                f"{label}: constraint residual {viol:.3e} stalled under "
-                f"penalty {rho:.1e}; no round-universal feasible point")
-        viol_prev = viol
-    raise InfeasibleProblemError(
-        f"{label}: augmented-Lagrangian loop failed to converge "
-        f"(last violation {viol_prev:.3e})")
+        def weighted_jac(x, w):
+            return A.T @ w
 
+        return grad, cons, weighted_jac, 2.0 * float(q_sum.max()) + 1.0
 
-def _polish(grad, cons, weighted_jac, prox, x, lam, tol, l0, label):
-    """Certify stationarity on the Lagrangian at the converged multipliers.
+    if problem.kind == "oqcqp":
+        A_bar = data["A"].sum(axis=0)
+        b_bar = data["b"].sum(axis=0)
+        C_all, d_all, e_all = (data[k] for k in ("C", "d", "e"))
+        T, p = e_all.shape
 
-    With lam fixed the gradient is grad(x) + J(x)^T lam, free of the rho-scaled
-    hinge cancellations, so the projected-gradient residual is measurable down
-    to tol.  Feasibility of the polished point is rechecked before returning.
-    """
-    def lagr_grad(y):
-        return grad(y) + weighted_jac(y, lam)
+        def grad(x):
+            return A_bar @ x + b_bar
 
-    x_pol, res, _ = fista(x, lagr_grad, prox, tol=0.5 * tol,
-                          max_iters=200_000, l0=l0, raise_on_fail=False)
-    viol = float(np.maximum(cons(x_pol), 0.0).max(initial=0.0))
-    if res <= tol and viol <= tol:
-        return x_pol
-    raise ConvergenceError(
-        f"{label}: polish left residual {res:.3e} / violation {viol:.3e} "
-        f"above tolerance {tol:.1e}",
-        residual=max(res, viol))
+        def cons(x):
+            return (0.5 * ((C_all @ x) @ x) + d_all @ x + e_all).ravel()
 
+        def weighted_jac(x, w):
+            jac = C_all @ x + d_all
+            return np.einsum("tp,tpn->n", w.reshape(T, p), jac)
 
-def _solve_nra(problem: ProblemInstance, tol: float) -> Array:
-    if problem.constants is not None and problem.constants.eps0 < -1e-9:
-        raise InfeasibleProblemError(
-            f"nra seed {problem.seed}: Slater margin {problem.constants.eps0:.3e}"
-            " is negative; no decision satisfies every round")
-    A = problem.data["A"]
-    b_max = problem.data["b"].max(axis=0)
-    q_sum = problem.data["q"].sum(axis=0)
+        return grad, cons, weighted_jac, float(np.linalg.eigvalsh(A_bar)[-1]) + 1.0
 
-    def grad(x):
-        return 2.0 * q_sum * x
-
-    def cons(x):
-        return A @ x + b_max
-
-    def weighted_jac(x, w):
-        return A.T @ w
-
-    x0 = project(problem.set, np.zeros(problem.n))
-    return _al_loop(grad, cons, weighted_jac, problem.set, x0, tol,
-                    l0=2.0 * float(q_sum.max()) + 1.0,
-                    label=f"nra comparator (seed {problem.seed})")
-
-
-def _solve_olr(problem: ProblemInstance, tol: float) -> Array:
-    a_min = float(problem.data["a"].min())
-    M = float(problem.set.upper[0])
-    Z = (problem.data["labels"][:, :, None] * problem.data["u"]) \
-        .reshape(-1, problem.n)
-
-    def grad(x):
-        return -(Z.T @ expit(-(Z @ x)))
-
-    def prox(z, step):
-        return project_l1_box(z, a_min, M)
-
-    x, _, _ = fista(np.zeros(problem.n), grad, prox, tol=tol,
-                    max_iters=500_000, l0=1.0)
-    return x
-
-
-def _solve_oqcqp(problem: ProblemInstance, tol: float) -> Array:
-    A_bar = problem.data["A"].sum(axis=0)
-    b_bar = problem.data["b"].sum(axis=0)
-    C_all, d_all, e_all = (problem.data[k] for k in ("C", "d", "e"))
-    T, p = e_all.shape
-
-    def grad(x):
-        return A_bar @ x + b_bar
-
-    def cons(x):
-        return (0.5 * ((C_all @ x) @ x) + d_all @ x + e_all).ravel()
-
-    def weighted_jac(x, w):
-        jac = C_all @ x + d_all
-        return np.einsum("tp,tpn->n", w.reshape(T, p), jac)
-
-    x0 = project(problem.set, np.zeros(problem.n))
-    l0 = float(np.linalg.eigvalsh(A_bar)[-1]) + 1.0
-    return _al_loop(grad, cons, weighted_jac, problem.set, x0, tol,
-                    l0=l0, label=f"oqcqp comparator (seed {problem.seed})")
-
-
-def _solve_generic(problem: ProblemInstance, tol: float) -> Array:
-    """Stacked-constraint fallback for hand-built instances.
-
-    Assumes smooth losses and constraints (it feeds subgradients to an
-    accelerated method); fine for the smooth test problems it serves.
-    """
     rounds = problem.rounds
 
     def grad(x):
@@ -217,9 +119,86 @@ def _solve_generic(problem: ProblemInstance, tol: float) -> Array:
             at += o.p
         return out
 
-    x0 = project(problem.set, np.zeros(problem.n))
-    return _al_loop(grad, cons, weighted_jac, problem.set, x0, tol,
-                    l0=1.0, label=f"{problem.kind} comparator")
+    return grad, cons, weighted_jac, 1.0
+
+
+def _al_loop(problem: ProblemInstance, tol: float) -> Array:
+    """Minimize the summed losses over the set subject to the stacked
+    constraints, from the blind start Pi_C(0).
+
+    Outer multiplier steps on the hinged penalty, inner accelerated projected
+    gradient; the penalty grows tenfold whenever the worst violation fails to
+    halve, and a stalled violation under a huge penalty reports infeasibility.
+    Once the multipliers settle and the point is feasible to ``tol``, it is
+    polished on the fixed-multiplier Lagrangian, whose gradient carries no
+    penalty amplification, so the residual is certified at ``tol`` even when
+    the hinged penalty gradient is too noisy for that; feasibility is
+    rechecked.
+    """
+    grad, cons, weighted_jac, l0 = _stacked_parts(problem)
+    label = f"{problem.kind} comparator (seed {problem.seed})"
+    x = project(problem.set, np.zeros(problem.n))
+    lam = np.zeros_like(cons(x))
+    rho = 1.0
+    viol_prev = np.inf
+
+    def prox(z, step):
+        return project(problem.set, z)
+
+    for _ in range(_MAX_OUTER):
+        def pen_grad(y, _lam=lam, _rho=rho):
+            hinge = np.maximum(_lam + _rho * cons(y), 0.0)
+            return grad(y) + weighted_jac(y, hinge)
+
+        inner_tol = max(tol, min(1e-3, 0.1 * viol_prev))
+        x, res, _ = fista(x, pen_grad, prox, tol=inner_tol,
+                          max_iters=200_000, l0=l0, raise_on_fail=False)
+        gv = cons(x)
+        viol = float(np.maximum(gv, 0.0).max(initial=0.0))
+        lam_new = np.maximum(lam + rho * gv, 0.0)
+        dual_move = float(np.linalg.norm(lam_new - lam))
+        lam = lam_new
+        if viol <= tol \
+                and dual_move <= max(tol, 1e-6) * (1.0 + float(np.linalg.norm(lam))):
+            def lagr_grad(y):
+                return grad(y) + weighted_jac(y, lam)
+
+            x, res, _ = fista(x, lagr_grad, prox, tol=0.5 * tol,
+                              max_iters=200_000, l0=l0, raise_on_fail=False)
+            viol = float(np.maximum(cons(x), 0.0).max(initial=0.0))
+            if res <= tol and viol <= tol:
+                return x
+            raise ConvergenceError(
+                f"{label}: polish left residual {res:.3e} / violation "
+                f"{viol:.3e} above tolerance {tol:.1e}",
+                residual=max(res, viol))
+        if viol > 0.5 * viol_prev and viol > tol:
+            rho *= 10.0
+        if rho > _RHO_CAP and viol > max(10.0 * tol, 1e-8):
+            raise InfeasibleProblemError(
+                f"{label}: constraint residual {viol:.3e} stalled under "
+                f"penalty {rho:.1e}; no round-universal feasible point")
+        viol_prev = viol
+    raise InfeasibleProblemError(
+        f"{label}: augmented-Lagrangian loop failed to converge "
+        f"(last violation {viol_prev:.3e})")
+
+
+def _solve_olr(problem: ProblemInstance, tol: float) -> Array:
+    a_min = float(problem.data["a"].min())
+    M = float(problem.set.upper[0])
+    Z = (problem.data["labels"][:, :, None] * problem.data["u"]) \
+        .reshape(-1, problem.n)
+
+    def grad(x):
+        return -(Z.T @ expit(-(Z @ x)))
+
+    def prox(z, step):
+        return project_l1_box(z, a_min, M)
+
+    x, _, _ = fista(np.zeros(problem.n), grad, prox, tol=tol,
+                    max_iters=500_000, l0=1.0)
+    return x
 
 
 def solve_comparator(problem: ProblemInstance, tol: float = 1e-7) -> Array:
@@ -246,10 +225,11 @@ def solve_comparator(problem: ProblemInstance, tol: float = 1e-7) -> Array:
         When no decision satisfies all rounds at once (stalled constraint
         residual under a huge penalty, or a certified negative margin).
     """
-    if problem.kind == "nra":
-        return _solve_nra(problem, tol)
     if problem.kind == "olr":
         return _solve_olr(problem, tol)
-    if problem.kind == "oqcqp":
-        return _solve_oqcqp(problem, tol)
-    return _solve_generic(problem, tol)
+    if problem.kind == "nra" and problem.constants is not None \
+            and problem.constants.eps0 < -1e-9:
+        raise InfeasibleProblemError(
+            f"nra seed {problem.seed}: Slater margin {problem.constants.eps0:.3e}"
+            " is negative; no decision satisfies every round")
+    return _al_loop(problem, tol)

@@ -104,8 +104,8 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
         nonpositive: demands are drawn independently of capacities and about
         half the seeds admit no single decision feasible for every round).
     """
-    if J < 1 or K < 1:
-        raise ProblemArgumentError("J and K must be at least 1")
+    if J < 1 or K < 1 or T < 1:
+        raise ProblemArgumentError(f"J, K and T must be at least 1, got T = {T!r}")
     rng_zbar, rng_ybar, rng_price, rng_request = _rngs(seed, 4)
 
     E = J * K + K
@@ -224,19 +224,20 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     ProblemInstance
         With p = 1; the origin is the Slater point and eps0 = min_t a_t.
     """
-    if n < 1 or k < 1 or not 0.0 < M < np.inf:
-        raise ProblemArgumentError(f"need n, k >= 1 and a finite M > 0, got M = {M!r}")
+    if n < 1 or k < 1 or T < 1 or not 0.0 < M < np.inf:
+        raise ProblemArgumentError(
+            f"need n, k, T >= 1 and a finite M > 0, got T = {T!r}, M = {M!r}")
     rng_u_init, rng_u_steps, rng_labels, rng_a_steps = _rngs(seed, 4)
 
     # Walk steps at paper round t are U[-1/(2t), 1/(2t)]; the first stored
     # round is t = 1.
-    scale = 1.0 / (2.0 * np.arange(1, T, dtype=float)) if T > 1 else np.empty(0)
+    scale = 1.0 / (2.0 * np.arange(1, T, dtype=float))
     u_all = _walk(rng_u_init.uniform(-1.0, 1.0, (k, n)),
-                  rng_u_steps.uniform(-1.0, 1.0, (max(T - 1, 0), k, n))
+                  rng_u_steps.uniform(-1.0, 1.0, (T - 1, k, n))
                   * scale[:, None, None])
 
     labels = 2.0 * rng_labels.integers(0, 2, (T, k)) - 1.0
-    a_steps = rng_a_steps.uniform(-1.0, 1.0, max(T - 1, 0)) * scale
+    a_steps = rng_a_steps.uniform(-1.0, 1.0, T - 1) * scale
     a = np.empty(T)
     a[0] = 1.0
     for t in range(1, T):
@@ -318,12 +319,13 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
         Smooth in both loss and constraints; ``strong_convexity(t)`` is the
         smallest eigenvalue of A_t.
     """
-    if n < 1 or p < 1 or not 0.0 < R < np.inf:
-        raise ProblemArgumentError(f"need n, p >= 1 and a finite R > 0, got R = {R!r}")
+    if n < 1 or p < 1 or T < 1 or not 0.0 < R < np.inf:
+        raise ProblemArgumentError(
+            f"need n, p, T >= 1 and a finite R > 0, got T = {T!r}, R = {R!r}")
     (rng_A, rng_C, rng_b_init, rng_b_steps, rng_d_init, rng_d_steps,
      rng_h, rng_xhat) = _rngs(seed, 8)
 
-    steps = max(T - 1, 0)
+    steps = T - 1
     A_deltas = _symmetrize_steps(rng_A.uniform(-0.1, 0.1, (steps, n, n)))
     C_deltas = _symmetrize_steps(rng_C.uniform(-0.1, 0.1, (steps, p, n, n)))
 

@@ -34,6 +34,15 @@ def test_l1_box_projection_validation():
         project_l1_box(np.zeros(2), -1.0, 1.0)
     with pytest.raises(ValueError):
         project_l1_box(np.zeros(2), 1.0, 0.0)
+    with pytest.raises(ValueError, match="budget"):
+        project_l1_box(np.zeros(2), np.nan, 1.0)
+    with pytest.raises(ValueError, match="box bound"):
+        project_l1_box(np.zeros(2), 1.0, np.nan)
+    # an infinite budget or bound leaves that set inactive
+    assert np.array_equal(project_l1_box(np.array([3.0, -1.0]), np.inf, 2.0),
+                          [2.0, -1.0])
+    assert np.array_equal(project_l1_box(np.array([3.0, -1.0]), 10.0, np.inf),
+                          [3.0, -1.0])
 
 
 def test_l1_box_projection_against_grid():
@@ -163,6 +172,17 @@ def test_comparator_deterministic():
     prob = generate_oqcqp(5, 2, 4.0, 20, seed=1)
     assert np.array_equal(solve_comparator(prob, 1e-7),
                           solve_comparator(prob, 1e-7))
+
+
+def test_comparator_reports_a_stalled_penalty_as_infeasible():
+    # round 0 asks for x <= -1 and round 1 for x >= 1: the violation cannot
+    # fall below 1 however large the penalty grows
+    rounds = [quad_round(0, [[2.0]], [0.0], [[1.0]], [1.0]),
+              quad_round(1, [[2.0]], [0.0], [[-1.0]], [1.0])]
+    prob = generic_problem(rounds, Box(np.array([-3.0]), np.array([3.0])), 1)
+    with pytest.raises(InfeasibleProblemError,
+                       match=r"generic comparator \(seed 0\).*stalled"):
+        solve_comparator(prob, 1e-7)
 
 
 def test_comparator_rejects_overloaded_nra():

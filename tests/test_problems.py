@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ocobench import Box, EuclideanBall, generate_nra, generate_olr, generate_oqcqp
+from ocobench import (Box, EuclideanBall, ProblemArgumentError, generate_nra,
+                      generate_olr, generate_oqcqp)
 
 from helpers import contains, sample_in
 
@@ -187,6 +188,12 @@ def test_generator_validation():
             generate_oqcqp(4, 2, value, 5, seed=0)
         with pytest.raises(ValueError, match="finite M"):
             generate_olr(4, 5, 5, value, seed=0)
+    with pytest.raises(ProblemArgumentError, match="T = 0"):
+        generate_nra(3, 3, 0, seed=0)
+    with pytest.raises(ProblemArgumentError, match="T = 0"):
+        generate_olr(4, 5, 0, 2.0, seed=0)
+    with pytest.raises(ProblemArgumentError, match="T = 0"):
+        generate_oqcqp(4, 2, 1.0, 0, seed=0)
 
 
 def test_nra_feasible_set_is_capacity_box():
