@@ -66,7 +66,7 @@ paper_baseline_config = BaselineConfig
 def mosp_step(x: Array, lam: Array, oracle: RoundOracle,
               feasible_set: FeasibleSet, alpha: float, mu: float) -> tuple:
     """Saddle-point step; the primal update is exact only for linear g_t."""
-    if not oracle.linear_g:
+    if oracle.g_kind != "affine":
         raise UnsupportedProblemError(
             "the saddle-point baseline requires linear constraints")
     x_new = project(feasible_set,

@@ -177,25 +177,29 @@ class RoundOracle:
     generators return the zero subgradient choice (``np.sign`` convention
     for the l1 norm).
 
-    ``linear_g`` marks exactly-affine constraints (enables algorithms that
-    require them), ``l1_g`` marks the structure g(x) = ||x||_1 + const with
-    p = 1, and ``smooth_g`` tells the subproblem solver whether a gradient
-    method may be applied to the plain model directly.  ``hess_diag``, when
-    given, is the constant Hessian diagonal of a separable quadratic f_t,
-    which then equals its second-order expansion at any point exactly.
+    ``g_kind`` says what g_t is: ``"affine"`` (exactly affine, which
+    algorithms such as the saddle-point baseline require), ``"smooth"``
+    (differentiable, so a gradient method may run on the plain model),
+    ``"l1"`` (g(x) = ||x||_1 + const with p = 1) or ``"nonsmooth"``.
+    ``hess_diag``, when given, is the constant Hessian diagonal of a
+    separable quadratic f_t, which then equals its second-order expansion
+    at any point exactly.
     """
 
-    t: int
     n: int
     p: int
     eval_f: Callable[[Array], float]
     subgrad_f: Callable[[Array], Array]
     eval_g: Callable[[Array], Array]
     jac_g: Callable[[Array], Array]
-    linear_g: bool = False
-    l1_g: bool = False
-    smooth_g: bool = True
+    g_kind: str = "smooth"
     hess_diag: Optional[Array] = None
+
+    def __post_init__(self):
+        if self.g_kind not in ("affine", "smooth", "l1", "nonsmooth"):
+            raise ValueError(f"unknown g_kind {self.g_kind!r}")
+        if self.g_kind == "l1" and self.p != 1:
+            raise ValueError(f"an l1 constraint has p = 1, got p = {self.p}")
 
 
 @dataclass(frozen=True)
@@ -245,10 +249,15 @@ def run_schedule(problem, T: int, tau: int, step,
     ``step(t, oracle, xs, lambdas)`` returns the decision and multiplier for
     step t + 1; tau = 0 is the undelayed schedule.  A ConvergenceError from
     the step gets the round index t - tau.  Decisions 0..T-1 are returned
-    with the full multiplier sequence.
+    with the full multiplier sequence.  A T past the instance's last round
+    or an ``x0`` that is not an n-vector raises ValueError up front.
     """
+    if T > len(problem.rounds):
+        raise ValueError(f"T = {T} exceeds the instance's "
+                         f"{len(problem.rounds)} rounds")
     xs = np.empty((tau + T + 1, problem.n))
-    xs[: tau + 1] = project(problem.set, np.zeros(problem.n)) if x0 is None else x0
+    xs[: tau + 1] = project(problem.set, np.zeros(problem.n)) if x0 is None \
+        else _check_vector(x0, problem.n, "x0")
     lambdas = np.zeros((tau + T + 1, problem.p))
     for t in range(tau, tau + T):
         try:

@@ -225,7 +225,8 @@ def _write_grid(config: ExperimentConfig, path: str) -> None:
     for seed in config.seeds:
         with _naming_cell(problem=config.problem, seed=seed):
             problems[seed] = problem = generate_problem(config, seed)
-            if "mosp" in config.algos and not all(r.linear_g for r in problem.rounds):
+            if "mosp" in config.algos and any(r.g_kind != "affine"
+                                              for r in problem.rounds):
                 raise UnsupportedProblemError(f"mosp requires linear constraints; "
                                               f"{config.problem} has others")
             comparators[seed] = solve_comparator(problem, config.tol_comparator)

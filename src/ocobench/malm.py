@@ -309,16 +309,14 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
         if res <= cfg.tol:
             return x
 
-    if model.kind == PLAIN and model.oracle.l1_g:
-        if model.oracle.p != 1:
-            raise UnsupportedProblemError("l1 constraint handling assumes p = 1")
+    if model.kind == PLAIN and model.oracle.g_kind == "l1":
         if not isinstance(feasible_set, Box):
             raise UnsupportedProblemError(
                 "plain model with an l1 constraint needs a box-like feasible set")
         grad, prox = _plain_l1_parts(model, prox_center, lam, cfg, feasible_set)
         l0 = cfg.alpha + 1.0
     else:
-        if model.kind == PLAIN and not model.oracle.smooth_g:
+        if model.kind == PLAIN and model.oracle.g_kind == "nonsmooth":
             raise UnsupportedProblemError(
                 "plain model requires a smooth g_t (or the l1 structure)")
 

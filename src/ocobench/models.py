@@ -83,7 +83,7 @@ class ModelAt:
             return None
         if self.kind == PLAIN:
             oracle = self.oracle
-            if oracle.hess_diag is None or not oracle.linear_g:
+            if oracle.hess_diag is None or oracle.g_kind != "affine":
                 return None
             V = oracle.jac_g(np.zeros(oracle.n))
             return (np.asarray(oracle.hess_diag, dtype=float),

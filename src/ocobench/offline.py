@@ -221,10 +221,14 @@ def solve_comparator(problem: ProblemInstance, tol: float = 1e-7) -> Array:
 
     Raises
     ------
+    ValueError
+        When ``tol`` is not positive and finite.
     InfeasibleProblemError
         When no decision satisfies all rounds at once (stalled constraint
         residual under a huge penalty, or a certified negative margin).
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if problem.kind == "olr":
         return _solve_olr(problem, tol)
     if problem.kind == "nra" and problem.constants is not None \

@@ -54,7 +54,7 @@ def _walk(first: Array, steps: Array) -> Array:
     return np.concatenate([first[None], first + np.cumsum(steps, axis=0)])
 
 
-def _diag_quadratic_round(t: int, q_t: Array, b_t: Array, A: Array) -> RoundOracle:
+def _diag_quadratic_round(q_t: Array, b_t: Array, A: Array) -> RoundOracle:
     n = A.shape[1]
     p = A.shape[0]
 
@@ -70,8 +70,8 @@ def _diag_quadratic_round(t: int, q_t: Array, b_t: Array, A: Array) -> RoundOrac
     def jac_g(x):
         return A
 
-    return RoundOracle(t=t, n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
-                       eval_g=eval_g, jac_g=jac_g, linear_g=True,
+    return RoundOracle(n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
+                       eval_g=eval_g, jac_g=jac_g, g_kind="affine",
                        hess_diag=2.0 * q_t)
 
 
@@ -136,8 +136,8 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
     xbar = np.concatenate([zbar, ybar])
     feasible_set = Box(np.zeros(E), xbar)
 
-    rounds = tuple(_diag_quadratic_round(t, q_all[t], b_all[t], A)
-                   for t in range(T))
+    rounds = tuple(_diag_quadratic_round(q_t, b_t, A)
+                   for q_t, b_t in zip(q_all, b_all))
 
     D = float(np.linalg.norm(xbar))
     q_max = np.concatenate([c, price.max(axis=0)])
@@ -179,7 +179,7 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
         strong_convexity=strong_convexity)
 
 
-def _logistic_round(t: int, Z_t: Array, a_t: float, n: int) -> RoundOracle:
+def _logistic_round(Z_t: Array, a_t: float, n: int) -> RoundOracle:
     def eval_f(x):
         return float(np.logaddexp(0.0, -(Z_t @ x)).sum())
 
@@ -192,8 +192,8 @@ def _logistic_round(t: int, Z_t: Array, a_t: float, n: int) -> RoundOracle:
     def jac_g(x):
         return np.sign(x)[None, :]
 
-    return RoundOracle(t=t, n=n, p=1, eval_f=eval_f, subgrad_f=subgrad_f,
-                       eval_g=eval_g, jac_g=jac_g, l1_g=True, smooth_g=False)
+    return RoundOracle(n=n, p=1, eval_f=eval_f, subgrad_f=subgrad_f,
+                       eval_g=eval_g, jac_g=jac_g, g_kind="l1")
 
 
 def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance:
@@ -245,8 +245,8 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
 
     Z_all = labels[:, :, None] * u_all
     feasible_set = Box(np.full(n, -M), np.full(n, M))
-    rounds = tuple(_logistic_round(t, Z_all[t], float(a[t]), n)
-                   for t in range(T))
+    rounds = tuple(_logistic_round(Z_t, float(a_t), n)
+                   for Z_t, a_t in zip(Z_all, a))
 
     D = 2.0 * M * float(np.sqrt(n))
     kappa_f = float(np.linalg.norm(u_all, axis=2).sum(axis=1).max())
@@ -263,7 +263,7 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
         strong_convexity=lambda t: 0.0)
 
 
-def _quadratic_round(t: int, A_t: Array, b_t: Array, C_t: Array, d_t: Array,
+def _quadratic_round(A_t: Array, b_t: Array, C_t: Array, d_t: Array,
                      e_t: Array) -> RoundOracle:
     n = b_t.shape[0]
     p = e_t.shape[0]
@@ -280,7 +280,7 @@ def _quadratic_round(t: int, A_t: Array, b_t: Array, C_t: Array, d_t: Array,
     def jac_g(x):
         return C_t @ x + d_t
 
-    return RoundOracle(t=t, n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
+    return RoundOracle(n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
                        eval_g=eval_g, jac_g=jac_g)
 
 
@@ -351,8 +351,8 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
     e_all = -0.5 * ((C_all @ xhat) @ xhat) - d_all @ xhat - h
 
     feasible_set = EuclideanBall(R, n)
-    rounds = tuple(_quadratic_round(t, A_all[t], b_all[t], C_all[t], d_all[t],
-                                    e_all[t]) for t in range(T))
+    rounds = tuple(_quadratic_round(*parts)
+                   for parts in zip(A_all, b_all, C_all, d_all, e_all))
 
     D = 2.0 * R
     A_eigs = np.linalg.eigvalsh(A_all)

@@ -8,33 +8,34 @@ from ocobench import (QUADRATIC_LINEARIZED, ConvergenceError, MalmConfig,
 from ocobench.metrics import psi_from_kappas, psi_kappas
 
 
-def affine_round(t, u, c0, B, g0):
+def affine_round(u, c0, B, g0):
     """f(x) = u.x + c0 with affine constraints g(x) = B x + g0."""
     u = np.asarray(u, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     g0 = np.atleast_1d(np.asarray(g0, dtype=float))
     return RoundOracle(
-        t=t, n=u.size, p=g0.size,
+        n=u.size, p=g0.size,
         eval_f=lambda x: float(u @ x) + c0,
         subgrad_f=lambda x: u.copy(),
         eval_g=lambda x: B @ x + g0,
         jac_g=lambda x: B.copy(),
-        linear_g=True)
+        g_kind="affine")
 
 
 def quad_round(t, Q, b, B, g0):
-    """f(x) = 0.5 x.Q x + b.x with affine constraints."""
+    """f(x) = 0.5 x.Q x + b.x with affine constraints; callers pass the
+    round index ``t``, which a round does not record."""
     Q = np.asarray(Q, dtype=float)
     b = np.asarray(b, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     g0 = np.atleast_1d(np.asarray(g0, dtype=float))
     return RoundOracle(
-        t=t, n=b.size, p=g0.size,
+        n=b.size, p=g0.size,
         eval_f=lambda x: 0.5 * float(x @ Q @ x) + float(b @ x),
         subgrad_f=lambda x: Q @ x + b,
         eval_g=lambda x: B @ x + g0,
         jac_g=lambda x: B.copy(),
-        linear_g=True)
+        g_kind="affine")
 
 
 def generic_problem(rounds, feasible_set, n, constants=None):

@@ -9,7 +9,7 @@ from ocobench import (BaselineConfig, Box,
 from helpers import affine_round, contains
 
 SEG = Box(np.array([-2.0]), np.array([2.0]))
-LINE = affine_round(0, [1.0], 0.0, [[1.0]], [-1.0])  # f = x, g = x - 1
+LINE = affine_round([1.0], 0.0, [[1.0]], [-1.0])  # f = x, g = x - 1
 
 
 def test_mosp_step_hand_case():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ocobench import (Box, ConvergenceError, EuclideanBall, Trajectory,
-                      project, project_psd)
+from ocobench import (BaselineConfig, Box, ConvergenceError, EuclideanBall,
+                      MalmConfig, RoundOracle, Trajectory, generate_oqcqp,
+                      project, project_psd, run_baseline, run_malm)
 from ocobench.core import run_schedule
 
 from helpers import contains
@@ -182,6 +183,39 @@ def test_run_schedule_names_the_failing_round():
                         tau=1, x0=np.zeros(1), step=step)
     assert traj.xs[:, 0].tolist() == [0.0, 0.0, 1.0, 2.0]
     assert traj.lambdas.shape == (6, 1) and traj.tau == 1
+
+
+def test_run_schedule_refuses_a_horizon_past_the_instance():
+    problem = generate_oqcqp(4, 2, 5.0, 20, seed=0)
+    with pytest.raises(ValueError, match="20 rounds"):
+        run_malm(problem, MalmConfig(alpha=1.0, sigma=1.0, T=30))
+    with pytest.raises(ValueError, match="20 rounds"):
+        run_baseline(problem, BaselineConfig("czp", 30))
+
+
+def test_run_schedule_refuses_an_x0_that_is_not_an_n_vector():
+    problem = generate_oqcqp(4, 2, 5.0, 20, seed=0)
+    # a scalar would broadcast to [7, 7, 7, 7], outside the R = 5 ball
+    with pytest.raises(ValueError, match=r"x0 has shape \(\), expected \(4,\)"):
+        run_malm(problem, MalmConfig(alpha=1.0, sigma=1.0, T=5, x0=np.array(7.0)))
+
+
+def oracle_of_kind(g_kind, p=1):
+    return RoundOracle(n=2, p=p, eval_f=lambda x: 0.0,
+                       subgrad_f=lambda x: np.zeros(2),
+                       eval_g=lambda x: np.zeros(p),
+                       jac_g=lambda x: np.zeros((p, 2)), g_kind=g_kind)
+
+
+def test_round_oracle_validates_its_constraint_kind():
+    for g_kind in ("affine", "smooth", "l1", "nonsmooth"):
+        assert oracle_of_kind(g_kind).g_kind == g_kind
+    assert RoundOracle(n=1, p=1, eval_f=None, subgrad_f=None, eval_g=None,
+                       jac_g=None).g_kind == "smooth"
+    with pytest.raises(ValueError, match="unknown g_kind 'linear'"):
+        oracle_of_kind("linear")
+    with pytest.raises(ValueError, match="p = 2"):
+        oracle_of_kind("l1", p=2)
 
 
 def test_public_api_names_resolve_once():

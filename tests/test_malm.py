@@ -21,12 +21,12 @@ from helpers import (affine_round, contains, generic_problem, quad_round,
 
 def constant_round(value_f, value_g):
     return RoundOracle(
-        t=0, n=1, p=1,
+        n=1, p=1,
         eval_f=lambda x: float(value_f),
         subgrad_f=lambda x: np.zeros(1),
         eval_g=lambda x: np.array([float(value_g)]),
         jac_g=lambda x: np.zeros((1, 1)),
-        linear_g=True)
+        g_kind="affine")
 
 
 # The augmented Lagrangian is subproblem_objective without its prox term.
@@ -72,7 +72,7 @@ def test_multiplier_update_examples():
     assert np.array_equal(out, [0.0])
 
     two = RoundOracle(
-        t=0, n=1, p=2,
+        n=1, p=2,
         eval_f=lambda x: 0.0,
         subgrad_f=lambda x: np.zeros(1),
         eval_g=lambda x: np.array([-1.0, 4.0]),
@@ -87,7 +87,7 @@ def test_multiplier_update_nonexpansive_step():
     for _ in range(20):
         g = rng.normal(size=3)
         oracle = RoundOracle(
-            t=0, n=1, p=3,
+            n=1, p=3,
             eval_f=lambda x: 0.0,
             subgrad_f=lambda x: np.zeros(1),
             eval_g=lambda x, _g=g: _g.copy(),
@@ -146,7 +146,7 @@ def _matches_tight_gradient_solve(model, center, lam, cfg, feasible):
 
 
 def test_solve_subproblem_1d_plain_hand_case():
-    oracle = affine_round(0, [1.0], 0.0, [[1.0]], [-1.0])
+    oracle = affine_round([1.0], 0.0, [[1.0]], [-1.0])
     feasible = Box(np.array([-2.0]), np.array([2.0]))
     cfg = MalmConfig(alpha=1.0, sigma=1.0, T=1)
     m = make_model(oracle, np.zeros(1), PLAIN)
@@ -158,12 +158,12 @@ def test_solve_subproblem_1d_plain_hand_case():
 
 def test_solve_subproblem_prox_dominates_at_tiny_sigma():
     oracle = RoundOracle(
-        t=0, n=1, p=1,
+        n=1, p=1,
         eval_f=lambda x: 5.0,
         subgrad_f=lambda x: np.zeros(1),
         eval_g=lambda x: np.array([x[0] - 1.0]),
         jac_g=lambda x: np.array([[1.0]]),
-        linear_g=True)
+        g_kind="affine")
     feasible = Box(np.array([-2.0]), np.array([2.0]))
     cfg = MalmConfig(alpha=1.0, sigma=1e-8, T=1)
     m = make_model(oracle, np.array([0.3]), PLAIN)
@@ -179,7 +179,7 @@ def test_solve_subproblem_linearized_dispatch_meets_residual():
         u = rng.normal(size=2)
         B = rng.normal(size=(1, 2))
         g0 = rng.normal(size=1)
-        oracle = affine_round(0, u, float(rng.normal()), B, g0)
+        oracle = affine_round(u, float(rng.normal()), B, g0)
         feasible = Box(np.full(2, -0.4), np.full(2, 0.4))
         center = project(feasible, rng.normal(size=2))
         lam = np.abs(rng.normal(size=1))
@@ -208,12 +208,12 @@ def test_plain_model_refuses_a_nonsmooth_g_without_l1_structure():
     # FISTA's residual on a nonsmooth g could pass with a subgradient
     # choice that does not certify optimality
     oracle = RoundOracle(
-        t=0, n=2, p=1,
+        n=2, p=1,
         eval_f=lambda x: float(x @ x),
         subgrad_f=lambda x: 2.0 * x,
         eval_g=lambda x: np.array([np.abs(x).max() - 1.0]),
         jac_g=lambda x: np.eye(2)[[int(np.argmax(np.abs(x)))]] * np.sign(x),
-        smooth_g=False)
+        g_kind="nonsmooth")
     feasible = Box(np.full(2, -2.0), np.full(2, 2.0))
     model = make_model(oracle, np.zeros(2), PLAIN)
     with pytest.raises(UnsupportedProblemError, match="smooth g_t"):
@@ -222,18 +222,15 @@ def test_plain_model_refuses_a_nonsmooth_g_without_l1_structure():
 
 
 def test_l1_constraint_needs_a_single_constraint():
-    oracle = RoundOracle(
-        t=0, n=2, p=2,
-        eval_f=lambda x: float(x @ x),
-        subgrad_f=lambda x: 2.0 * x,
-        eval_g=lambda x: np.abs(x).sum() - np.array([1.0, 2.0]),
-        jac_g=lambda x: np.vstack([np.sign(x), np.sign(x)]),
-        l1_g=True, smooth_g=False)
-    feasible = Box(np.full(2, -2.0), np.full(2, 2.0))
-    model = make_model(oracle, np.zeros(2), PLAIN)
-    with pytest.raises(UnsupportedProblemError, match="p = 1"):
-        solve_subproblem(model, np.zeros(2), np.zeros(2),
-                         MalmConfig(alpha=1.0, sigma=1.0, T=1), feasible)
+    # refused when the round is built, before any subproblem sees it
+    with pytest.raises(ValueError, match="p = 1"):
+        RoundOracle(
+            n=2, p=2,
+            eval_f=lambda x: float(x @ x),
+            subgrad_f=lambda x: 2.0 * x,
+            eval_g=lambda x: np.abs(x).sum() - np.array([1.0, 2.0]),
+            jac_g=lambda x: np.vstack([np.sign(x), np.sign(x)]),
+            g_kind="l1")
 
 
 def test_l1_constraint_needs_a_box_like_set():
@@ -362,12 +359,12 @@ def test_run_malm_reports_failing_round():
 def separable_quadratic_round(h, c, B, g0, f0=0.0):
     """f(x) = 0.5 h.(x*x) + c.x + f0 with Hessian diagonal h; g(x) = B x + g0."""
     return RoundOracle(
-        t=0, n=h.size, p=g0.size,
+        n=h.size, p=g0.size,
         eval_f=lambda x: float(0.5 * h @ (x * x) + c @ x) + f0,
         subgrad_f=lambda x: h * x + c,
         eval_g=lambda x: B @ x + g0,
         jac_g=lambda x: B.copy(),
-        linear_g=True, hess_diag=h)
+        g_kind="affine", hess_diag=h)
 
 
 def _floats(lo, hi):
@@ -589,12 +586,12 @@ def truncated_subproblems(draw):
 def l1_round(h, c, offset):
     """f(x) = 0.5 h.(x*x) + c.x with g(x) = ||x||_1 + offset."""
     return RoundOracle(
-        t=0, n=h.size, p=1,
+        n=h.size, p=1,
         eval_f=lambda x: float(0.5 * h @ (x * x) + c @ x),
         subgrad_f=lambda x: h * x + c,
         eval_g=lambda x: np.array([np.abs(x).sum() + offset]),
         jac_g=lambda x: np.sign(x)[None, :],
-        l1_g=True, smooth_g=False)
+        g_kind="l1")
 
 
 def _any_box(draw, n):
@@ -629,7 +626,7 @@ def ball_subproblems(draw):
     B = draw(arrays(float, (p, n), elements=_floats(-1.0, 1.0)))
     g0 = draw(arrays(float, p, elements=_floats(-2.0, 2.0)))
     oracle = RoundOracle(
-        t=0, n=n, p=p,
+        n=n, p=p,
         eval_f=lambda x: float(0.5 * h @ (x * x) + c @ x),
         subgrad_f=lambda x: h * x + c,
         eval_g=lambda x: 0.5 * q * float(x @ x) + B @ x + g0,

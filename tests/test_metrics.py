@@ -13,10 +13,10 @@ from helpers import affine_round, generic_problem, psi_bound
 SEG = Box(np.array([-5.0]), np.array([5.0]))
 
 
-def constant_g_round(t, g_values):
+def constant_g_round(g_values):
     g = np.asarray(g_values, dtype=float)
     return RoundOracle(
-        t=t, n=1, p=g.size,
+        n=1, p=g.size,
         eval_f=lambda x: 0.0,
         subgrad_f=lambda x: np.zeros(1),
         eval_g=lambda x, _g=g: _g.copy(),
@@ -24,7 +24,7 @@ def constant_g_round(t, g_values):
 
 
 def test_regret_series_hand_case():
-    rounds = [affine_round(t, [1.0], 0.0, [[1.0]], [0.0]) for t in range(2)]
+    rounds = [affine_round([1.0], 0.0, [[1.0]], [0.0])] * 2
     prob = generic_problem(rounds, SEG, 1)
     traj = Trajectory(xs=np.array([[2.0], [1.5]]), lambdas=np.zeros((3, 1)))
     out = full_series(traj, prob, np.array([1.0]))
@@ -33,7 +33,7 @@ def test_regret_series_hand_case():
 
 
 def test_regret_is_zero_on_the_comparator():
-    rounds = [affine_round(t, [2.0], 1.0, [[1.0]], [0.0]) for t in range(4)]
+    rounds = [affine_round([2.0], 1.0, [[1.0]], [0.0])] * 4
     prob = generic_problem(rounds, SEG, 1)
     xs = np.full((4, 1), 0.7)
     traj = Trajectory(xs=xs, lambdas=np.zeros((5, 1)))
@@ -42,7 +42,7 @@ def test_regret_is_zero_on_the_comparator():
 
 
 def test_violation_series_hand_case():
-    rounds = [constant_g_round(0, [1.0, -1.0]), constant_g_round(1, [-3.0, 2.0])]
+    rounds = [constant_g_round([1.0, -1.0]), constant_g_round([-3.0, 2.0])]
     prob = generic_problem(rounds, SEG, 1)
     traj = Trajectory(xs=np.zeros((2, 1)), lambdas=np.zeros((3, 2)))
     out = full_series(traj, prob, np.zeros(1))
@@ -53,7 +53,7 @@ def test_violation_series_hand_case():
 def test_violation_series_identities_on_random_data():
     rng = np.random.default_rng(6)
     per = rng.normal(size=(12, 3))
-    rounds = [constant_g_round(t, per[t]) for t in range(12)]
+    rounds = [constant_g_round(g) for g in per]
     prob = generic_problem(rounds, SEG, 1)
     traj = Trajectory(xs=np.zeros((12, 1)), lambdas=np.zeros((13, 3)))
     out = full_series(traj, prob, np.zeros(1))
@@ -64,7 +64,7 @@ def test_violation_series_identities_on_random_data():
 
 
 def test_always_feasible_play_has_no_violation():
-    rounds = [constant_g_round(t, [-1.0]) for t in range(6)]
+    rounds = [constant_g_round([-1.0])] * 6
     prob = generic_problem(rounds, SEG, 1)
     traj = Trajectory(xs=np.zeros((6, 1)), lambdas=np.zeros((7, 1)))
     out = full_series(traj, prob, np.zeros(1))

@@ -11,23 +11,23 @@ from helpers import sample_in
 def square_round():
     # 1-D f(x) = x^2, g(x) = x - 5 (slack on [-2, 2])
     return RoundOracle(
-        t=0, n=1, p=1,
+        n=1, p=1,
         eval_f=lambda x: float(x[0] ** 2),
         subgrad_f=lambda x: np.array([2.0 * x[0]]),
         eval_g=lambda x: np.array([x[0] - 5.0]),
         jac_g=lambda x: np.array([[1.0]]),
-        linear_g=True)
+        g_kind="affine")
 
 
 def l1_round():
     # g(x) = ||x||_1 - 2 with the zero-subgradient choice at kinks
     return RoundOracle(
-        t=0, n=2, p=1,
+        n=2, p=1,
         eval_f=lambda x: float(x @ x),
         subgrad_f=lambda x: 2.0 * x,
         eval_g=lambda x: np.array([np.abs(x).sum() - 2.0]),
         jac_g=lambda x: np.sign(x)[None, :],
-        l1_g=True, smooth_g=False)
+        g_kind="l1")
 
 
 def test_linearized_tangent_line():

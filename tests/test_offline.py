@@ -174,6 +174,17 @@ def test_comparator_deterministic():
                           solve_comparator(prob, 1e-7))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("make", [lambda: generate_oqcqp(4, 2, 5.0, 20, seed=0),
+                                  lambda: generate_olr(4, 5, 20, 2.0, seed=0)],
+                         ids=["oqcqp", "olr"])
+def test_comparator_refuses_a_tolerance_that_is_not_positive_and_finite(make, tol):
+    # inf would return the projection of 0 as the best decision, and -1 or
+    # nan would report a feasible instance as infeasible
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_comparator(make(), tol)
+
+
 def test_comparator_reports_a_stalled_penalty_as_infeasible():
     # round 0 asks for x <= -1 and round 1 for x >= 1: the violation cannot
     # fall below 1 however large the penalty grows

@@ -16,6 +16,7 @@ def make(kind, T, seed):
 
 
 GOOD_SEED = {"nra": 14, "olr": 1, "oqcqp": 1}
+G_KIND = {"nra": "affine", "olr": "l1", "oqcqp": "smooth"}
 
 
 def test_nra_shapes_and_incidence_matrix():
@@ -99,7 +100,6 @@ def test_olr_budget_walk_and_flags():
     assert np.all(a >= 0)
     assert np.all(np.abs(np.diff(a)) <= 0.5 / np.arange(1, 200) + 1e-15)
     assert prob.p == 1
-    assert prob.rounds[0].l1_g and not prob.rounds[0].smooth_g
     assert isinstance(prob.set, Box)
     assert np.array_equal(prob.set.lower, np.full(4, -2.0))
     assert np.array_equal(prob.set.upper, np.full(4, 2.0))
@@ -164,6 +164,7 @@ def test_constants_and_structure(kind):
     assert c.D > 0 and c.kappa_f > 0 and c.nu_g > 0
     assert len(prob.rounds) == 25 and prob.T == 25
     assert prob.rounds[0].n == prob.n and prob.rounds[0].p == prob.p
+    assert {r.g_kind for r in prob.rounds} == {G_KIND[kind]}
     assert prob.strong_convexity(0) >= 0
 
 

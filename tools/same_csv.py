@@ -5,9 +5,10 @@ Usage::
     python tools/same_csv.py REF
 
 Runs the standard byte-identity runs (the presets cut short, a delay
-grid, four INI model runs, one INI run that sets every key and one seed
-the CLI refuses as infeasible) twice: on this checkout, uncommitted edits
-included, and on REF, checked out in a temporary ``git worktree``.  Each
+grid, five INI model runs, one INI run that sets every key, one seed the
+CLI refuses as infeasible and one algorithm it refuses on a problem)
+twice: on this checkout, uncommitted edits included, and on REF, checked
+out in a temporary ``git worktree``.  Each
 run is ``PYTHONPATH=<tree>/src python -m ocobench ...`` in a scratch
 directory.  A run is the same in both trees when its exit codes match and
 either both exit 0 with CSVs that ``cmp`` finds identical, or both print
@@ -35,6 +36,9 @@ INI_FILES = {
                        "seeds = 0\n[malm]\nmodel = quadratic_linearized\n",
     "nra-linearized.ini": "[experiment]\nproblem = nra\nT = 150\nseeds = 0\n"
                           "[malm]\nmodel = linearized\n",
+    # The plain model's l1 constraint: FISTA under the exact l1 prox.
+    "olr-plain.ini": "[experiment]\nproblem = olr\nT = 300\nseeds = 0\n"
+                     "[malm]\nmodel = plain\n",
     # Every [experiment] and [malm] key; the --out flag overrides out.
     "all-keys.ini": "[experiment]\nproblem = oqcqp\nalgos = malm,czp,ny\n"
                     "T = 80\ntaus = 0,3\nseeds = 1,2\nout = unused.csv\n"
@@ -53,6 +57,8 @@ RUNS = (
                   "--algo", "malm,ny,czp"]),
     # Seed 1 has a negative Slater margin: the comparator refuses it, exit 3.
     ("nra-infeasible", ["--problem", "nra", "--T", "40", "--seed", "1"]),
+    # MOSP needs affine constraints; oqcqp's are quadratic, exit 2.
+    ("oqcqp-mosp", ["--problem", "oqcqp", "--algo", "mosp", "--T", "20"]),
 ) + tuple((name[:-4], ["--config", name]) for name in INI_FILES)
 
 
