@@ -181,9 +181,9 @@ class RoundOracle:
     algorithms such as the saddle-point baseline require), ``"smooth"``
     (differentiable, so a gradient method may run on the plain model),
     ``"l1"`` (g(x) = ||x||_1 + const with p = 1) or ``"nonsmooth"``.
-    ``hess_diag``, when given, is the constant Hessian diagonal of a
-    separable quadratic f_t, which then equals its second-order expansion
-    at any point exactly.
+    ``hess_f``, when given, is the constant Hessian of a quadratic f_t, an
+    n-vector for a diagonal Hessian or an (n, n) matrix otherwise; f_t then
+    equals its second-order expansion at any point exactly.
     """
 
     n: int
@@ -193,13 +193,19 @@ class RoundOracle:
     eval_g: Callable[[Array], Array]
     jac_g: Callable[[Array], Array]
     g_kind: str = "smooth"
-    hess_diag: Optional[Array] = None
+    hess_f: Optional[Array] = None
 
     def __post_init__(self):
         if self.g_kind not in ("affine", "smooth", "l1", "nonsmooth"):
             raise ValueError(f"unknown g_kind {self.g_kind!r}")
         if self.g_kind == "l1" and self.p != 1:
             raise ValueError(f"an l1 constraint has p = 1, got p = {self.p}")
+        if self.hess_f is not None:
+            object.__setattr__(self, "hess_f", np.asarray(self.hess_f, float))
+            if self.hess_f.shape not in ((self.n,), (self.n, self.n)) \
+                    or not np.isfinite(self.hess_f).all():
+                raise ValueError(f"hess_f must be finite of shape ({self.n},) "
+                                 f"or ({self.n}, {self.n}), got {self.hess_f.shape}")
 
 
 @dataclass(frozen=True)

@@ -343,9 +343,8 @@ def run_malm(problem, cfg: MalmConfig) -> Trajectory:
 
     def step(t, oracle, xs, lambdas):
         anchor = xs[t - tau]
-        iota = 0.0
-        if cfg.model_kind == QUADRATIC_LINEARIZED and problem.strong_convexity is not None:
-            iota = problem.strong_convexity(t - tau)
+        iota = problem.strong_convexity(t - tau) \
+            if cfg.model_kind == QUADRATIC_LINEARIZED else 0.0
         model = make_model(oracle, anchor, cfg.model_kind, iota=iota)
         x_next = solve_subproblem(model, anchor, lambdas[t], cfg, problem.set)
         return x_next, multiplier_update(lambdas[t], model, x_next, cfg.sigma)

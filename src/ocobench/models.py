@@ -76,18 +76,17 @@ class ModelAt:
         """(h, V) when F has the constant Hessian diag(h) and G(x) = V x + const.
 
         None when there is no such pair: the truncated model's hinge, or a
-        plain model whose oracle gives no ``hess_diag`` or whose
+        plain model whose oracle gives no diagonal ``hess_f`` or whose
         constraints are not affine.
         """
         if self.kind == TRUNCATED:
             return None
         if self.kind == PLAIN:
             oracle = self.oracle
-            if oracle.hess_diag is None or oracle.g_kind != "affine":
+            if oracle.g_kind != "affine" or np.ndim(oracle.hess_f) != 1:
                 return None
             V = oracle.jac_g(np.zeros(oracle.n))
-            return (np.asarray(oracle.hess_diag, dtype=float),
-                    np.asarray(V, dtype=float))
+            return oracle.hess_f, np.asarray(V, dtype=float)
         return np.full(self.V.shape[1], self.iota), self.V
 
 
@@ -110,8 +109,8 @@ def make_model(oracle: RoundOracle, anchor: Array, kind: str,
         return ModelAt(kind=kind, anchor=anchor, oracle=oracle)
     if kind != QUADRATIC_LINEARIZED:
         iota = 0.0
-    elif iota < 0:
-        raise ValueError("iota must be nonnegative")
+    elif not 0 <= iota < np.inf:
+        raise ValueError(f"iota must be nonnegative and finite, got {iota!r}")
     return ModelAt(kind=kind, anchor=anchor, oracle=oracle,
                    f_anchor=float(oracle.eval_f(anchor)),
                    u=np.asarray(oracle.subgrad_f(anchor), dtype=float),

@@ -10,7 +10,7 @@ same oracles bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -27,20 +27,43 @@ class ProblemInstance:
 
     ``data`` keeps the raw generated arrays (matrices, walks, margins) so the
     offline comparator and the tests can work with the numbers directly
-    instead of probing the closures.  ``strong_convexity`` maps a round index
-    to a per-round strong-convexity modulus of f_t (0 when none is known).
+    instead of probing the closures.  The dimension n is the set's, p and T
+    are the rounds'; rounds whose n or p disagree raise ValueError.
     """
 
     kind: str
     set: FeasibleSet
     rounds: tuple
     constants: Optional[ProblemConstants]
-    n: int
-    p: int
-    T: int
     seed: int
     data: dict = field(default_factory=dict)
-    strong_convexity: Optional[Callable[[int], float]] = None
+
+    def __post_init__(self):
+        for t, oracle in enumerate(self.rounds):
+            if (oracle.n, oracle.p) != (self.n, self.p):
+                raise ValueError(f"round {t} has (n, p) = ({oracle.n}, "
+                                 f"{oracle.p}), not ({self.n}, {self.p})")
+
+    @property
+    def n(self) -> int:
+        return self.set.dim
+
+    @property
+    def p(self) -> int:
+        return self.rounds[0].p
+
+    @property
+    def T(self) -> int:
+        return len(self.rounds)
+
+    def strong_convexity(self, t: int) -> float:
+        """The strong-convexity modulus of f_t: the smallest eigenvalue of
+        round t's ``hess_f``, floored at 0, and 0 for a round without one."""
+        hess = self.rounds[t].hess_f
+        if hess is None:
+            return 0.0
+        low = hess.min() if hess.ndim == 1 else np.linalg.eigvalsh(hess)[0]
+        return max(float(low), 0.0)
 
 
 def _rngs(seed: int, count: int) -> list:
@@ -72,7 +95,7 @@ def _diag_quadratic_round(q_t: Array, b_t: Array, A: Array) -> RoundOracle:
 
     return RoundOracle(n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
                        eval_g=eval_g, jac_g=jac_g, g_kind="affine",
-                       hess_diag=2.0 * q_t)
+                       hess_f=2.0 * q_t)
 
 
 def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
@@ -165,18 +188,10 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
 
     constants = ProblemConstants(D=D, kappa_f=kappa_f, nu_g=nu_g, eps0=eps0,
                                  slater_point=slater)
-    c_min = float(c.min())
-    price_min = price.min(axis=1)
-
-    def strong_convexity(t, _c=c_min, _pm=price_min):
-        return 2.0 * min(_c, float(_pm[t]))
-
     return ProblemInstance(
         kind="nra", set=feasible_set, rounds=rounds, constants=constants,
-        n=E, p=p, T=T, seed=seed,
-        data={"A": A, "b": b_all, "q": q_all, "zbar": zbar, "ybar": ybar,
-              "c": c, "price": price},
-        strong_convexity=strong_convexity)
+        seed=seed, data={"A": A, "b": b_all, "q": q_all, "zbar": zbar,
+                         "ybar": ybar, "c": c, "price": price})
 
 
 def _logistic_round(Z_t: Array, a_t: float, n: int) -> RoundOracle:
@@ -259,8 +274,7 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
 
     return ProblemInstance(
         kind="olr", set=feasible_set, rounds=rounds, constants=constants,
-        n=n, p=1, T=T, seed=seed, data={"u": u_all, "labels": labels, "a": a},
-        strong_convexity=lambda t: 0.0)
+        seed=seed, data={"u": u_all, "labels": labels, "a": a})
 
 
 def _quadratic_round(A_t: Array, b_t: Array, C_t: Array, d_t: Array,
@@ -281,7 +295,7 @@ def _quadratic_round(A_t: Array, b_t: Array, C_t: Array, d_t: Array,
         return C_t @ x + d_t
 
     return RoundOracle(n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
-                       eval_g=eval_g, jac_g=jac_g)
+                       eval_g=eval_g, jac_g=jac_g, hess_f=A_t)
 
 
 def _symmetrize_steps(raw: Array) -> Array:
@@ -364,14 +378,7 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
     nu_g = float(np.linalg.norm(gamma + kappa_g_per * D))
     constants = ProblemConstants(D=D, kappa_f=kappa_f, nu_g=nu_g,
                                  eps0=float(h.min()), slater_point=xhat)
-    A_min = np.maximum(A_eigs[:, 0], 0.0)
-
-    def strong_convexity(t, _m=A_min):
-        return float(_m[t])
-
     return ProblemInstance(
         kind="oqcqp", set=feasible_set, rounds=rounds, constants=constants,
-        n=n, p=p, T=T, seed=seed,
-        data={"A": A_all, "b": b_all, "C": C_all, "d": d_all, "e": e_all,
-              "h": h, "xhat": xhat},
-        strong_convexity=strong_convexity)
+        seed=seed, data={"A": A_all, "b": b_all, "C": C_all, "d": d_all,
+                         "e": e_all, "h": h, "xhat": xhat})

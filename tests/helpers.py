@@ -39,10 +39,10 @@ def quad_round(t, Q, b, B, g0):
 
 
 def generic_problem(rounds, feasible_set, n, constants=None):
-    rounds = tuple(rounds)
-    return ProblemInstance(kind="generic", set=feasible_set, rounds=rounds,
-                           constants=constants, n=n, p=rounds[0].p,
-                           T=len(rounds), seed=0)
+    """An instance of ``rounds`` on ``feasible_set``; ``n`` is kept for the
+    callers that pass it, the instance takes its dimension from the set."""
+    return ProblemInstance(kind="generic", set=feasible_set,
+                           rounds=tuple(rounds), constants=constants, seed=0)
 
 
 def contains(feasible_set, point, tol=1e-9):
@@ -83,9 +83,8 @@ def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
     for t in range(T):
         oracle = problem.rounds[t]
         anchor = xs[t]
-        iota = 0.0
-        if cfg.model_kind == QUADRATIC_LINEARIZED and problem.strong_convexity is not None:
-            iota = problem.strong_convexity(t)
+        iota = problem.strong_convexity(t) \
+            if cfg.model_kind == QUADRATIC_LINEARIZED else 0.0
         model = make_model(oracle, anchor, cfg.model_kind, iota=iota)
         try:
             x_next = solve_subproblem(model, anchor, lambdas[t], cfg, problem.set)

@@ -218,6 +218,20 @@ def test_round_oracle_validates_its_constraint_kind():
         oracle_of_kind("l1", p=2)
 
 
+def test_round_oracle_validates_its_loss_hessian():
+    def with_hess(hess):
+        return RoundOracle(n=2, p=1, eval_f=None, subgrad_f=None, eval_g=None,
+                           jac_g=None, hess_f=hess)
+
+    diag = with_hess([1, 2])
+    assert diag.hess_f.dtype == float and np.array_equal(diag.hess_f, [1.0, 2.0])
+    matrix = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert with_hess(matrix).hess_f is matrix
+    for bad in (np.ones(3), np.ones((2, 3)), [1.0, np.nan]):
+        with pytest.raises(ValueError, match="hess_f"):
+            with_hess(bad)
+
+
 def test_public_api_names_resolve_once():
     import ocobench
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,7 +366,7 @@ def separable_quadratic_round(h, c, B, g0, f0=0.0):
         subgrad_f=lambda x: h * x + c,
         eval_g=lambda x: B @ x + g0,
         jac_g=lambda x: B.copy(),
-        g_kind="affine", hess_diag=h)
+        g_kind="affine", hess_f=h)
 
 
 def _floats(lo, hi):
@@ -480,6 +482,23 @@ def test_nra_malm_runs_without_the_gradient_solver(monkeypatch):
         assert np.linalg.norm(traj.lambdas, axis=1).max() > 0
         for t in range(40):
             assert contains(problem.set, traj.xs[t])
+
+
+def test_dense_loss_hessian_goes_to_the_gradient_solver(monkeypatch):
+    # a 2-D hess_f has no diagonal structure, so Newton is not tried
+    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    oracle = replace(quad_round(0, Q, [-3.0, 1.0], [[1.0, 1.0]], [-0.5]),
+                     hess_f=Q)
+    model = make_model(oracle, np.zeros(2), PLAIN)
+    assert model.quadratic_structure() is None
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton tried on a dense loss Hessian")
+
+    monkeypatch.setattr(malm_module, "_solve_newton", no_newton)
+    feasible = Box(np.full(2, -2.0), np.full(2, 2.0))
+    cfg = MalmConfig(alpha=1.0, sigma=0.8, T=1)
+    _matches_tight_gradient_solve(model, np.zeros(2), np.array([0.3]), cfg, feasible)
 
 
 def test_uncertified_newton_point_warm_starts_the_gradient_solver(monkeypatch):

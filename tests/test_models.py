@@ -66,9 +66,10 @@ def test_quadratic_linearized_recovers_square():
 
 
 def test_quadratic_linearized_rejects_negative_iota():
-    with pytest.raises(ValueError):
-        make_model(square_round(), np.array([0.0]), QUADRATIC_LINEARIZED,
-                   iota=-0.5)
+    for iota in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            make_model(square_round(), np.array([0.0]), QUADRATIC_LINEARIZED,
+                       iota=iota)
 
 
 def test_truncated_hinge():
@@ -142,9 +143,8 @@ def test_model_invariants_on_generators(name, gen, kinds):
         for t in range(0, problem.T, 9):
             oracle = problem.rounds[t]
             anchor = sample_in(problem.set, rng, 1)[0]
-            iota = 0.0
-            if kind == QUADRATIC_LINEARIZED and problem.strong_convexity:
-                iota = problem.strong_convexity(t)
+            iota = problem.strong_convexity(t) \
+                if kind == QUADRATIC_LINEARIZED else 0.0
             m = make_model(oracle, anchor, kind, iota=iota)
             # anchoring equalities
             assert m.eval_F(anchor) == pytest.approx(

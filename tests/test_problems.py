@@ -4,7 +4,7 @@ import pytest
 from ocobench import (Box, EuclideanBall, ProblemArgumentError, generate_nra,
                       generate_olr, generate_oqcqp)
 
-from helpers import contains, sample_in
+from helpers import affine_round, contains, generic_problem, sample_in
 
 
 def make(kind, T, seed):
@@ -44,17 +44,17 @@ def test_nra_round_matches_data_arrays():
 
 
 def test_nra_loss_equals_its_second_order_expansion():
-    # hess_diag is what lets the subproblem solver treat f_t as an exact
+    # hess_f is what lets the subproblem solver treat f_t as an exact
     # separable quadratic
     prob = generate_nra(3, 3, 20, seed=14)
     rng = np.random.default_rng(1)
     for t in (0, 5, 19):
         oracle = prob.rounds[t]
-        assert np.array_equal(oracle.hess_diag, 2.0 * prob.data["q"][t])
+        assert np.array_equal(oracle.hess_f, 2.0 * prob.data["q"][t])
         a, x = sample_in(prob.set, rng, 2)
         d = x - a
         expansion = (oracle.eval_f(a) + float(oracle.subgrad_f(a) @ d)
-                     + 0.5 * float(oracle.hess_diag @ (d * d)))
+                     + 0.5 * float(oracle.hess_f @ (d * d)))
         assert oracle.eval_f(x) == pytest.approx(expansion, rel=1e-13, abs=1e-10)
 
 
@@ -177,6 +177,21 @@ def test_strong_convexity_moduli():
     assert oqcqp.strong_convexity(0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("kind", ["nra", "olr", "oqcqp"])
+def test_strong_convexity_is_the_smallest_eigenvalue_of_each_round(kind):
+    # the per-family formulas the rounds' own Hessians replaced, bit for bit
+    prob = make(kind, 60, GOOD_SEED[kind])
+    if kind == "nra":
+        c, price = prob.data["c"], prob.data["price"]
+        want = [2.0 * min(float(c.min()), float(price[t].min()))
+                for t in range(prob.T)]
+    elif kind == "oqcqp":
+        want = np.maximum(np.linalg.eigvalsh(prob.data["A"])[:, 0], 0.0)
+    else:
+        want = np.zeros(prob.T)
+    assert [prob.strong_convexity(t) for t in range(prob.T)] == list(want)
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         generate_nra(0, 1, 5, seed=0)
@@ -203,3 +218,15 @@ def test_nra_feasible_set_is_capacity_box():
     assert np.array_equal(prob.set.lower, np.zeros(prob.n))
     assert np.array_equal(prob.set.upper,
                           np.concatenate([prob.data["zbar"], prob.data["ybar"]]))
+
+
+def test_instance_refuses_rounds_that_disagree_on_shape():
+    box = Box(np.full(2, -1.0), np.full(2, 1.0))
+    one_row = affine_round([1.0, 0.0], 0.0, [[1.0, 1.0]], [-1.0])
+    two_rows = affine_round([1.0, 0.0], 0.0, np.eye(2), [-1.0, -1.0])
+    three_wide = affine_round([1.0, 0.0, 0.0], 0.0, [[1.0, 1.0, 1.0]], [-1.0])
+    assert generic_problem([one_row, one_row], box, 2).T == 2
+    with pytest.raises(ValueError, match=r"round 1 has \(n, p\) = \(2, 2\), not \(2, 1\)"):
+        generic_problem([one_row, two_rows], box, 2)
+    with pytest.raises(ValueError, match=r"round 0 has \(n, p\) = \(3, 1\)"):
+        generic_problem([three_wide], box, 2)

@@ -5,7 +5,7 @@ Usage::
     python tools/same_csv.py REF
 
 Runs the standard byte-identity runs (the presets cut short, a delay
-grid, five INI model runs, one INI run that sets every key, one seed the
+grid, six INI model runs, one INI run that sets every key, one seed the
 CLI refuses as infeasible and one algorithm it refuses on a problem)
 twice: on this checkout, uncommitted edits included, and on REF, checked
 out in a temporary ``git worktree``.  Each
@@ -36,6 +36,9 @@ INI_FILES = {
                        "seeds = 0\n[malm]\nmodel = quadratic_linearized\n",
     "nra-linearized.ini": "[experiment]\nproblem = nra\nT = 150\nseeds = 0\n"
                           "[malm]\nmodel = linearized\n",
+    # iota from the rounds' diagonal hess_f, then Newton with h = iota.
+    "nra-quadlin.ini": "[experiment]\nproblem = nra\nT = 150\nseeds = 0\n"
+                       "[malm]\nmodel = quadratic_linearized\n",
     # The plain model's l1 constraint: FISTA under the exact l1 prox.
     "olr-plain.ini": "[experiment]\nproblem = olr\nT = 300\nseeds = 0\n"
                      "[malm]\nmodel = plain\n",
