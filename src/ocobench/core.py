@@ -182,8 +182,9 @@ class RoundOracle:
     (differentiable, so a gradient method may run on the plain model),
     ``"l1"`` (g(x) = ||x||_1 + const with p = 1) or ``"nonsmooth"``.
     ``hess_f``, when given, is the constant Hessian of a quadratic f_t, an
-    n-vector for a diagonal Hessian or an (n, n) matrix otherwise; f_t then
-    equals its second-order expansion at any point exactly.
+    n-vector for a diagonal Hessian or an (n, n) matrix otherwise, symmetric
+    up to 1e-12 of its largest entry; f_t then equals its second-order
+    expansion at any point exactly.
     """
 
     n: int
@@ -201,11 +202,13 @@ class RoundOracle:
         if self.g_kind == "l1" and self.p != 1:
             raise ValueError(f"an l1 constraint has p = 1, got p = {self.p}")
         if self.hess_f is not None:
-            object.__setattr__(self, "hess_f", np.asarray(self.hess_f, float))
-            if self.hess_f.shape not in ((self.n,), (self.n, self.n)) \
-                    or not np.isfinite(self.hess_f).all():
+            H = np.asarray(self.hess_f, float)
+            object.__setattr__(self, "hess_f", H)
+            if H.shape not in ((self.n,), (self.n, self.n)) or not np.isfinite(H).all():
                 raise ValueError(f"hess_f must be finite of shape ({self.n},) "
-                                 f"or ({self.n}, {self.n}), got {self.hess_f.shape}")
+                                 f"or ({self.n}, {self.n}), got {H.shape}")
+            if H.ndim == 2 and np.abs(H - H.T).max() > 1e-12 * np.abs(H).max():
+                raise ValueError("hess_f must be a symmetric matrix")
 
 
 @dataclass(frozen=True)

@@ -125,18 +125,23 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     [w]_+ = max_{0 <= mu <= 1} mu w, so for each fixed mu the inner problem
     is the linearized model with the tangent plane of f scaled by mu, which
     solve_subproblem certifies at tol/4.  The dual function is concave with
-    derivative equal to the hinge argument at the inner solution, located
-    by bisection.  The inner certificate uses mu * u, a valid subgradient
-    selection of the hinge at the returned point, so it also certifies the
-    truncated objective.
+    derivative equal to the hinge argument at the inner solution, whose root
+    Brent's method locates; no mu is solved twice.  The inner certificate
+    uses mu * u, an epsilon-subgradient selection of the hinge at the
+    returned point, so it also certifies the truncated objective.
     """
+    from scipy.optimize import brentq  # only the truncated model needs it
+
     inner_cfg = replace(cfg, tol=0.25 * cfg.tol)
     anchor, f_anchor, u = model.anchor, model.f_anchor, model.u
+    solved = {}
 
     def solve_at(mu: float):
-        scaled = replace(model, kind=LINEARIZED, f_anchor=mu * f_anchor, u=mu * u)
-        x = solve_subproblem(scaled, prox_center, lam, inner_cfg, feasible_set)
-        return x, f_anchor + float(u @ (x - anchor))
+        if mu not in solved:
+            scaled = replace(model, kind=LINEARIZED, f_anchor=mu * f_anchor, u=mu * u)
+            x = solve_subproblem(scaled, prox_center, lam, inner_cfg, feasible_set)
+            solved[mu] = x, f_anchor + float(u @ (x - anchor))
+        return solved[mu]
 
     x, h = solve_at(0.0)
     if h <= 0.0:
@@ -144,28 +149,10 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     x, h = solve_at(1.0)
     if h >= 0.0:
         return x
-
-    # Dual derivative changes sign inside (0, 1): bisect it until the hinge
-    # argument at the inner solution reaches the inner solver's noise floor,
-    # so the final mu is dual-optimal up to that floor and mu * u is a valid
-    # epsilon-subgradient selection of the hinge at the returned point.
-    u_norm = float(np.linalg.norm(u))
-    width_target = min(cfg.tol / (4.0 * (1.0 + u_norm)), 1e-12)
-    h_floor = (4.0 * u_norm * inner_cfg.tol / cfg.alpha
-               + 1e-15 * (1.0 + abs(f_anchor)))
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if hi - lo <= width_target:
-            break
-        mid = 0.5 * (lo + hi)
-        x, h = solve_at(mid)
-        if abs(h) <= h_floor:
-            return x
-        if h >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return solve_at(0.5 * (lo + hi))[0]
+    width = min(cfg.tol / (4.0 * (1.0 + float(np.linalg.norm(u)))), 1e-12)
+    mu = brentq(lambda m: solve_at(m)[1], 0.0, 1.0, xtol=width, maxiter=200,
+                disp=False)
+    return solved[mu][0]
 
 
 def _plain_l1_parts(model: ModelAt, prox_center: Array, lam: Array,
@@ -273,8 +260,8 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
                      cfg: MalmConfig, feasible_set: FeasibleSet) -> Array:
     """Minimize the augmented Lagrangian plus proximal term over the set.
 
-    The truncated model goes to its dual bisection, whose inner problems come
-    back here as linearized models.  Any other model starts at the prox
+    The truncated model goes to its dual root search, whose inner problems
+    come back here as linearized models.  Any other model starts at the prox
     center and tries, in order: the closed form for a single affine
     constraint under the linearized model; the projected Newton method when
     the model has constant diagonal curvature and an affine G

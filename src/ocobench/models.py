@@ -30,7 +30,8 @@ class ModelAt:
     For the linearized family, ``f_anchor``/``u`` and ``g_anchor``/``V``
     hold the captured values and subgradients at the anchor (V rows are the
     constraint subgradients), and ``iota`` is the curvature of the quadratic
-    variant; the truncated model hinges the tangent plane of f at zero.  For
+    variant (0 for the others), so F(x) = f_anchor + <u, d> + (iota/2)||d||^2
+    with d = x - anchor, which the truncated model hinges at zero.  For
     the plain model those fields stay None and the methods pass straight
     through to the oracle.
     """
@@ -48,19 +49,15 @@ class ModelAt:
         if self.kind == PLAIN:
             return float(self.oracle.eval_f(x))
         d = np.asarray(x, float) - self.anchor
-        lin = self.f_anchor + float(self.u @ d)
-        if self.kind == QUADRATIC_LINEARIZED:
-            return lin + 0.5 * self.iota * float(d @ d)
-        return max(lin, 0.0) if self.kind == TRUNCATED else lin
+        value = self.f_anchor + float(self.u @ d) + 0.5 * self.iota * float(d @ d)
+        return max(value, 0.0) if self.kind == TRUNCATED else value
 
     def subgrad_F(self, x: Array) -> Array:
         if self.kind == PLAIN:
             return np.asarray(self.oracle.subgrad_f(x), dtype=float)
-        if self.kind == QUADRATIC_LINEARIZED:
-            return self.u + self.iota * (np.asarray(x, float) - self.anchor)
         if self.kind == TRUNCATED and not self.eval_F(x) > 0.0:
             return np.zeros_like(self.u)
-        return self.u.copy()
+        return self.u + self.iota * (np.asarray(x, float) - self.anchor)
 
     def eval_G(self, x: Array) -> Array:
         if self.kind == PLAIN:

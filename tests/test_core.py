@@ -230,6 +230,11 @@ def test_round_oracle_validates_its_loss_hessian():
     for bad in (np.ones(3), np.ones((2, 3)), [1.0, np.nan]):
         with pytest.raises(ValueError, match="hess_f"):
             with_hess(bad)
+    # an asymmetric matrix: eigvalsh would read only its lower triangle
+    with pytest.raises(ValueError, match="hess_f must be a symmetric matrix"):
+        with_hess([[1.0, 5.0], [0.0, 1.0]])
+    rounded = matrix + np.array([[0.0, 1e-13], [0.0, 0.0]])
+    assert with_hess(rounded).hess_f is rounded
 
 
 def test_public_api_names_resolve_once():

@@ -542,9 +542,9 @@ def test_truncated_malm_runs_without_the_gradient_solver(monkeypatch):
             assert contains(problem.set, traj.xs[t])
 
 
-def test_truncated_rounds_solve_each_dual_value_once(monkeypatch):
-    # every inner problem is the linearized model at its own mu: the scaled
-    # tangent plane (mu f, mu u) names mu, so no round may repeat one
+def _truncated_inner_models(monkeypatch):
+    """(f_anchor, u bytes) of each inner linearized model, per round of a
+    truncated olr run whose rounds all have their dual root inside (0, 1)."""
     rounds = []
     solve = malm_module.solve_subproblem
 
@@ -560,9 +560,20 @@ def test_truncated_rounds_solve_each_dual_value_once(monkeypatch):
     run_malm(problem, MalmConfig(alpha=0.05, sigma=20 ** -0.5, T=20,
                                  model_kind=TRUNCATED))
     assert len(rounds) == 20
-    assert all(len(inner) > 2 for inner in rounds)  # every round bisects
-    for inner in rounds:
+    assert all(len(inner) > 2 for inner in rounds)  # no end of (0, 1) is optimal
+    return rounds
+
+
+def test_truncated_rounds_solve_each_dual_value_once(monkeypatch):
+    # the scaled tangent plane (mu f, mu u) names mu, so no round may repeat one
+    for inner in _truncated_inner_models(monkeypatch):
         assert len(set(inner)) == len(inner)
+
+
+def test_truncated_rounds_find_the_dual_root_in_few_solves(monkeypatch):
+    # the dual derivative is monotone, so Brent's method needs 4-9 inner
+    # solves per round here; a bisection to width 1e-12 needs 28-33
+    assert max(map(len, _truncated_inner_models(monkeypatch))) <= 15
 
 
 # The truncated model's dual path, the plain model with an l1 constraint and

@@ -12,13 +12,16 @@ out in a temporary ``git worktree``.  Each
 run is ``PYTHONPATH=<tree>/src python -m ocobench ...`` in a scratch
 directory.  A run is the same in both trees when its exit codes match and
 either both exit 0 with CSVs that ``cmp`` finds identical, or both print
-the same stderr.  The runs that differ are printed, and the exit code is 1
-if there is any, else 0.  A refactor that must not move any number should
-pass it against its parent commit.
+the same stderr.  The runs that differ are printed, each with its exit
+codes and stderr, or, when both exit 0, with the largest absolute change
+of each numeric CSV column and the row counts if they differ.  The exit
+code is 1 if any run differs, else 0.  A refactor that must not move any
+number should pass it against its parent commit.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 import subprocess
 import sys
@@ -84,6 +87,23 @@ def run_all(tree: str, work: str) -> dict:
     return codes
 
 
+def column_moves(here_csv: str, ref_csv: str) -> list:
+    """Lines giving the largest absolute change of each numeric column
+    between two CSVs, row by row, and their row counts if they differ."""
+    with open(here_csv, newline="") as here_fh, open(ref_csv, newline="") as ref_fh:
+        here, ref = list(csv.DictReader(here_fh)), list(csv.DictReader(ref_fh))
+    lines = [] if len(here) == len(ref) else [
+        f"rows: {len(here)} here, {len(ref)} in REF"]
+    for column in (here[0] if here else ()):
+        try:
+            move = max(abs(float(row[column]) - float(ref_row[column]))
+                       for row, ref_row in zip(here, ref))
+        except (KeyError, ValueError):  # not numeric, not in REF, or no rows
+            continue
+        lines.append(f"{column}: largest change {move:.3g}")
+    return lines
+
+
 def differing_runs(here_tree: str, ref_tree: str, tmp: str) -> list:
     """Run everything on both trees under ``tmp``; the names of the runs
     that are not the same, each printed with its verdict."""
@@ -92,14 +112,20 @@ def differing_runs(here_tree: str, ref_tree: str, tmp: str) -> list:
     differ = []
     for name, _ in RUNS:
         (code, err), (ref_code, ref_err) = here[name], there[name]
+        here_csv, ref_csv = (os.path.join(tmp, side, f"{name}.csv")
+                             for side in ("here", "there"))
         same = code == ref_code and (err == ref_err if code else subprocess.run(
-            ["cmp", "-s", os.path.join(tmp, "here", f"{name}.csv"),
-             os.path.join(tmp, "there", f"{name}.csv")]).returncode == 0)
+            ["cmp", "-s", here_csv, ref_csv]).returncode == 0)
         print(f"{'same' if same else 'DIFFERS'}  {name}  (exit {code})")
-        if not same:
+        if same:
+            continue
+        if code == ref_code == 0:
+            for line in column_moves(here_csv, ref_csv):
+                print(f"  {line}", file=sys.stderr)
+        else:
             print(f"  exit {code} here, {ref_code} in REF\n  here: "
                   f"{err.strip()}\n  REF:  {ref_err.strip()}", file=sys.stderr)
-            differ.append(name)
+        differ.append(name)
     return differ
 
 
