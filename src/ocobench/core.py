@@ -182,9 +182,11 @@ class RoundOracle:
     (differentiable, so a gradient method may run on the plain model),
     ``"l1"`` (g(x) = ||x||_1 + const with p = 1) or ``"nonsmooth"``.
     ``hess_f``, when given, is the constant Hessian of a quadratic f_t, an
-    n-vector for a diagonal Hessian or an (n, n) matrix otherwise, symmetric
-    up to 1e-12 of its largest entry; f_t then equals its second-order
-    expansion at any point exactly.
+    n-vector for a diagonal Hessian or an (n, n) matrix otherwise; f_t then
+    equals its second-order expansion at any point exactly.  ``hess_g``,
+    allowed only for a ``"smooth"`` g_t, is the (p, n, n) stack of the
+    constant Hessians of a quadratic g_t (an affine g_t's are zero).  Each
+    matrix is symmetric up to 1e-12 of its array's largest entry.
     """
 
     n: int
@@ -195,20 +197,28 @@ class RoundOracle:
     jac_g: Callable[[Array], Array]
     g_kind: str = "smooth"
     hess_f: Optional[Array] = None
+    hess_g: Optional[Array] = None
 
     def __post_init__(self):
         if self.g_kind not in ("affine", "smooth", "l1", "nonsmooth"):
             raise ValueError(f"unknown g_kind {self.g_kind!r}")
         if self.g_kind == "l1" and self.p != 1:
             raise ValueError(f"an l1 constraint has p = 1, got p = {self.p}")
-        if self.hess_f is not None:
-            H = np.asarray(self.hess_f, float)
-            object.__setattr__(self, "hess_f", H)
-            if H.shape not in ((self.n,), (self.n, self.n)) or not np.isfinite(H).all():
-                raise ValueError(f"hess_f must be finite of shape ({self.n},) "
-                                 f"or ({self.n}, {self.n}), got {H.shape}")
-            if H.ndim == 2 and np.abs(H - H.T).max() > 1e-12 * np.abs(H).max():
-                raise ValueError("hess_f must be a symmetric matrix")
+        if self.hess_g is not None and self.g_kind != "smooth":
+            raise ValueError(f"hess_g needs g_kind 'smooth', got {self.g_kind!r}")
+        n = self.n
+        for name, shapes in (("hess_f", ((n,), (n, n))),
+                             ("hess_g", ((self.p, n, n),))):
+            if getattr(self, name) is None:
+                continue
+            H = np.asarray(getattr(self, name), float)
+            object.__setattr__(self, name, H)
+            scale = np.abs(H).max() if H.shape in shapes else np.nan
+            if not scale < np.inf:
+                raise ValueError(f"{name} must be finite of shape "
+                                 f"{' or '.join(map(str, shapes))}, got {H.shape}")
+            if H.ndim > 1 and np.abs(H - np.swapaxes(H, -1, -2)).max() > 1e-12 * scale:
+                raise ValueError(f"{name} must be a symmetric matrix")
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ The per-round subproblem is
                   + (alpha/2) ||x - prox_center||^2
 
 solved by a closed form (single affine constraint, linearized model), by a
-projected Newton method (separable quadratic F and affine G over a box,
-where the objective is piecewise quadratic), or by an accelerated proximal
-gradient method.  The truncated model's hinge is reduced to smooth inner
-problems through a scalar dual variable; the plain model's l1 constraint
-keeps its squared-hinge penalty in an exact prox.
+Newton method (F and G quadratics of constant Hessians, where the objective
+is LC^1 and piecewise quadratic; projected steps on a box, interior steps
+on a Euclidean ball), or by an accelerated proximal gradient method.  The
+truncated model's hinge is reduced to smooth inner problems through a
+scalar dual variable; the plain model's l1 constraint keeps its
+squared-hinge penalty in an exact prox.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def _plain_l1_parts(model: ModelAt, prox_center: Array, lam: Array,
     return grad, prox
 
 
-# FISTA's iteration cap on a subproblem.  Projected Newton: step cap, Armijo
+# FISTA's iteration cap on a subproblem.  Newton: step cap, Armijo
 # slope fraction, smallest trial step and the relative rounding allowance of
 # the objective values the line search compares.
 _FISTA_MAX_ITERS = 100_000
@@ -199,26 +200,30 @@ _ROUNDING = 1e-14
 
 def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
                   cfg: MalmConfig, feasible_set: FeasibleSet, x_start: Array,
-                  curvature: Array, V: Array):
-    """Projected Newton method for a piecewise-quadratic subproblem over a box.
+                  hess_F: Array, hess_G: Optional[Array]):
+    """Newton method for a subproblem whose F and G are quadratics.
 
-    With F quadratic of Hessian diag(curvature) and G(x) = V x + const, the
-    objective's generalized Hessian is D + sigma V_S^T V_S with
-    D = diag(curvature + alpha) and S the rows whose shifted multiplier
-    lam + sigma G(x) is positive.  Each step fixes the box coordinates that
-    sit within tol of a bound their gradient pushes against (Bertsekas,
-    SIAM J. Control Optim. 1982), takes the Newton direction on the others
-    by a Woodbury solve of size |S| <= p, scales the fixed ones by D, and
-    searches the projection arc by Armijo on the subproblem objective,
-    starting from the projection of ``x_start``.
-    Returns the last point and its projected-gradient residual, which is
-    above tol when the step cap is reached or the line search finds no
-    decrease.
+    With s = [lam + sigma G(x)]_+, J = jac_G(x) and S the rows where s > 0,
+    the objective's generalized Hessian (Qi-Sun, Math. Program. 1993) is
+    B + sigma J_S^T J_S with B = hess_F + alpha I + sum_{i in S} s_i hess_G[i].
+    The direction is a Woodbury solve of size |S| <= p around B, which is
+    applied by division when diagonal and by a dense solve otherwise.  On a
+    box, each step fixes the coordinates within tol of a bound their
+    gradient pushes against (Bertsekas, SIAM J. Control Optim. 1982), scales
+    them by B's diagonal and searches the projection arc; on a Euclidean
+    ball the steps stay inside.  The line search is Armijo on the subproblem
+    objective, from the projection of ``x_start``.  Returns the last point
+    and its projected-gradient residual, above tol when the step cap is
+    reached, no decrease is found or a trial point leaves the ball.
     """
     alpha, sigma, tol = cfg.alpha, cfg.sigma, cfg.tol
     grad = _smooth_grad(model, prox_center, lam, alpha, sigma)
-    lower, upper = feasible_set.lower, feasible_set.upper
-    diag = curvature + alpha
+    box = isinstance(feasible_set, Box)
+    if hess_G is None and np.ndim(hess_F) == 1:
+        base, diag = None, hess_F + alpha
+    else:
+        base = np.diag(hess_F) if np.ndim(hess_F) == 1 else hess_F
+        base = base + alpha * np.eye(x_start.size)
 
     def objective(x: Array) -> float:
         return subproblem_objective(model, x, lam, alpha, sigma, prox_center)
@@ -232,21 +237,36 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
         if res <= tol or steps == _NEWTON_MAX_STEPS:
             return x, res
         steps += 1
-        fixed = (((x <= lower + tol) & (g > 0.0))
-                 | ((x >= upper - tol) & (g < 0.0)))
-        free = ~fixed
-        hinged = lam + sigma * model.eval_G(x) > 0.0
-        direction = g / diag
-        if hinged.any() and free.any():
-            W = V[np.ix_(hinged, free)]
+        shifted = lam + sigma * model.eval_G(x)
+        hinged = shifted > 0.0
+        free = ~(((x <= feasible_set.lower + tol) & (g > 0.0))
+                 | ((x >= feasible_set.upper - tol) & (g < 0.0))) \
+            if box else np.ones(x.size, dtype=bool)
+        # rows picked last keep W C-contiguous: BLAS sums depend on layout
+        W = model.jac_G(x)[:, free][hinged]
+        if base is None:
+            direction = g / diag
             WD = W / diag[free]
+        else:
+            B = base if hess_G is None else \
+                base + (hess_G[hinged].T @ shifted[hinged]).T
+            direction = g / np.diag(B)
+            if free.any():
+                solved = np.linalg.solve(B[:, free][free],
+                                         np.column_stack([g[free], W.T]))
+                direction[free], WD = solved[:, 0], solved[:, 1:].T
+        if hinged.any() and free.any():
             r = direction[free]
             K = np.eye(W.shape[0]) / sigma + WD @ W.T
             direction[free] = r - WD.T @ np.linalg.solve(K, W @ r)
         rounding = _ROUNDING * (1.0 + abs(value))
         step = 1.0
         while True:
-            x_new = project(feasible_set, x - step * direction)
+            x_new = x - step * direction
+            if box:
+                x_new = project(feasible_set, x_new)
+            elif np.linalg.norm(x_new) > feasible_set.radius:
+                return x, res
             value_new = objective(x_new)
             if value_new <= value + _ARMIJO * float(g @ (x_new - x)) + rounding:
                 break
@@ -263,11 +283,11 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     The truncated model goes to its dual root search, whose inner problems
     come back here as linearized models.  Any other model starts at the prox
     center and tries, in order: the closed form for a single affine
-    constraint under the linearized model; the projected Newton method when
-    the model has constant diagonal curvature and an affine G
-    (``ModelAt.quadratic_structure``) and the set is a box; and the
-    accelerated proximal gradient method, warm-started from the point the
-    path before it could not certify.  For the plain model with an l1
+    constraint under the linearized model; the Newton method when F and G
+    are quadratics of constant Hessians (``ModelAt.quadratic_structure``),
+    on a box or inside a ball; and the accelerated proximal gradient
+    method, warm-started from the point the path before it could not
+    certify.  For the plain model with an l1
     constraint FISTA runs on f plus the prox term, with the penalty and the
     box in its exact prox.  The result satisfies the proximal-gradient
     residual bound cfg.tol.
@@ -290,7 +310,7 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
             return x
 
     structure = model.quadratic_structure()
-    if structure is not None and isinstance(feasible_set, Box):
+    if structure is not None:
         x, res = _solve_newton(model, prox_center, lam, cfg, feasible_set, x,
                                *structure)
         if res <= cfg.tol:

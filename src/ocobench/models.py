@@ -70,21 +70,24 @@ class ModelAt:
         return self.V
 
     def quadratic_structure(self) -> Optional[tuple]:
-        """(h, V) when F has the constant Hessian diag(h) and G(x) = V x + const.
+        """(hess_F, hess_G) when F and G are quadratics of constant Hessians.
 
-        None when there is no such pair: the truncated model's hinge, or a
-        plain model whose oracle gives no diagonal ``hess_f`` or whose
-        constraints are not affine.
+        hess_F is an n-vector (a diagonal) or an (n, n) matrix; hess_G is the
+        oracle's (p, n, n) ``hess_g`` for a plain model with quadratic
+        constraints and None when G is affine.  None when there is no such
+        pair: the truncated model's hinge, or a plain model whose oracle
+        gives no ``hess_f``, or whose constraints are neither affine nor
+        given a ``hess_g``.
         """
         if self.kind == TRUNCATED:
             return None
         if self.kind == PLAIN:
             oracle = self.oracle
-            if oracle.g_kind != "affine" or np.ndim(oracle.hess_f) != 1:
+            if oracle.hess_f is None or (oracle.g_kind != "affine"
+                                         and oracle.hess_g is None):
                 return None
-            V = oracle.jac_g(np.zeros(oracle.n))
-            return oracle.hess_f, np.asarray(V, dtype=float)
-        return np.full(self.V.shape[1], self.iota), self.V
+            return oracle.hess_f, oracle.hess_g
+        return np.full(self.V.shape[1], self.iota), None
 
 
 def make_model(oracle: RoundOracle, anchor: Array, kind: str,

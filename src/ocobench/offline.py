@@ -11,7 +11,6 @@ A x <= -max_t b_t.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ._apg import fista
 from .core import (Array, ConvergenceError, InfeasibleProblemError,
@@ -185,6 +184,8 @@ def _al_loop(problem: ProblemInstance, tol: float) -> Array:
 
 
 def _solve_olr(problem: ProblemInstance, tol: float) -> Array:
+    from scipy.special import expit
+
     a_min = float(problem.data["a"].min())
     M = float(problem.set.upper[0])
     Z = (problem.data["labels"][:, :, None] * problem.data["u"]) \

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import expit
 
 from .core import (Array, Box, EuclideanBall, FeasibleSet,
                    ProblemArgumentError, ProblemConstants, RoundOracle,
@@ -172,6 +170,9 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
     gamma = np.maximum(np.abs(hi), np.abs(lo))
     nu_g = float(np.linalg.norm(gamma + row_norms * D))
 
+    # scipy is imported where it is used, so an oqcqp run never loads it.
+    from scipy.optimize import linprog
+
     # Max-margin LP: maximize eps subject to A x + b_max + eps 1 <= 0 over
     # the box.  Always solvable (eps can be pushed negative), so a negative
     # optimum is the certificate that no round-universal feasible point
@@ -195,6 +196,8 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
 
 
 def _logistic_round(Z_t: Array, a_t: float, n: int) -> RoundOracle:
+    from scipy.special import expit
+
     def eval_f(x):
         return float(np.logaddexp(0.0, -(Z_t @ x)).sum())
 
@@ -295,7 +298,7 @@ def _quadratic_round(A_t: Array, b_t: Array, C_t: Array, d_t: Array,
         return C_t @ x + d_t
 
     return RoundOracle(n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
-                       eval_g=eval_g, jac_g=jac_g, hess_f=A_t)
+                       eval_g=eval_g, jac_g=jac_g, hess_f=A_t, hess_g=C_t)
 
 
 def _symmetrize_steps(raw: Array) -> Array:

@@ -237,6 +237,29 @@ def test_round_oracle_validates_its_loss_hessian():
     assert with_hess(rounded).hess_f is rounded
 
 
+def test_round_oracle_validates_its_constraint_hessians():
+    def with_hess(hess, g_kind="smooth"):
+        return RoundOracle(n=2, p=2, eval_f=None, subgrad_f=None, eval_g=None,
+                           jac_g=None, g_kind=g_kind, hess_g=hess)
+
+    stack = np.array([np.eye(2), [[2.0, 1.0], [1.0, 2.0]]])
+    assert with_hess(stack).hess_g is stack
+    assert with_hess(stack.tolist()).hess_g.dtype == float
+    for bad in (np.ones((2, 2)), np.ones((1, 2, 2)), np.ones((2, 2, 3)),
+                np.full((2, 2, 2), np.inf)):
+        with pytest.raises(ValueError, match=r"hess_g must be finite of shape \(2, 2, 2\)"):
+            with_hess(bad)
+    with pytest.raises(ValueError, match="hess_g must be a symmetric matrix"):
+        with_hess(np.array([np.eye(2), [[1.0, 5.0], [0.0, 1.0]]]))
+    rounded = stack + np.array([np.zeros((2, 2)), [[0.0, 1e-13], [0.0, 0.0]]])
+    assert with_hess(rounded).hess_g is rounded
+    # an affine g has zero Hessians, and l1 or nonsmooth g have none
+    for g_kind in ("affine", "l1", "nonsmooth"):
+        with pytest.raises(ValueError, match=f"hess_g needs g_kind 'smooth', got '{g_kind}'"):
+            RoundOracle(n=2, p=1, eval_f=None, subgrad_f=None, eval_g=None,
+                        jac_g=None, g_kind=g_kind, hess_g=np.eye(2)[None])
+
+
 def test_public_api_names_resolve_once():
     import ocobench
 

@@ -128,14 +128,18 @@ def test_csv_floats_round_trip_exactly(tmp_path):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(args, cwd):
+def run_python(args, cwd):
     # cwd is a scratch directory, where an inherited relative PYTHONPATH
     # (such as "src") no longer resolves; put this checkout's src first.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "ocobench", *args],
+    return subprocess.run([sys.executable, *args],
                           cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "ocobench", *args], cwd)
 
 
 def test_cli_smoke_preset_succeeds(tmp_path):
@@ -145,6 +149,17 @@ def test_cli_smoke_preset_succeeds(tmp_path):
     assert res.stdout.strip() == str(out)
     header, rows = read_rows(str(out))
     assert len(rows) == 100 * 2
+
+
+def test_cli_smoke_run_never_imports_scipy(tmp_path):
+    # scipy serves only olr, nra's Slater LP and the truncated model, so an
+    # oqcqp run should not pay for its import
+    script = ("import sys\nfrom ocobench.cli import main\n"
+              "code = main(['--preset', 'smoke', '--out', 'smoke.csv'])\n"
+              "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    res = run_python(["-c", script], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_rejects_unknown_preset(tmp_path):

@@ -348,11 +348,16 @@ def test_run_malm_l1_and_closed_form_paths_on_olr():
 
 
 def test_run_malm_reports_failing_round():
+    # Newton lands exactly (residual 0) on round 0, whose A_0 and C_0 are
+    # the identity, so the first round no path can certify at 1e-30 is
+    # round 1; the independent loop pins that index
     problem = generate_oqcqp(4, 2, 3.0, 10, seed=5)
     cfg = MalmConfig(alpha=1.0, sigma=0.5, T=10, tol=1e-30)
     with pytest.raises(ConvergenceError) as exc:
         run_malm(problem, cfg)
-    assert exc.value.round_index == 0
+    with pytest.raises(ConvergenceError) as independent:
+        run_malm_no_delay(problem, cfg)
+    assert exc.value.round_index == independent.value.round_index == 1
     assert exc.value.residual > 0
 
 
@@ -484,21 +489,40 @@ def test_nra_malm_runs_without_the_gradient_solver(monkeypatch):
             assert contains(problem.set, traj.xs[t])
 
 
-def test_dense_loss_hessian_goes_to_the_gradient_solver(monkeypatch):
-    # a 2-D hess_f has no diagonal structure, so Newton is not tried
+def test_oqcqp_malm_runs_without_the_gradient_solver(monkeypatch):
+    # dense loss Hessians and quadratic constraints on a ball: every round's
+    # Newton steps stay inside the ball and certify
+    def no_fista(*args, **kwargs):
+        raise AssertionError("fista called on a Newton-eligible subproblem")
+
+    monkeypatch.setattr(malm_module, "fista", no_fista)
+    problem = generate_oqcqp(8, 3, 10.0, 60, seed=2)
+    for tau in (0, 10):
+        traj = run_malm(problem, MalmConfig(alpha=1.0, sigma=1.0, T=50, tau=tau))
+        assert np.linalg.norm(traj.lambdas, axis=1).max() > 0
+        for t in range(50):
+            assert contains(problem.set, traj.xs[t])
+
+
+def test_dense_loss_hessian_takes_the_newton_path(monkeypatch):
+    # a 2-D hess_f is applied by a dense solve on a box and on a ball
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
     oracle = replace(quad_round(0, Q, [-3.0, 1.0], [[1.0, 1.0]], [-0.5]),
                      hess_f=Q)
     model = make_model(oracle, np.zeros(2), PLAIN)
-    assert model.quadratic_structure() is None
+    hess_F, hess_G = model.quadratic_structure()
+    assert hess_F is Q and hess_G is None
 
-    def no_newton(*args, **kwargs):
-        raise AssertionError("Newton tried on a dense loss Hessian")
+    def no_fista(*args, **kwargs):
+        raise AssertionError("fista called on a dense loss Hessian")
 
-    monkeypatch.setattr(malm_module, "_solve_newton", no_newton)
-    feasible = Box(np.full(2, -2.0), np.full(2, 2.0))
+    monkeypatch.setattr(malm_module, "fista", no_fista)
     cfg = MalmConfig(alpha=1.0, sigma=0.8, T=1)
-    _matches_tight_gradient_solve(model, np.zeros(2), np.array([0.3]), cfg, feasible)
+    for feasible in (Box(np.full(2, -2.0), np.full(2, 2.0)),
+                     Box(np.full(2, -2.0), np.full(2, 0.5)),
+                     EuclideanBall(2.0, 2)):
+        _matches_tight_gradient_solve(model, np.zeros(2), np.array([0.3]),
+                                      cfg, feasible)
 
 
 def test_uncertified_newton_point_warm_starts_the_gradient_solver(monkeypatch):
@@ -647,20 +671,30 @@ def l1_subproblems(draw):
 
 @st.composite
 def ball_subproblems(draw):
-    """A plain model with convex quadratic constraints on a Euclidean ball."""
+    """A plain model with convex quadratic constraints on a Euclidean ball.
+
+    Unless the draw is None, the round states its Hessians, a diagonal or a
+    dense PSD loss Hessian and q_i I for constraint i, so the Newton path
+    runs and hands a minimizer on the ball's boundary over to FISTA.
+    """
     n = draw(st.integers(1, 6))
     p = draw(st.integers(1, 4))
     h = draw(arrays(float, n, elements=_floats(0.0, 3.0)))
+    M = draw(arrays(float, (n, n), elements=_floats(-1.0, 1.0)))
+    hessians = draw(st.sampled_from(("diagonal", "dense", None, None)))
+    H = M @ M.T if hessians == "dense" else np.diag(h)
     c = draw(arrays(float, n, elements=_floats(-3.0, 3.0)))
     q = draw(arrays(float, p, elements=_floats(0.0, 2.0)))
     B = draw(arrays(float, (p, n), elements=_floats(-1.0, 1.0)))
     g0 = draw(arrays(float, p, elements=_floats(-2.0, 2.0)))
     oracle = RoundOracle(
         n=n, p=p,
-        eval_f=lambda x: float(0.5 * h @ (x * x) + c @ x),
-        subgrad_f=lambda x: h * x + c,
+        eval_f=lambda x: float(0.5 * x @ (H @ x) + c @ x),
+        subgrad_f=lambda x: H @ x + c,
         eval_g=lambda x: 0.5 * q * float(x @ x) + B @ x + g0,
-        jac_g=lambda x: q[:, None] * x[None, :] + B)
+        jac_g=lambda x: q[:, None] * x[None, :] + B,
+        hess_f=None if hessians is None else h if hessians == "diagonal" else H,
+        hess_g=None if hessians is None else q[:, None, None] * np.eye(n))
     feasible = EuclideanBall(draw(_floats(0.1, 3.0)), n)
     center = project(feasible, draw(arrays(float, n, elements=_floats(-3.0, 3.0))))
     model = make_model(oracle, center, PLAIN)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,21 +97,28 @@ def test_plain_identity():
 
 
 def test_quadratic_structure_of_each_model():
-    # F's constant curvature diagonal and G's constant Jacobian, when they exist
+    # F's constant Hessian and G's constant Hessians (None when G is affine)
     nra = generate_nra(2, 2, 3, seed=14)
     oracle, anchor = nra.rounds[1], np.full(nra.n, 1.0)
-    h, V = make_model(oracle, anchor, PLAIN).quadratic_structure()
-    assert np.array_equal(h, 2.0 * nra.data["q"][1])
-    assert np.array_equal(V, nra.data["A"])
-    h, V = make_model(oracle, anchor, LINEARIZED).quadratic_structure()
-    assert np.array_equal(h, np.zeros(nra.n)) and np.array_equal(V, nra.data["A"])
-    h, V = make_model(oracle, anchor, QUADRATIC_LINEARIZED,
-                      iota=0.7).quadratic_structure()
-    assert np.array_equal(h, np.full(nra.n, 0.7))
+    h, hess_G = make_model(oracle, anchor, PLAIN).quadratic_structure()
+    assert np.array_equal(h, 2.0 * nra.data["q"][1]) and hess_G is None
+    h, hess_G = make_model(oracle, anchor, LINEARIZED).quadratic_structure()
+    assert np.array_equal(h, np.zeros(nra.n)) and hess_G is None
+    h, hess_G = make_model(oracle, anchor, QUADRATIC_LINEARIZED,
+                           iota=0.7).quadratic_structure()
+    assert np.array_equal(h, np.full(nra.n, 0.7)) and hess_G is None
     assert make_model(oracle, anchor, TRUNCATED).quadratic_structure() is None
-    # the plain model needs both a Hessian diagonal and affine constraints
-    for other in (square_round(), l1_round(),
-                  generate_oqcqp(3, 2, 2.0, 2, seed=1).rounds[0]):
+    # the plain oqcqp model: a dense loss Hessian and quadratic constraints
+    oqcqp = generate_oqcqp(3, 2, 2.0, 2, seed=1)
+    A, C = make_model(oqcqp.rounds[1], np.zeros(3), PLAIN).quadratic_structure()
+    assert np.array_equal(A, oqcqp.data["A"][1])
+    assert np.array_equal(C, oqcqp.data["C"][1])
+    h, hess_G = make_model(oqcqp.rounds[1], np.zeros(3),
+                           LINEARIZED).quadratic_structure()
+    assert np.array_equal(h, np.zeros(3)) and hess_G is None
+    # the plain model needs a loss Hessian and affine or Hessian-carrying g
+    smooth_without_hessians = replace(oqcqp.rounds[0], hess_g=None)
+    for other in (square_round(), l1_round(), smooth_without_hessians):
         assert make_model(other, np.zeros(other.n), PLAIN).quadratic_structure() is None
 
 

@@ -5,7 +5,7 @@ Usage::
     python tools/same_csv.py REF
 
 Runs the standard byte-identity runs (the presets cut short, a delay
-grid, six INI model runs, one INI run that sets every key, one seed the
+grid, seven INI model runs, one INI run that sets every key, one seed the
 CLI refuses as infeasible and one algorithm it refuses on a problem)
 twice: on this checkout, uncommitted edits included, and on REF, checked
 out in a temporary ``git worktree``.  Each
@@ -42,6 +42,10 @@ INI_FILES = {
     # iota from the rounds' diagonal hess_f, then Newton with h = iota.
     "nra-quadlin.ini": "[experiment]\nproblem = nra\nT = 150\nseeds = 0\n"
                        "[malm]\nmodel = quadratic_linearized\n",
+    # p = 3 affine rows on a ball: Newton with interior steps.
+    "oqcqp-linearized.ini": "[experiment]\nproblem = oqcqp\nT = 200\n"
+                            "taus = 0,5\nseeds = 0\n[problem]\np = 3\n"
+                            "[malm]\nmodel = linearized\n",
     # The plain model's l1 constraint: FISTA under the exact l1 prox.
     "olr-plain.ini": "[experiment]\nproblem = olr\nT = 300\nseeds = 0\n"
                      "[malm]\nmodel = plain\n",
