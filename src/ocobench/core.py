@@ -153,18 +153,19 @@ def _l1_threshold(abs_z: Array, floor, cap, a: float, w: float) -> float:
 
 
 def project_psd(matrix: Array) -> Array:
-    """Frobenius-nearest positive semidefinite matrix.
+    """Frobenius-nearest positive semidefinite matrix, or of each matrix of
+    a (..., n, n) stack.
 
     The input is symmetrized defensively as (X + X^T)/2 before the
     eigendecomposition; negative eigenvalues are clamped to zero.
     """
     sym = np.asarray(matrix, dtype=float)
-    if sym.ndim != 2 or sym.shape[0] != sym.shape[1]:
-        raise ValueError("project_psd expects a square matrix")
-    sym = 0.5 * (sym + sym.T)
+    if sym.ndim < 2 or sym.shape[-2] != sym.shape[-1]:
+        raise ValueError("project_psd expects a square matrix or a stack of them")
+    sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
     vals, vecs = np.linalg.eigh(sym)
     vals = np.maximum(vals, 0.0)
-    return (vecs * vals) @ vecs.T
+    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 @dataclass(frozen=True)

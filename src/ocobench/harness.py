@@ -7,7 +7,6 @@ Identical configs byte-reproduce the file (no timestamps).
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import uuid
@@ -169,14 +168,14 @@ def csv_header(p: int) -> list:
             + [f"vio_{i}" for i in range(1, p + 1)] + ["lambda_norm"])
 
 
-def _write_rows(writer, config: ExperimentConfig, algo: str, seed: int,
+def _write_rows(fh, config: ExperimentConfig, algo: str, seed: int,
                 tau: int, series: MetricsSeries) -> None:
     values = np.column_stack([series.cum_regret, series.avg_regret,
                               series.avg_vio_max, series.cum_vio,
-                              series.lambda_norm]).tolist()
-    for t, row in enumerate(values, 1):
-        writer.writerow([config.problem, algo, str(seed), str(tau), str(t)]
-                        + [format(v, ".17g") for v in row])
+                              series.lambda_norm])
+    row = (f"{config.problem},{algo},{seed},{tau},%d,"
+           + ",".join(["%.17g"] * values.shape[1]) + "\r\n")
+    fh.write("".join(row % (t, *v) for t, v in enumerate(values.tolist(), 1)))
 
 
 def run_experiment(config: ExperimentConfig) -> str:
@@ -231,8 +230,7 @@ def _write_grid(config: ExperimentConfig, path: str) -> None:
                                               f"{config.problem} has others")
             comparators[seed] = solve_comparator(problem, config.tol_comparator)
     with open(path, "x", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(csv_header(problems[config.seeds[0]].p))
+        fh.write(",".join(csv_header(problems[config.seeds[0]].p)) + "\r\n")
         for tau in config.taus:
             for algo in config.algos:
                 for seed in config.seeds:
@@ -240,4 +238,4 @@ def _write_grid(config: ExperimentConfig, path: str) -> None:
                                       seed=seed, tau=tau):
                         traj = run_cell(config, problems[seed], algo, tau)
                     series = full_series(traj, problems[seed], comparators[seed])
-                    _write_rows(writer, config, algo, seed, tau, series)
+                    _write_rows(fh, config, algo, seed, tau, series)

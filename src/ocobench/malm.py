@@ -206,8 +206,8 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     With s = [lam + sigma G(x)]_+, J = jac_G(x) and S the rows where s > 0,
     the objective's generalized Hessian (Qi-Sun, Math. Program. 1993) is
     B + sigma J_S^T J_S with B = hess_F + alpha I + sum_{i in S} s_i hess_G[i].
-    The direction is a Woodbury solve of size |S| <= p around B, which is
-    applied by division when diagonal and by a dense solve otherwise.  On a
+    A diagonal B gives the direction by division and a Woodbury solve of
+    size |S| <= p; a dense B by one dense solve with B + sigma J_S^T J_S.  On a
     box, each step fixes the coordinates within tol of a bound their
     gradient pushes against (Bertsekas, SIAM J. Control Optim. 1982), scales
     them by B's diagonal and searches the projection arc; on a Euclidean
@@ -246,19 +246,17 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
         W = model.jac_G(x)[:, free][hinged]
         if base is None:
             direction = g / diag
-            WD = W / diag[free]
+            if hinged.any() and free.any():
+                r, WD = direction[free], W / diag[free]
+                K = np.eye(W.shape[0]) / sigma + WD @ W.T
+                direction[free] = r - WD.T @ np.linalg.solve(K, W @ r)
         else:
             B = base if hess_G is None else \
                 base + (hess_G[hinged].T @ shifted[hinged]).T
             direction = g / np.diag(B)
             if free.any():
-                solved = np.linalg.solve(B[:, free][free],
-                                         np.column_stack([g[free], W.T]))
-                direction[free], WD = solved[:, 0], solved[:, 1:].T
-        if hinged.any() and free.any():
-            r = direction[free]
-            K = np.eye(W.shape[0]) / sigma + WD @ W.T
-            direction[free] = r - WD.T @ np.linalg.solve(K, W @ r)
+                direction[free] = np.linalg.solve(
+                    B[:, free][free] + sigma * (W.T @ W), g[free])
         rounding = _ROUNDING * (1.0 + abs(value))
         step = 1.0
         while True:

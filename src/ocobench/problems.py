@@ -138,15 +138,13 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
     price = wave[:, None] + rng_price.uniform(1.0, 3.0, (T, K))
     request = 50.0 * wave[:, None] + rng_request.uniform(99.0, 101.0, (T, J))
 
-    # Node-incidence matrix: edge (j, k) leaves stream node j and enters site
-    # node k; the processing edge y^k leaves site node k.
+    # Node-incidence matrix: edge (j, k), column k*J + j, leaves stream node
+    # j and enters site node k; the processing edge y^k leaves site node k.
+    edge, site = np.arange(J * K), np.arange(K)
     A = np.zeros((p, E))
-    for j in range(J):
-        for k in range(K):
-            A[j, k * J + j] = -1.0
-            A[J + k, k * J + j] = 1.0
-    for k in range(K):
-        A[J + k, J * K + k] = -1.0
+    A[edge % J, edge] = -1.0
+    A[J + edge // J, edge] = 1.0
+    A[J + site, J * K + site] = -1.0
 
     b_all = np.zeros((T, p))
     b_all[:, :J] = request
@@ -343,18 +341,16 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
      rng_h, rng_xhat) = _rngs(seed, 8)
 
     steps = T - 1
-    A_deltas = _symmetrize_steps(rng_A.uniform(-0.1, 0.1, (steps, n, n)))
-    C_deltas = _symmetrize_steps(rng_C.uniform(-0.1, 0.1, (steps, p, n, n)))
-
-    A_all = np.empty((T, n, n))
-    A_all[0] = np.eye(n)
+    # A_t and its C_t^(i) walk as one (p+1)-stack, A_t first.
+    raw = np.empty((steps, p + 1, n, n))
+    raw[:, 0] = rng_A.uniform(-0.1, 0.1, (steps, n, n))
+    raw[:, 1:] = rng_C.uniform(-0.1, 0.1, (steps, p, n, n))
+    deltas = _symmetrize_steps(raw)
+    walk = np.empty((T, p + 1, n, n))
+    walk[0] = np.eye(n)
     for t in range(1, T):
-        A_all[t] = project_psd(A_all[t - 1] + A_deltas[t - 1])
-    C_all = np.empty((T, p, n, n))
-    C_all[0] = np.eye(n)
-    for t in range(1, T):
-        for i in range(p):
-            C_all[t, i] = project_psd(C_all[t - 1, i] + C_deltas[t - 1, i])
+        walk[t] = project_psd(walk[t - 1] + deltas[t - 1])
+    A_all, C_all = walk[:, 0], walk[:, 1:]
 
     b_all = _walk(rng_b_init.uniform(-1.0, 1.0, n),
                   rng_b_steps.uniform(-0.1, 0.1, (steps, n)))

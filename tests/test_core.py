@@ -99,6 +99,20 @@ def test_project_psd_rejects_nonsquare():
         project_psd(np.zeros((2, 3)))
 
 
+def test_project_psd_projects_each_matrix_of_a_stack():
+    rng = np.random.default_rng(17)
+    for k, n in ((1, 1), (3, 2), (4, 5), (6, 8)):
+        stack = rng.normal(size=(k, n, n))
+        out = project_psd(stack)
+        assert out.shape == (k, n, n)
+        for matrix, projected in zip(stack, out):
+            assert np.array_equal(projected, project_psd(matrix))
+    with pytest.raises(ValueError):
+        project_psd(np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError):
+        project_psd(np.zeros(3))
+
+
 def _nearest_psd_2x2_grid(target):
     """Refined grid search over PSD [[a, c], [c, b]] down to ~1e-6."""
     best = (np.inf, None)

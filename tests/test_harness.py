@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import math
 import os
 import subprocess
@@ -13,8 +14,9 @@ from ocobench import (PRESETS, ExperimentConfig, full_series, run_experiment,
                       solve_comparator)
 from ocobench.cli import (_FLAGS, _build_parser, _file_updates,
                           assemble_config, main)
-from ocobench.harness import (csv_header, generate_problem, malm_config_for,
-                              run_cell)
+from ocobench.harness import (_write_rows, csv_header, generate_problem,
+                              malm_config_for, run_cell)
+from ocobench.metrics import MetricsSeries
 
 SMALL = ExperimentConfig(problem="oqcqp", algos=("malm", "cl"), T=40,
                          problem_params={"n": 4, "p": 2, "R": 5.0})
@@ -123,6 +125,31 @@ def test_csv_floats_round_trip_exactly(tmp_path):
         assert float(row[8]) == series.cum_vio[t, 0]
         assert float(row[9]) == series.cum_vio[t, 1]
         assert float(row[10]) == series.lambda_norm[t]
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_row_bytes_match_a_csv_writer_with_17_digits(p):
+    special = [0.0, -0.0, 1e300, -1e300, 5e-324, math.inf, -math.inf,
+               math.nan, 0.1, -2.5e-7, 1.0 / 3.0]
+    T = len(special)
+    series = MetricsSeries(cum_regret=np.array(special),
+                           avg_regret=np.array(special[::-1]),
+                           cum_vio=np.column_stack([np.roll(special, i + 5)
+                                                    for i in range(p)]),
+                           avg_vio_max=np.roll(special, 3),
+                           lambda_norm=np.roll(special, -2))
+    got = io.StringIO(newline="")
+    _write_rows(got, SMALL, "malm", 7, 2, series)
+
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    for t in range(T):
+        values = [series.cum_regret[t], series.avg_regret[t],
+                  series.avg_vio_max[t], *series.cum_vio[t],
+                  series.lambda_norm[t]]
+        writer.writerow(["oqcqp", "malm", "7", "2", str(t + 1)]
+                        + [format(float(v), ".17g") for v in values])
+    assert got.getvalue().encode() == want.getvalue().encode()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -31,6 +31,22 @@ def test_nra_shapes_and_incidence_matrix():
     assert np.array_equal(big.data["b"][:, 10:], np.zeros((3, 10)))
 
 
+def test_nra_incidence_layout():
+    # edge (j, k) is column k*J + j; processing edge y^k is column J*K + k
+    J, K = 2, 3
+    A = generate_nra(J, K, 3, seed=0).data["A"]
+    want = np.zeros((J + K, J * K + K))
+    for j in range(J):
+        for k in range(K):
+            want[j, k * J + j] = -1.0
+            want[J + k, k * J + j] = 1.0
+    for k in range(K):
+        want[J + k, J * K + k] = -1.0
+    assert np.array_equal(A, want)
+    # column 1 is edge (j=1, k=0): out of stream 1, into site 0 (row J)
+    assert np.array_equal(A[:, 1], [0.0, -1.0, 1.0, 0.0, 0.0])
+
+
 def test_nra_round_matches_data_arrays():
     prob = generate_nra(3, 3, 20, seed=14)
     rng = np.random.default_rng(0)
