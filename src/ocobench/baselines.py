@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (Array, FeasibleSet, RoundOracle, Trajectory,
-                   UnsupportedProblemError, project, run_schedule)
+                   UnsupportedProblemError, _check_integer, project,
+                   run_schedule)
 
 
 # Published (primal, dual) stepsizes per algorithm, in the order its step
@@ -34,8 +35,9 @@ _UNDELAYED = ("mosp", "cl")
 class BaselineConfig:
     """A baseline at its published stepsizes for horizon T and delay tau.
 
-    Refuses an unknown algorithm, a delay that is negative or not below T,
-    and a delay for MOSP or CL, which have no delayed variant.
+    Refuses an unknown algorithm, a T or delay that is not an integer, a
+    delay that is negative or not below T, and a delay for MOSP or CL, which
+    have no delayed variant.
     """
 
     algo: str
@@ -45,6 +47,8 @@ class BaselineConfig:
     def __post_init__(self):
         if self.algo not in _SCHEDULES:
             raise ValueError(f"unknown baseline {self.algo!r}")
+        _check_integer("T", self.T)
+        _check_integer("tau", self.tau)
         if self.T <= self.tau:
             raise ValueError("time horizon T must exceed the delay tau")
         if self.tau < 0:

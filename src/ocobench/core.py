@@ -45,6 +45,12 @@ class ProblemArgumentError(ValueError):
     """A problem generator was given an argument outside its domain."""
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a value that is not a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_vector(x: Array, n: int, name: str = "point") -> Array:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
@@ -86,6 +92,7 @@ class EuclideanBall:
     def __post_init__(self):
         if not 0.0 < self.radius < np.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+        _check_integer("dim", self.dim)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 

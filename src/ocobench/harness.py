@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import BaselineConfig, run_baseline
 from .core import (ConvergenceError, InfeasibleProblemError, Trajectory,
-                   UnsupportedProblemError)
+                   UnsupportedProblemError, _check_integer)
 from .malm import MalmConfig, run_malm
 from .metrics import MetricsSeries, full_series
 from .models import LINEARIZED, MODEL_KINDS, PLAIN
@@ -59,7 +59,8 @@ class ExperimentConfig:
     override the delay-aware defaults alpha = sqrt(T/(tau+1)),
     sigma = sqrt((tau+1)/T); baselines always use their published
     stepsizes, and a delay for MOSP or CL is refused here, before any cell
-    runs, as are an unknown or repeated algorithm and a repeated delay or seed.
+    runs, as are an unknown or repeated algorithm, a repeated delay or seed
+    and a T, delay or seed that is not an integer.
     """
 
     problem: str
@@ -89,6 +90,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for name, values in (("T", (self.T,)), ("delay", self.taus),
+                             ("seed", self.seeds)):
+            for value in values:
+                _check_integer(name, value)
         if any(seed < 0 for seed in self.seeds):
             raise ValueError("seeds must be nonnegative")
         if not self.taus:

@@ -23,8 +23,8 @@ import numpy as np
 
 from ._apg import fista
 from .core import (Array, Box, FeasibleSet, Trajectory,
-                   UnsupportedProblemError, _l1_threshold, project,
-                   run_schedule)
+                   UnsupportedProblemError, _check_integer, _l1_threshold,
+                   project, run_schedule)
 from .models import (LINEARIZED, MODEL_KINDS, PLAIN, QUADRATIC_LINEARIZED,
                      TRUNCATED, ModelAt, make_model)
 
@@ -36,7 +36,8 @@ class MalmConfig:
     ``alpha`` is the proximal stepsize, ``sigma`` the penalty, ``tau`` the
     feedback delay and ``model_kind`` one of the four model names.  ``tol``
     bounds the returned subproblem solution's projected-gradient residual.
-    ``x0`` overrides the default initial action project(C, 0).
+    ``x0`` overrides the default initial action project(C, 0).  ``T`` and
+    ``tau`` are Python or numpy integers.
     """
 
     alpha: float
@@ -52,6 +53,8 @@ class MalmConfig:
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)!r}")
+        _check_integer("T", self.T)
+        _check_integer("tau", self.tau)
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
         if self.T <= self.tau:
@@ -69,12 +72,26 @@ def subproblem_objective(model: ModelAt, x: Array, lam: Array,
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    lam = np.asarray(lam, dtype=float)
-    shifted = np.maximum(lam + sigma * model.eval_G(x), 0.0)
-    d = np.asarray(x, float) - np.asarray(prox_center, float)
+    lam, x = np.asarray(lam, dtype=float), np.asarray(x, dtype=float)
+    return _value(model, x, lam, lam + sigma * model.eval_G(x), alpha, sigma,
+                  np.asarray(prox_center, dtype=float))
+
+
+def _value(model: ModelAt, x: Array, lam: Array, shift: Array, alpha: float,
+           sigma: float, center: Array) -> float:
+    """The subproblem objective at x, given shift = lam + sigma G(x)."""
+    hinge = np.maximum(shift, 0.0)
+    d = x - center
     return (float(model.eval_F(x))
-            + (float(shifted @ shifted) - float(lam @ lam)) / (2.0 * sigma)
+            + (float(hinge @ hinge) - float(lam @ lam)) / (2.0 * sigma)
             + 0.5 * alpha * float(d @ d))
+
+
+def _gradient(model: ModelAt, x: Array, shift: Array, J: Array, alpha: float,
+              center: Array) -> Array:
+    """Its gradient at x, with model.subgrad_F for F, shift and J = jac_G(x)."""
+    return (np.asarray(model.subgrad_F(x), float) + J.T @ np.maximum(shift, 0.0)
+            + alpha * (x - center))
 
 
 def multiplier_update(lam: Array, model: ModelAt, x_next: Array, sigma: float) -> Array:
@@ -101,22 +118,6 @@ def closed_form_linearized_p1(a: Array, b: Array, gamma: float,
         denom = alpha * (alpha + sigma * float(b @ b))
         xbar = -w / alpha + (sigma * float(b @ w) / denom) * b
     return project(feasible_set, xbar)
-
-
-def _smooth_grad(model: ModelAt, prox_center: Array, lam: Array,
-                 alpha: float, sigma: float):
-    """Gradient closure of the subproblem objective, with model.subgrad_F for F."""
-    lam = np.asarray(lam, dtype=float)
-    center = np.asarray(prox_center, dtype=float)
-    grad_F = model.subgrad_F
-
-    def grad(x: Array) -> Array:
-        shifted = np.maximum(lam + sigma * model.eval_G(x), 0.0)
-        return (np.asarray(grad_F(x), float)
-                + model.jac_G(x).T @ shifted
-                + alpha * (x - center))
-
-    return grad
 
 
 def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
@@ -212,12 +213,12 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     gradient pushes against (Bertsekas, SIAM J. Control Optim. 1982), scales
     them by B's diagonal and searches the projection arc; on a Euclidean
     ball the steps stay inside.  The line search is Armijo on the subproblem
-    objective, from the projection of ``x_start``.  Returns the last point
-    and its projected-gradient residual, above tol when the step cap is
-    reached, no decrease is found or a trial point leaves the ball.
+    objective, from the projection of ``x_start``, at one G(x) per point and
+    one J per iterate.  Returns the last point and its projected-gradient
+    residual, above tol when the step cap is reached, no decrease is found
+    or a trial point leaves the ball.
     """
     alpha, sigma, tol = cfg.alpha, cfg.sigma, cfg.tol
-    grad = _smooth_grad(model, prox_center, lam, alpha, sigma)
     box = isinstance(feasible_set, Box)
     if hess_G is None and np.ndim(hess_F) == 1:
         base, diag = None, hess_F + alpha
@@ -225,25 +226,26 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
         base = np.diag(hess_F) if np.ndim(hess_F) == 1 else hess_F
         base = base + alpha * np.eye(x_start.size)
 
-    def objective(x: Array) -> float:
-        return subproblem_objective(model, x, lam, alpha, sigma, prox_center)
+    def evaluate(x: Array) -> tuple:
+        shift = lam + sigma * model.eval_G(x)
+        return _value(model, x, lam, shift, alpha, sigma, prox_center), shift
 
     x = project(feasible_set, x_start)
-    value = objective(x)
+    value, shift = evaluate(x)
     steps = 0
     while True:
-        g = grad(x)
+        J = model.jac_G(x)
+        g = _gradient(model, x, shift, J, alpha, prox_center)
         res = float(np.linalg.norm(x - project(feasible_set, x - g)))
         if res <= tol or steps == _NEWTON_MAX_STEPS:
             return x, res
         steps += 1
-        shifted = lam + sigma * model.eval_G(x)
-        hinged = shifted > 0.0
+        hinged = shift > 0.0
         free = ~(((x <= feasible_set.lower + tol) & (g > 0.0))
                  | ((x >= feasible_set.upper - tol) & (g < 0.0))) \
             if box else np.ones(x.size, dtype=bool)
         # rows picked last keep W C-contiguous: BLAS sums depend on layout
-        W = model.jac_G(x)[:, free][hinged]
+        W = J[:, free][hinged]
         if base is None:
             direction = g / diag
             if hinged.any() and free.any():
@@ -252,7 +254,7 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
                 direction[free] = r - WD.T @ np.linalg.solve(K, W @ r)
         else:
             B = base if hess_G is None else \
-                base + (hess_G[hinged].T @ shifted[hinged]).T
+                base + (hess_G[hinged].T @ shift[hinged]).T
             direction = g / np.diag(B)
             if free.any():
                 direction[free] = np.linalg.solve(
@@ -265,13 +267,13 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
                 x_new = project(feasible_set, x_new)
             elif np.linalg.norm(x_new) > feasible_set.radius:
                 return x, res
-            value_new = objective(x_new)
+            value_new, shift_new = evaluate(x_new)
             if value_new <= value + _ARMIJO * float(g @ (x_new - x)) + rounding:
                 break
             step *= 0.5
             if step < _MIN_STEP:
                 return x, res
-        x, value = x_new, value_new
+        x, value, shift = x_new, value_new, shift_new
 
 
 def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
@@ -279,23 +281,38 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     """Minimize the augmented Lagrangian plus proximal term over the set.
 
     The truncated model goes to its dual root search, whose inner problems
-    come back here as linearized models.  Any other model starts at the prox
+    come back here as linearized models.  Any other model gets one gradient
+    and prox pair, the whole objective's gradient with the projection or,
+    for the plain model with an l1 constraint, that of f plus the prox term
+    with the penalty and the box in an exact prox.  It starts at the prox
     center and tries, in order: the closed form for a single affine
     constraint under the linearized model; the Newton method when F and G
     are quadratics of constant Hessians (``ModelAt.quadratic_structure``),
-    on a box or inside a ball; and the accelerated proximal gradient
-    method, warm-started from the point the path before it could not
-    certify.  For the plain model with an l1
-    constraint FISTA runs on f plus the prox term, with the penalty and the
-    box in its exact prox.  The result satisfies the proximal-gradient
-    residual bound cfg.tol.
+    on a box or inside a ball; and FISTA on the pair, warm-started from the
+    point the path before it could not certify.  The result satisfies the
+    pair's proximal-gradient residual bound cfg.tol.
     """
     prox_center = np.asarray(prox_center, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if model.kind == TRUNCATED:
         return _solve_truncated(model, prox_center, lam, cfg, feasible_set)
-    grad = _smooth_grad(model, prox_center, lam, cfg.alpha, cfg.sigma)
     x = prox_center
+    l1 = model.kind == PLAIN and model.oracle.g_kind == "l1"
+    if l1:
+        if not isinstance(feasible_set, Box):
+            raise UnsupportedProblemError(
+                "plain model with an l1 constraint needs a box-like feasible set")
+        grad, prox = _plain_l1_parts(model, prox_center, lam, cfg, feasible_set)
+    elif model.kind == PLAIN and model.oracle.g_kind == "nonsmooth":
+        raise UnsupportedProblemError(
+            "plain model requires a smooth g_t (or the l1 structure)")
+    else:
+        def grad(x: Array) -> Array:
+            return _gradient(model, x, lam + cfg.sigma * model.eval_G(x),
+                             model.jac_G(x), cfg.alpha, prox_center)
+
+        def prox(z: Array, step: float) -> Array:
+            return project(feasible_set, z)
 
     if model.kind == LINEARIZED and model.oracle.p == 1:
         a = model.u - cfg.alpha * prox_center
@@ -304,7 +321,7 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
                  - float(model.V[0] @ model.anchor))
         x = closed_form_linearized_p1(a, b, gamma, cfg.alpha, cfg.sigma,
                                       feasible_set)
-        if np.linalg.norm(x - project(feasible_set, x - grad(x))) <= cfg.tol:
+        if np.linalg.norm(x - prox(x - grad(x), 1.0)) <= cfg.tol:
             return x
 
     structure = model.quadratic_structure()
@@ -314,22 +331,8 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
         if res <= cfg.tol:
             return x
 
-    if model.kind == PLAIN and model.oracle.g_kind == "l1":
-        if not isinstance(feasible_set, Box):
-            raise UnsupportedProblemError(
-                "plain model with an l1 constraint needs a box-like feasible set")
-        grad, prox = _plain_l1_parts(model, prox_center, lam, cfg, feasible_set)
-        l0 = cfg.alpha + 1.0
-    else:
-        if model.kind == PLAIN and model.oracle.g_kind == "nonsmooth":
-            raise UnsupportedProblemError(
-                "plain model requires a smooth g_t (or the l1 structure)")
-
-        def prox(z: Array, step: float) -> Array:
-            return project(feasible_set, z)
-
-        jac = model.jac_G(prox_center)
-        l0 = cfg.alpha + model.iota + cfg.sigma * float(np.sum(jac * jac)) + 1.0
+    jac = 0.0 if l1 else model.jac_G(prox_center)  # the l1 prox holds G
+    l0 = cfg.alpha + model.iota + cfg.sigma * float(np.sum(jac * jac)) + 1.0
     x, _, _ = fista(x, grad, prox, tol=cfg.tol, max_iters=_FISTA_MAX_ITERS,
                     l0=l0)
     return x

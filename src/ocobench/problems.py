@@ -26,7 +26,8 @@ class ProblemInstance:
     ``data`` keeps the raw generated arrays (matrices, walks, margins) so the
     offline comparator and the tests can work with the numbers directly
     instead of probing the closures.  The dimension n is the set's, p and T
-    are the rounds'; rounds whose n or p disagree raise ValueError.
+    are the rounds'; no rounds, or rounds whose n or p disagree, raise
+    ValueError.
     """
 
     kind: str
@@ -37,6 +38,8 @@ class ProblemInstance:
     data: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.rounds:
+            raise ValueError("an instance needs at least one round")
         for t, oracle in enumerate(self.rounds):
             if (oracle.n, oracle.p) != (self.n, self.p):
                 raise ValueError(f"round {t} has (n, p) = ({oracle.n}, "

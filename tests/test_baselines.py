@@ -93,6 +93,10 @@ def test_baseline_config_validation():
         BaselineConfig("cl", T=5, tau=-1)
     with pytest.raises(ValueError, match="unknown baseline"):
         BaselineConfig("ogd", T=5)
+    for kwargs in ({"T": 5.5}, {"T": 5, "tau": 1.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            BaselineConfig("ny", **kwargs)
+    assert BaselineConfig("ny", T=np.int64(5), tau=np.int32(1)).stepsizes
 
 
 def test_run_baseline_rejects_delay_for_undelayed_algos():

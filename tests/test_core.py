@@ -169,6 +169,10 @@ def test_box_validation():
     for value in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             EuclideanBall(value, 3)
+    for dim in (2.5, 2.0):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            EuclideanBall(1.0, dim)
+    assert EuclideanBall(1.0, np.int64(2)).dim == 2
 
 
 def test_trajectory_T():

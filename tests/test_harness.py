@@ -57,6 +57,11 @@ def test_experiment_config_validation():
         ExperimentConfig(problem="olr", T=10, taus=(10,))
     with pytest.raises(ValueError):
         ExperimentConfig(problem="olr", malm_model="affine")
+    for kwargs in ({"T": 5.5}, {"taus": (0.5,)}, {"seeds": (1.5,)}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ExperimentConfig(problem="nra", **kwargs)
+    assert ExperimentConfig(problem="nra", T=np.int64(5), taus=(np.int32(1),),
+                            seeds=(np.int64(2),)).T == 5
 
 
 def test_config_refuses_a_delay_for_undelayed_baselines():

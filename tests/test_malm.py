@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from ocobench import (LINEARIZED, PLAIN, QUADRATIC_LINEARIZED, TRUNCATED, Box,
                       multiplier_update, project, run_malm, solve_comparator,
                       solve_subproblem, subproblem_objective)
 from ocobench._apg import fista
-from ocobench.malm import _plain_l1_parts, _smooth_grad
+from ocobench.malm import _plain_l1_parts
 
 from helpers import (affine_round, contains, generic_problem, quad_round,
                      run_malm_no_delay, sample_in)
@@ -127,10 +128,18 @@ def test_closed_form_branch_continuity():
     assert np.linalg.norm(lo - hi) <= 1e-6
 
 
+def subproblem_gradient(model, lam, cfg, center):
+    """The subproblem objective's gradient, with model.subgrad_F for F."""
+    def grad(x):
+        shifted = np.maximum(lam + cfg.sigma * model.eval_G(x), 0.0)
+        return (np.asarray(model.subgrad_F(x), float) + model.jac_G(x).T @ shifted
+                + cfg.alpha * (x - center))
+
+    return grad
+
+
 def subproblem_residual(model, x, lam, cfg, feasible_set, center):
-    shifted = np.maximum(lam + cfg.sigma * model.eval_G(x), 0.0)
-    grad = (np.asarray(model.subgrad_F(x), float) + model.jac_G(x).T @ shifted
-            + cfg.alpha * (x - center))
+    grad = subproblem_gradient(model, lam, cfg, center)(x)
     return float(np.linalg.norm(x - project(feasible_set, x - grad)))
 
 
@@ -139,7 +148,7 @@ def _matches_tight_gradient_solve(model, center, lam, cfg, feasible):
     solve; returns it."""
     x = solve_subproblem(model, center, lam, cfg, feasible)
     assert subproblem_residual(model, x, lam, cfg, feasible, center) <= cfg.tol
-    grad = _smooth_grad(model, center, lam, cfg.alpha, cfg.sigma)
+    grad = subproblem_gradient(model, lam, cfg, center)
     x_ref, res_ref, _ = fista(center, grad, lambda z, step: project(feasible, z),
                               tol=1e-12, max_iters=100_000, raise_on_fail=False)
     assert res_ref <= 1e-10
@@ -257,6 +266,10 @@ def test_config_validation():
         MalmConfig(alpha=1.0, sigma=1.0, T=10, model_kind="cubic")
     with pytest.raises(ValueError):
         MalmConfig(alpha=1.0, sigma=1.0, T=10, tol=0.0)
+    for kwargs in ({"T": 5.5}, {"T": 5, "tau": 1.5}, {"T": np.float64(5.0)}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MalmConfig(alpha=1.0, sigma=1.0, **kwargs)
+    assert MalmConfig(alpha=1.0, sigma=1.0, T=np.int64(5), tau=np.int32(1)).T == 5
     for name in ("alpha", "sigma", "tol"):
         for value in (np.nan, np.inf):
             kwargs = {"alpha": 1.0, "sigma": 1.0, name: value}
@@ -523,6 +536,48 @@ def test_dense_loss_hessian_takes_the_newton_path(monkeypatch):
                      EuclideanBall(2.0, 2)):
         _matches_tight_gradient_solve(model, np.zeros(2), np.array([0.3]),
                                       cfg, feasible)
+
+
+def test_newton_evaluates_g_once_per_point_and_j_once_per_iterate(monkeypatch):
+    # eval_f runs once per evaluated point (the start and each Armijo trial)
+    # and subgrad_f once per gradient (each Newton step and the last point)
+    calls = Counter()
+
+    def tally(name, fn):
+        def counted(x):
+            calls[name] += 1
+            return fn(x)
+        return counted
+
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    b = np.array([-3.0, 1.0])
+    C = np.stack([np.eye(2), np.diag([2.0, 0.5])])
+    d = np.array([[0.5, -1.0], [1.0, 1.0]])
+    e = np.array([-1.0, -0.5])
+    oracle = RoundOracle(
+        n=2, p=2, hess_f=A, hess_g=C,
+        eval_f=tally("eval_f", lambda x: float(0.5 * x @ (A @ x) + b @ x)),
+        subgrad_f=tally("subgrad_f", lambda x: A @ x + b),
+        eval_g=tally("eval_g", lambda x: 0.5 * ((C @ x) @ x) + d @ x + e),
+        jac_g=tally("jac_g", lambda x: C @ x + d))
+
+    def no_fista(*args, **kwargs):
+        raise AssertionError("fista called on a Newton-eligible subproblem")
+
+    monkeypatch.setattr(malm_module, "fista", no_fista)
+    model = make_model(oracle, np.zeros(2), PLAIN)
+    for sigma, feasible in ((50.0, Box(np.full(2, -2.0), np.full(2, 0.5))),
+                            (5.0, EuclideanBall(2.0, 2))):
+        calls.clear()
+        cfg = MalmConfig(alpha=1.0, sigma=sigma, T=1)
+        lam = np.array([0.3, 2.0])
+        x = solve_subproblem(model, np.zeros(2), lam, cfg, feasible)
+        # at least one Newton step and one rejected Armijo trial
+        assert calls["eval_f"] > calls["subgrad_f"] >= 2
+        assert calls["eval_g"] == calls["eval_f"]
+        assert calls["jac_g"] == calls["subgrad_f"]
+        assert subproblem_residual(model, x, lam, cfg, feasible,
+                                   np.zeros(2)) <= cfg.tol
 
 
 def test_uncertified_newton_point_warm_starts_the_gradient_solver(monkeypatch):

@@ -246,3 +246,5 @@ def test_instance_refuses_rounds_that_disagree_on_shape():
         generic_problem([one_row, two_rows], box, 2)
     with pytest.raises(ValueError, match=r"round 0 has \(n, p\) = \(3, 1\)"):
         generic_problem([three_wide], box, 2)
+    with pytest.raises(ValueError, match="at least one round"):
+        generic_problem([], box, 2)
