@@ -34,8 +34,8 @@ def fista(x0: Array,
         Termination threshold on the fixed-point residual
         ||x - prox(x - grad(x), 1)||.
     max_iters : int
-        Iteration cap; exceeding it raises ConvergenceError (or returns the
-        best point when ``raise_on_fail`` is False).
+        Iteration cap, at least 1; exceeding it raises ConvergenceError (or
+        returns the best point when ``raise_on_fail`` is False).
     l0 : float
         Initial curvature estimate; the backtracking adapts it in both
         directions, so this only needs the right order of magnitude.
@@ -44,6 +44,8 @@ def fista(x0: Array,
     -------
     (x, residual, iterations)
     """
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
     x = np.asarray(x0, dtype=float).copy()
     y = x.copy()
     t_momentum = 1.0

@@ -208,6 +208,10 @@ class RoundOracle:
     hess_g: Optional[Array] = None
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("p", self.p)):
+            _check_integer(name, value)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.g_kind not in ("affine", "smooth", "l1", "nonsmooth"):
             raise ValueError(f"unknown g_kind {self.g_kind!r}")
         if self.g_kind == "l1" and self.p != 1:

@@ -58,8 +58,8 @@ def project_l1_box(point: Array, a: float, M: float) -> Array:
 
 
 def _stacked_parts(problem: ProblemInstance):
-    """(grad, cons, weighted_jac, l0): the summed losses' gradient, the
-    stacked constraints cons(x) <= 0, w -> J(x)^T w and a Lipschitz guess.
+    """(lagrangian_grad, cons, l0): (x, w) -> grad sum_t f_t(x) + J(x)^T w,
+    the stacked constraints cons(x) <= 0 and a Lipschitz guess.
 
     Any kind but ``nra`` and ``oqcqp`` stacks its rounds' oracles, assuming
     smooth losses and constraints, as the hand-built test instances have.
@@ -70,16 +70,13 @@ def _stacked_parts(problem: ProblemInstance):
         b_max = data["b"].max(axis=0)
         q_sum = data["q"].sum(axis=0)
 
-        def grad(x):
-            return 2.0 * q_sum * x
+        def lagrangian_grad(x, w):
+            return 2.0 * q_sum * x + A.T @ w
 
         def cons(x):
             return A @ x + b_max
 
-        def weighted_jac(x, w):
-            return A.T @ w
-
-        return grad, cons, weighted_jac, 2.0 * float(q_sum.max()) + 1.0
+        return lagrangian_grad, cons, 2.0 * float(q_sum.max()) + 1.0
 
     if problem.kind == "oqcqp":
         A_bar = data["A"].sum(axis=0)
@@ -87,38 +84,30 @@ def _stacked_parts(problem: ProblemInstance):
         C_all, d_all, e_all = (data[k] for k in ("C", "d", "e"))
         T, p = e_all.shape
 
-        def grad(x):
-            return A_bar @ x + b_bar
+        def lagrangian_grad(x, w):
+            return A_bar @ x + b_bar \
+                + np.einsum("tp,tpn->n", w.reshape(T, p), C_all @ x + d_all)
 
         def cons(x):
             return (0.5 * ((C_all @ x) @ x) + d_all @ x + e_all).ravel()
 
-        def weighted_jac(x, w):
-            jac = C_all @ x + d_all
-            return np.einsum("tp,tpn->n", w.reshape(T, p), jac)
-
-        return grad, cons, weighted_jac, float(np.linalg.eigvalsh(A_bar)[-1]) + 1.0
+        return lagrangian_grad, cons, float(np.linalg.eigvalsh(A_bar)[-1]) + 1.0
 
     rounds = problem.rounds
 
-    def grad(x):
-        out = np.zeros(problem.n)
+    def lagrangian_grad(x, w):
+        loss, coupling = np.zeros(problem.n), np.zeros(problem.n)
+        at = 0
         for o in rounds:
-            out += o.subgrad_f(x)
-        return out
+            loss += o.subgrad_f(x)
+            coupling += o.jac_g(x).T @ w[at:at + o.p]
+            at += o.p
+        return loss + coupling
 
     def cons(x):
         return np.concatenate([o.eval_g(x) for o in rounds])
 
-    def weighted_jac(x, w):
-        out = np.zeros(problem.n)
-        at = 0
-        for o in rounds:
-            out += o.jac_g(x).T @ w[at:at + o.p]
-            at += o.p
-        return out
-
-    return grad, cons, weighted_jac, 1.0
+    return lagrangian_grad, cons, 1.0
 
 
 def _al_loop(problem: ProblemInstance, tol: float) -> Array:
@@ -134,7 +123,7 @@ def _al_loop(problem: ProblemInstance, tol: float) -> Array:
     the hinged penalty gradient is too noisy for that; feasibility is
     rechecked.
     """
-    grad, cons, weighted_jac, l0 = _stacked_parts(problem)
+    lagrangian_grad, cons, l0 = _stacked_parts(problem)
     label = f"{problem.kind} comparator (seed {problem.seed})"
     x = project(problem.set, np.zeros(problem.n))
     lam = np.zeros_like(cons(x))
@@ -146,8 +135,7 @@ def _al_loop(problem: ProblemInstance, tol: float) -> Array:
 
     for _ in range(_MAX_OUTER):
         def pen_grad(y, _lam=lam, _rho=rho):
-            hinge = np.maximum(_lam + _rho * cons(y), 0.0)
-            return grad(y) + weighted_jac(y, hinge)
+            return lagrangian_grad(y, np.maximum(_lam + _rho * cons(y), 0.0))
 
         inner_tol = max(tol, min(1e-3, 0.1 * viol_prev))
         x, res, _ = fista(x, pen_grad, prox, tol=inner_tol,
@@ -159,11 +147,9 @@ def _al_loop(problem: ProblemInstance, tol: float) -> Array:
         lam = lam_new
         if viol <= tol \
                 and dual_move <= max(tol, 1e-6) * (1.0 + float(np.linalg.norm(lam))):
-            def lagr_grad(y):
-                return grad(y) + weighted_jac(y, lam)
-
-            x, res, _ = fista(x, lagr_grad, prox, tol=0.5 * tol,
-                              max_iters=200_000, l0=l0, raise_on_fail=False)
+            x, res, _ = fista(x, lambda y: lagrangian_grad(y, lam), prox,
+                              tol=0.5 * tol, max_iters=200_000, l0=l0,
+                              raise_on_fail=False)
             viol = float(np.maximum(cons(x), 0.0).max(initial=0.0))
             if res <= tol and viol <= tol:
                 return x

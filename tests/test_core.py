@@ -236,6 +236,23 @@ def test_round_oracle_validates_its_constraint_kind():
         oracle_of_kind("l1", p=2)
 
 
+def test_round_oracle_validates_its_dimensions():
+    def sized(n, p):
+        return RoundOracle(n=n, p=p, eval_f=None, subgrad_f=None, eval_g=None,
+                           jac_g=None)
+
+    assert sized(np.int64(3), np.int32(2)).p == 2
+    # p = 0 would leave the metrics a max over zero constraint rows
+    for n, p, match in ((2.0, 1, "n must be an integer"),
+                        (2, 1.5, "p must be an integer"),
+                        (2, "1", "p must be an integer"),
+                        (0, 1, "n must be >= 1, got 0"),
+                        (2, 0, "p must be >= 1, got 0"),
+                        (2, -1, "p must be >= 1, got -1")):
+        with pytest.raises(ValueError, match=match):
+            sized(n, p)
+
+
 def test_round_oracle_validates_its_loss_hessian():
     def with_hess(hess):
         return RoundOracle(n=2, p=1, eval_f=None, subgrad_f=None, eval_g=None,

@@ -156,6 +156,23 @@ def _matches_tight_gradient_solve(model, center, lam, cfg, feasible):
     return x
 
 
+def test_fista_refuses_an_iteration_cap_below_one():
+    # the start misses tol, so a cap below 1 would end before any iteration
+    def grad(x):
+        return x - 1.0
+
+    def prox(z, step):
+        return z
+
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            fista(np.zeros(2), grad, prox, tol=1e-9, max_iters=cap,
+                  raise_on_fail=False)
+    _, res, iters = fista(np.zeros(2), grad, prox, tol=1e-9, max_iters=1,
+                          raise_on_fail=False)
+    assert iters == 1 and res < float(np.linalg.norm(np.ones(2)))
+
+
 def test_solve_subproblem_1d_plain_hand_case():
     oracle = affine_round([1.0], 0.0, [[1.0]], [-1.0])
     feasible = Box(np.array([-2.0]), np.array([2.0]))

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from ocobench import (Box, InfeasibleProblemError, generate_nra, generate_olr,
                       generate_oqcqp, project_l1_box, solve_comparator)
+from ocobench.offline import _stacked_parts
 
 from helpers import generic_problem, quad_round
 
@@ -133,6 +134,48 @@ def test_comparator_generic_path_handles_stacked_linear_rounds():
     x = solve_comparator(dataclasses.replace(prob, kind="generic"), 1e-7)
     assert max_violation(prob, x) <= 1e-6
     assert total_loss(prob, x) <= total_loss(prob, prob.constants.slater_point)
+
+
+def _round_sums(problem, x, weights):
+    """sum_t grad f_t(x) and sum_t J_t(x)^T w_t, each summed in round order."""
+    loss, coupling = np.zeros(problem.n), np.zeros(problem.n)
+    for o, w_t in zip(problem.rounds, weights):
+        loss += o.subgrad_f(x)
+        coupling += o.jac_g(x).T @ w_t
+    return loss, coupling
+
+
+@pytest.mark.parametrize("make", [lambda: generate_nra(3, 3, 12, seed=14),
+                                  lambda: generate_oqcqp(4, 2, 5.0, 15, seed=0)],
+                         ids=["nra", "oqcqp"])
+def test_stacked_parts_match_the_rounds_they_stack(make):
+    prob = make()
+    lagrangian_grad, cons, _ = _stacked_parts(prob)
+    generic_grad, generic_cons, _ = _stacked_parts(
+        dataclasses.replace(prob, kind="generic"))
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        x = rng.uniform(0.0, 2.0, prob.n)
+        g = np.array([o.eval_g(x) for o in prob.rounds])
+        if prob.kind == "nra":
+            # the aggregated rows are the worst round's rows, and a weight
+            # on row i is a weight on the round that attains it
+            assert np.array_equal(cons(x), g.max(axis=0))
+            w = rng.uniform(0.0, 3.0, prob.p)
+            weights = np.where(np.arange(len(g))[:, None] == g.argmax(axis=0),
+                               w, 0.0)
+        else:
+            np.testing.assert_allclose(cons(x), g.ravel(), rtol=1e-12)
+            w = rng.uniform(0.0, 3.0, g.size)
+            weights = w.reshape(g.shape)
+        loss, coupling = _round_sums(prob, x, weights)
+        np.testing.assert_allclose(lagrangian_grad(x, w), loss + coupling,
+                                   rtol=1e-12)
+        # the generic path sums the same two accumulators in the same order
+        w_all = rng.uniform(0.0, 3.0, g.size)
+        loss, coupling = _round_sums(prob, x, w_all.reshape(g.shape))
+        assert np.array_equal(generic_grad(x, w_all), loss + coupling)
+        assert np.array_equal(generic_cons(x), g.ravel())
 
 
 def test_comparator_olr_feasible_and_beats_candidates():
