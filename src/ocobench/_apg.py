@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Tuple
 
 import numpy as np
@@ -47,15 +48,16 @@ def fista(x0: Array,
     if not max_iters >= 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
     x = np.asarray(x0, dtype=float).copy()
-    y = x.copy()
+    y = x
     t_momentum = 1.0
     L = max(float(l0), 1e-12)
 
-    g = smooth_grad(x)
-    res = float(np.linalg.norm(x - prox(x - g, 1.0)))
+    # math.sqrt(r.dot(r)) is what np.linalg.norm computes for a real vector.
+    r = x - prox(x - smooth_grad(x), 1.0)
+    res = math.sqrt(float(r.dot(r)))
     if res <= tol:
         return x, res, 0
-    x_best, res_best, it_best = x.copy(), res, 0
+    x_best, res_best, it_best = x, res, 0
 
     for it in range(1, int(max_iters) + 1):
         gy = smooth_grad(y)
@@ -74,8 +76,10 @@ def fista(x0: Array,
                 gnew = gy
                 break
             gnew = smooth_grad(x_new)
-            noise = 1e-15 * (1.0 + float(np.abs(gy) @ np.abs(d)))
-            if float((gnew - gy) @ d) <= L * dd + noise:
+            # The allowance is >= 0: needed only when curv > L ||d||^2.
+            curv = float((gnew - gy) @ d)
+            if curv <= L * dd or curv <= L * dd + 1e-15 * (
+                    1.0 + float(np.abs(gy) @ np.abs(d))):
                 break
             L *= 2.0
             if not np.isfinite(L) or L > 1e30:
@@ -84,20 +88,22 @@ def fista(x0: Array,
                     residual=np.inf, iterations=it)
 
         # Gradient-based adaptive restart of the momentum.
-        if float((y - x_new) @ (x_new - x)) > 0.0:
+        step = x_new - x
+        if float((y - x_new) @ step) > 0.0:
             t_momentum = 1.0
-            y = x_new.copy()
+            y = x_new
         else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            y = x_new + ((t_momentum - 1.0) / t_next) * (x_new - x)
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
+            y = x_new + ((t_momentum - 1.0) / t_next) * step
             t_momentum = t_next
         x = x_new
 
-        res = float(np.linalg.norm(x - prox(x - gnew, 1.0)))
+        r = x - prox(x - gnew, 1.0)
+        res = math.sqrt(float(r.dot(r)))
         if res <= tol:
             return x, res, it
         if res < res_best:
-            x_best, res_best, it_best = x.copy(), res, it
+            x_best, res_best, it_best = x, res, it
         elif it - it_best >= _STALL_WINDOW:
             # Bouncing on the float noise floor of the gradient; more
             # iterations cannot improve on the best point already seen.

@@ -81,6 +81,10 @@ class Box:
     def dim(self) -> int:
         return self.lower.shape[0]
 
+    def project(self, x: Array) -> Array:
+        """The nearest point of the box to a float n-vector (unchecked)."""
+        return np.minimum(np.maximum(x, self.lower), self.upper)
+
 
 @dataclass(frozen=True)
 class EuclideanBall:
@@ -95,6 +99,11 @@ class EuclideanBall:
         _check_integer("dim", self.dim)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+
+    def project(self, x: Array) -> Array:
+        """The nearest point of the ball to a float n-vector (unchecked)."""
+        nrm = float(np.linalg.norm(x))
+        return x.copy() if nrm <= self.radius else x * (self.radius / nrm)
 
 
 FeasibleSet = Box | EuclideanBall
@@ -114,16 +123,9 @@ def project(feasible_set: FeasibleSet, point: Array) -> Array:
     ndarray
         The closest point of the set; idempotent and nonexpansive.
     """
-    if isinstance(feasible_set, Box):
-        x = _check_vector(point, feasible_set.dim)
-        return np.minimum(np.maximum(x, feasible_set.lower), feasible_set.upper)
-    if isinstance(feasible_set, EuclideanBall):
-        x = _check_vector(point, feasible_set.dim)
-        nrm = float(np.linalg.norm(x))
-        if nrm <= feasible_set.radius:
-            return x.copy()
-        return x * (feasible_set.radius / nrm)
-    raise TypeError(f"unknown feasible set type: {type(feasible_set)!r}")
+    if not isinstance(feasible_set, FeasibleSet):
+        raise TypeError(f"unknown feasible set type: {type(feasible_set)!r}")
+    return feasible_set.project(_check_vector(point, feasible_set.dim))
 
 
 def _l1_threshold(abs_z: Array, floor, cap, a: float, w: float) -> float:

@@ -68,15 +68,15 @@ def _stacked_parts(problem: ProblemInstance):
     if problem.kind == "nra":
         A = data["A"]
         b_max = data["b"].max(axis=0)
-        q_sum = data["q"].sum(axis=0)
+        two_q, A_t = 2.0 * data["q"].sum(axis=0), A.T
 
         def lagrangian_grad(x, w):
-            return 2.0 * q_sum * x + A.T @ w
+            return two_q * x + A_t @ w
 
         def cons(x):
             return A @ x + b_max
 
-        return lagrangian_grad, cons, 2.0 * float(q_sum.max()) + 1.0
+        return lagrangian_grad, cons, float(two_q.max()) + 1.0
 
     if problem.kind == "oqcqp":
         A_bar = data["A"].sum(axis=0)
@@ -130,8 +130,8 @@ def _al_loop(problem: ProblemInstance, tol: float) -> Array:
     rho = 1.0
     viol_prev = np.inf
 
-    def prox(z, step):
-        return project(problem.set, z)
+    def prox(z, step, _project=problem.set.project):
+        return _project(z)
 
     for _ in range(_MAX_OUTER):
         def pen_grad(y, _lam=lam, _rho=rho):

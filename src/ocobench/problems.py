@@ -14,9 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Array, Box, EuclideanBall, FeasibleSet,
+from .core import (Array, Box, ConvergenceError, EuclideanBall, FeasibleSet,
                    ProblemArgumentError, ProblemConstants, RoundOracle,
                    project_psd)
+
+_SLATER_MAX_PIVOTS = 2000  # Bland's rule cannot cycle; this caps a troubled solve
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,7 @@ def _walk(first: Array, steps: Array) -> Array:
 
 
 def _diag_quadratic_round(q_t: Array, b_t: Array, A: Array) -> RoundOracle:
-    n = A.shape[1]
-    p = A.shape[0]
+    p, n = A.shape
 
     def eval_f(x):
         return float(q_t @ (x * x))
@@ -97,6 +98,47 @@ def _diag_quadratic_round(q_t: Array, b_t: Array, A: Array) -> RoundOracle:
     return RoundOracle(n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
                        eval_g=eval_g, jac_g=jac_g, g_kind="affine",
                        hess_f=2.0 * q_t)
+
+
+def _slater_margin(A: Array, b_max: Array, upper: Array):
+    """(x_hat, lam) for max eps s.t. A x + b_max + eps <= 0 over [0, upper]:
+    a bounded-variable primal simplex on e = eps + max(b_max) from the slack
+    basis at x = 0, e = 0, under Bland's least-index rule, inverting the basis
+    once per pivot.  The free e enters first and never leaves, so the row
+    multipliers ``lam`` (clipped at zero) sum to one.  The caller certifies."""
+    p, E = A.shape
+    M = np.hstack([A, np.ones((p, 1)), np.eye(p)])  # columns x, e, slacks
+    hi = np.r_[upper, np.full(p + 1, np.inf)]  # lower bounds: 0, but e is free
+    v = np.r_[np.zeros(E + 1), b_max.max() - b_max]
+    basis = np.arange(E + 1, E + 1 + p)
+    B_inv, lam = np.eye(p), np.zeros(p)
+    for _ in range(_SLATER_MAX_PIVOTS):
+        d = -(lam @ M)  # reduced costs of the objective e
+        d[E] += 1.0
+        d[basis] = 0.0
+        movable = ((d > 1e-12) & (v < hi)) | ((d < -1e-12) & (v > 0.0))
+        j = int(movable.argmax())
+        if not movable[j]:
+            break
+        sign = 1.0 if d[j] > 0.0 else -1.0
+        col = sign * (B_inv @ M[:, j])  # the basic values fall by col per unit
+        v_b = v[basis]
+        room = np.where(col > 0.0, v_b, hi[basis] - v_b)
+        room[basis == E] = np.inf  # the free e never leaves
+        ratio = np.divide(np.maximum(room, 0.0), np.abs(col),
+                          out=np.full(p, np.inf), where=np.abs(col) > 1e-12)
+        t = ratio.min()
+        step = min(t, hi[j])
+        v[basis] = v_b - step * col
+        v[j] += sign * step
+        if hi[j] <= t:
+            continue  # x_j crossed its box: a bound flip, the basis stays
+        r = min(np.flatnonzero(ratio <= t + 1e-12 * max(1.0, t)), key=basis.__getitem__)
+        v[basis[r]] = 0.0 if col[r] > 0.0 else hi[basis[r]]
+        basis[r] = j
+        B_inv = np.linalg.inv(M[:, basis])
+        lam = B_inv[basis == E][0]
+    return np.clip(v[:E], 0.0, upper), np.maximum(lam, 0.0)
 
 
 def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
@@ -127,13 +169,13 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
         program over the worst-case demands (the margin can come out
         nonpositive: demands are drawn independently of capacities and about
         half the seeds admit no single decision feasible for every round).
+        An LP solve its certificates do not confirm raises ConvergenceError.
     """
     if J < 1 or K < 1 or T < 1:
         raise ProblemArgumentError(f"J, K and T must be at least 1, got T = {T!r}")
     rng_zbar, rng_ybar, rng_price, rng_request = _rngs(seed, 4)
 
-    E = J * K + K
-    p = J + K
+    E, p = J * K + K, J + K
     zbar = rng_zbar.uniform(10.0, 100.0, J * K)
     ybar = rng_ybar.uniform(100.0, 200.0, K)
     c = 40.0 / zbar
@@ -149,11 +191,8 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
     A[J + edge // J, edge] = 1.0
     A[J + site, J * K + site] = -1.0
 
-    b_all = np.zeros((T, p))
-    b_all[:, :J] = request
-    q_all = np.empty((T, E))
-    q_all[:, : J * K] = c
-    q_all[:, J * K:] = price
+    b_all = np.hstack([request, np.zeros((T, K))])
+    q_all = np.hstack([np.broadcast_to(c, (T, J * K)), price])
 
     xbar = np.concatenate([zbar, ybar])
     feasible_set = Box(np.zeros(E), xbar)
@@ -166,27 +205,20 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
     kappa_f = float(np.linalg.norm(2.0 * q_max * xbar))
     row_norms = np.linalg.norm(A, axis=1)
     # Componentwise range of Ax + b_t over the box and over t.
-    hi = np.maximum(A, 0.0) @ xbar + b_all.max(axis=0)
+    b_max = b_all.max(axis=0)
+    hi = np.maximum(A, 0.0) @ xbar + b_max
     lo = np.minimum(A, 0.0) @ xbar + b_all.min(axis=0)
     gamma = np.maximum(np.abs(hi), np.abs(lo))
     nu_g = float(np.linalg.norm(gamma + row_norms * D))
 
-    # scipy is imported where it is used, so an oqcqp run never loads it.
-    from scipy.optimize import linprog
-
-    # Max-margin LP: maximize eps subject to A x + b_max + eps 1 <= 0 over
-    # the box.  Always solvable (eps can be pushed negative), so a negative
-    # optimum is the certificate that no round-universal feasible point
-    # exists.
-    b_max = b_all.max(axis=0)
-    res = linprog(np.append(np.zeros(E), -1.0),
-                  A_ub=np.hstack([A, np.ones((p, 1))]), b_ub=-b_max,
-                  bounds=[(0.0, ub) for ub in xbar] + [(None, None)],
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"Slater-margin LP failed: {res.message}")
-    eps0 = float(-res.fun)
-    slater = res.x[:E]
+    # The point certifies eps0 from below, the multipliers from above.
+    slater, lam = _slater_margin(A, b_max, xbar)
+    eps0 = -float((A @ slater + b_max).max())
+    dual = -float(lam @ b_max + np.minimum(A.T @ lam, 0.0) @ xbar)
+    if not (abs(lam.sum() - 1.0) <= 1e-9
+            and abs(dual - eps0) <= 1e-9 * max(1.0, abs(eps0))):
+        raise ConvergenceError(f"nra seed {seed}: Slater-margin LP uncertified: "
+                               f"margin {eps0:.6e}, dual bound {dual:.6e}")
 
     constants = ProblemConstants(D=D, kappa_f=kappa_f, nu_g=nu_g, eps0=eps0,
                                  slater_point=slater)

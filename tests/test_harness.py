@@ -184,14 +184,29 @@ def test_cli_smoke_preset_succeeds(tmp_path):
 
 
 def test_cli_smoke_run_never_imports_scipy(tmp_path):
-    # scipy serves only olr, nra's Slater LP and the truncated model, so an
-    # oqcqp run should not pay for its import
+    # scipy serves only olr and the truncated model, so an oqcqp run should
+    # not pay for its import
     script = ("import sys\nfrom ocobench.cli import main\n"
               "code = main(['--preset', 'smoke', '--out', 'smoke.csv'])\n"
               "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     res = run_python(["-c", script], tmp_path)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_nra_run_needs_no_scipy(tmp_path):
+    # the Slater-margin LP is solved in the package, so an nra run works
+    # where any scipy import fails, and writes the same bytes
+    args = ["--problem", "nra", "--T", "40", "--seed", "0"]
+    script = ("import sys\nsys.modules['scipy'] = None\n"
+              "from ocobench.cli import main\n"
+              f"sys.exit(main({args + ['--out', 'blocked.csv']!r}))")
+    blocked = run_python(["-c", script], tmp_path)
+    assert blocked.returncode == 0, blocked.stderr
+    free = run_cli(args + ["--out", "free.csv"], tmp_path)
+    assert free.returncode == 0, free.stderr
+    assert (tmp_path / "blocked.csv").read_bytes() \
+        == (tmp_path / "free.csv").read_bytes()
 
 
 def test_cli_rejects_unknown_preset(tmp_path):

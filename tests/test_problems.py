@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from ocobench import (Box, EuclideanBall, ProblemArgumentError, generate_nra,
-                      generate_olr, generate_oqcqp)
+import ocobench.problems as problems
+from ocobench import (Box, ConvergenceError, EuclideanBall,
+                      ProblemArgumentError, generate_nra, generate_olr,
+                      generate_oqcqp)
+from ocobench.cli import main
+from ocobench.problems import _slater_margin
 
 from helpers import affine_round, contains, generic_problem, sample_in
 
@@ -90,6 +94,64 @@ def test_nra_slater_margin_certificate():
     assert contains(prob.set, xhat)
     for t in range(60):
         assert np.all(prob.rounds[t].eval_g(xhat) <= -eps0 + 1e-9)
+
+
+SLATER_CASES = ([(10, 10, 150, s) for s in range(40)]
+                + [(1, 1, 5, s) for s in range(10)]
+                + [(3, 3, 12, s) for s in range(10)])
+
+
+def test_nra_slater_margin_matches_linprog_and_certifies_every_refusal():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    refused, refused_by_linprog = set(), set()
+    for J, K, T, seed in SLATER_CASES:
+        prob = generate_nra(J, K, T, seed)
+        A, xbar = prob.data["A"], prob.set.upper
+        b_max = prob.data["b"].max(axis=0)
+        eps0, xhat = prob.constants.eps0, prob.constants.slater_point
+        E, p = prob.n, prob.p
+        res = linprog(np.append(np.zeros(E), -1.0),
+                      A_ub=np.hstack([A, np.ones((p, 1))]), b_ub=-b_max,
+                      bounds=[(0.0, ub) for ub in xbar] + [(None, None)],
+                      method="highs")
+        assert res.success
+        assert abs(eps0 + res.fun) <= 1e-9 * max(1.0, abs(eps0))
+        assert contains(prob.set, xhat, tol=0.0)
+        for oracle in prob.rounds:
+            assert np.all(oracle.eval_g(xhat) <= -eps0)
+        if -res.fun < -1e-9:
+            refused_by_linprog.add((J, K, T, seed))
+        if eps0 < -1e-9:
+            refused.add((J, K, T, seed))
+            # min over the box of lam^T (A x + b_max) is positive: no point
+            # of the box meets every worst-case demand.
+            _, lam = _slater_margin(A, b_max, xbar)
+            assert np.all(lam >= 0.0) and abs(lam.sum() - 1.0) <= 1e-9
+            assert lam @ b_max + np.minimum(A.T @ lam, 0.0) @ xbar > 0.0
+    assert refused == refused_by_linprog
+    assert {seed for J, K, T, seed in refused if J == 10} == {
+        1, 3, 5, 6, 7, 9, 10, 12, 16, 17, 18, 19, 20, 23, 24, 25, 27, 28, 29,
+        31, 32, 33, 35, 36, 37, 38, 39}
+
+
+@pytest.mark.parametrize("break_it", ["pivot cap", "bad multipliers"])
+def test_uncertified_slater_margin_exits_3_naming_the_cell(
+        break_it, tmp_path, monkeypatch, capsys):
+    if break_it == "pivot cap":
+        monkeypatch.setattr(problems, "_SLATER_MAX_PIVOTS", 1)
+    else:
+        def solver(A, b_max, upper):
+            return np.zeros(A.shape[1]), np.full(A.shape[0], 1.0 / A.shape[0])
+        monkeypatch.setattr(problems, "_slater_margin", solver)
+    with pytest.raises(ConvergenceError, match="nra seed 2: Slater-margin LP"):
+        generate_nra(10, 10, 40, 2)
+    out = tmp_path / "x.csv"
+    code = main(["--problem", "nra", "--T", "40", "--seed", "0,2",
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric failure (problem nra, seed 0): nra seed 0: Slater-margin LP" in err
+    assert not out.exists()
 
 
 def test_nra_reports_nonpositive_margin_for_overloaded_instances():
