@@ -53,14 +53,16 @@ def fista(x0: Array,
     L = max(float(l0), 1e-12)
 
     # math.sqrt(r.dot(r)) is what np.linalg.norm computes for a real vector.
-    r = x - prox(x - smooth_grad(x), 1.0)
+    # gy is y's gradient when already taken (y is x0, or x+ after a restart).
+    gy = smooth_grad(x)
+    r = x - prox(x - gy, 1.0)
     res = math.sqrt(float(r.dot(r)))
     if res <= tol:
         return x, res, 0
     x_best, res_best, it_best = x, res, 0
 
     for it in range(1, int(max_iters) + 1):
-        gy = smooth_grad(y)
+        gy = smooth_grad(y) if gy is None else gy
         # Adaptive backtracking on the secant curvature <g(x+) - g(y), d>
         # <= L ||d||^2.  A value-based test is useless here: near
         # convergence the objective values agree to float precision while
@@ -91,10 +93,10 @@ def fista(x0: Array,
         step = x_new - x
         if float((y - x_new) @ step) > 0.0:
             t_momentum = 1.0
-            y = x_new
+            y, gy = x_new, gnew
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            y = x_new + ((t_momentum - 1.0) / t_next) * step
+            y, gy = x_new + ((t_momentum - 1.0) / t_next) * step, None
             t_momentum = t_next
         x = x_new
 

@@ -125,26 +125,22 @@ def czp_step(x: Array, lam: Array, x_old: Array, lam_old: Array,
 
 
 def run_baseline(problem, config: BaselineConfig) -> Trajectory:
-    """Drive a baseline over the delayed-feedback schedule.
-
-    Mirrors the proximal method's schedule: blind first tau + 1 decisions at
-    project(C, 0), zero initial multipliers, oracle t - tau consumed at step
-    t.  Decisions 0..T-1 are returned with the full multiplier sequence.
+    """Drive a baseline over ``run_schedule``'s delayed-feedback schedule,
+    the one MALM runs on: blind first tau + 1 decisions at project(C, 0) and
+    zero initial multipliers.  The delayed steps take the decision and
+    multiplier held when the received round was played.
     """
-    algo, tau = config.algo, config.tau
+    algo = config.algo
     a, b = config.stepsizes
 
-    def step(t, oracle, xs, lambdas):
-        x, lam = xs[t], lambdas[t]
+    def step(s, oracle, x, lam, x_old, lam_old):
         if algo == "mosp":
             return mosp_step(x, lam, oracle, problem.set, a, b)
-        if algo == "ny" and tau == 0:
+        if algo == "ny" and config.tau == 0:
             return ny_step(x, lam, oracle, problem.set, a, b)
         if algo == "ny":
-            return ny_step(x, lam, oracle, problem.set, a, b,
-                           xs[t - tau], lambdas[t - tau])
+            return ny_step(x, lam, oracle, problem.set, a, b, x_old, lam_old)
         # CL is CZP at tau = 0.
-        return czp_step(x, lam, xs[t - tau], lambdas[t - tau], oracle,
-                        problem.set, a, b)
+        return czp_step(x, lam, x_old, lam_old, oracle, problem.set, a, b)
 
-    return run_schedule(problem, config.T, tau, step)
+    return run_schedule(problem, config.T, config.tau, step)

@@ -258,9 +258,8 @@ class Trajectory:
     """Algorithm output: decisions paired with oracles 0..T-1.
 
     ``xs`` has shape (T, n): row t is the decision measured against round t.
-    ``lambdas`` holds the full multiplier sequence produced while consuming
-    all T oracles (length tau + T + 1 for the delayed schedule); entry t is
-    the multiplier held when decision t is submitted.
+    ``lambdas`` has shape (T, p): row t is the multiplier held when
+    decision t is submitted.
     """
 
     xs: Array
@@ -276,27 +275,33 @@ def run_schedule(problem, T: int, tau: int, step,
                  x0: Optional[Array] = None) -> Trajectory:
     """Drive an online algorithm over the delayed-feedback schedule.
 
-    The first tau + 1 decisions are the blind initial action ``x0``, by
-    default project(C, 0), and the multipliers start at zero.  At each step
-    t = tau .. tau+T-1 the oracle of round t - tau arrives and
-    ``step(t, oracle, xs, lambdas)`` returns the decision and multiplier for
-    step t + 1; tau = 0 is the undelayed schedule.  A ConvergenceError from
-    the step gets the round index t - tau.  Decisions 0..T-1 are returned
-    with the full multiplier sequence.  A T past the instance's last round
-    or an ``x0`` that is not an n-vector raises ValueError up front.
+    Decision t may use feedback up to round t - tau - 1: the first tau + 1
+    decisions are the blind action ``x0`` (default project(C, 0)) with zero
+    multipliers, and at step t = tau .. T-2 ``step(s, oracle, x, lam, x_old,
+    lam_old)`` receives round s = t - tau with rows t and s of the decisions
+    and multipliers and returns row t + 1.  The last tau + 1 rounds'
+    feedback could only inform decisions past the horizon and is never
+    read.  A ConvergenceError from the step gets the round index s.  A T
+    past the instance's last round, or an ``x0`` that is not an n-vector of
+    the feasible set, raises ValueError up front.
     """
     if T > len(problem.rounds):
         raise ValueError(f"T = {T} exceeds the instance's "
                          f"{len(problem.rounds)} rounds")
-    xs = np.empty((tau + T + 1, problem.n))
-    xs[: tau + 1] = project(problem.set, np.zeros(problem.n)) if x0 is None \
+    x0 = project(problem.set, np.zeros(problem.n)) if x0 is None \
         else _check_vector(x0, problem.n, "x0")
-    lambdas = np.zeros((tau + T + 1, problem.p))
-    for t in range(tau, tau + T):
+    gap = float(np.linalg.norm(project(problem.set, x0) - x0))
+    if gap > 1e-12 * max(1.0, float(np.linalg.norm(x0))):
+        raise ValueError(f"x0 lies {gap:.3e} outside the feasible set")
+    xs = np.empty((T, problem.n))
+    xs[: tau + 1] = x0
+    lambdas = np.zeros((T, problem.p))
+    for t in range(tau, T - 1):
+        s = t - tau
         try:
-            xs[t + 1], lambdas[t + 1] = step(t, problem.rounds[t - tau],
-                                             xs, lambdas)
+            xs[t + 1], lambdas[t + 1] = step(s, problem.rounds[s], xs[t],
+                                             lambdas[t], xs[s], lambdas[s])
         except ConvergenceError as err:
-            err.round_index = t - tau
+            err.round_index = s
             raise
-    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, tau=tau)
+    return Trajectory(xs=xs, lambdas=lambdas, tau=tau)

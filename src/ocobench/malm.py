@@ -36,8 +36,8 @@ class MalmConfig:
     ``alpha`` is the proximal stepsize, ``sigma`` the penalty, ``tau`` the
     feedback delay and ``model_kind`` one of the four model names.  ``tol``
     bounds the returned subproblem solution's projected-gradient residual.
-    ``x0`` overrides the default initial action project(C, 0).  ``T`` and
-    ``tau`` are Python or numpy integers.
+    ``x0``, a point of C, overrides the default initial action
+    project(C, 0).  ``T`` and ``tau`` are Python or numpy integers.
     """
 
     alpha: float
@@ -339,22 +339,19 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
 
 
 def run_malm(problem, cfg: MalmConfig) -> Trajectory:
-    """MALM on the delayed-feedback schedule (undelayed at tau = 0).
+    """MALM on ``run_schedule``'s delayed-feedback schedule (undelayed at
+    tau = 0).
 
-    The first tau + 1 decisions are the blind initial action; at each step
-    t = tau .. tau+T-1 the oracle of round t - tau arrives, the model is
-    anchored at x_{t-tau} (also the prox center) and the multiplier is
-    updated with the model value at the new decision.  Decisions 0..T-1 are
-    returned with the full multiplier sequence.
+    When round s's oracle arrives, the model is anchored at x_s, the
+    decision played in round s, which is also the prox center; the
+    subproblem takes the multiplier held now, and the multiplier is updated
+    with the model value at the new decision.
     """
-    tau = cfg.tau
-
-    def step(t, oracle, xs, lambdas):
-        anchor = xs[t - tau]
-        iota = problem.strong_convexity(t - tau) \
+    def step(s, oracle, x, lam, x_old, lam_old):
+        iota = problem.strong_convexity(s) \
             if cfg.model_kind == QUADRATIC_LINEARIZED else 0.0
-        model = make_model(oracle, anchor, cfg.model_kind, iota=iota)
-        x_next = solve_subproblem(model, anchor, lambdas[t], cfg, problem.set)
-        return x_next, multiplier_update(lambdas[t], model, x_next, cfg.sigma)
+        model = make_model(oracle, x_old, cfg.model_kind, iota=iota)
+        x_next = solve_subproblem(model, x_old, lam, cfg, problem.set)
+        return x_next, multiplier_update(lam, model, x_next, cfg.sigma)
 
-    return run_schedule(problem, cfg.T, tau, step, cfg.x0)
+    return run_schedule(problem, cfg.T, cfg.tau, step, cfg.x0)

@@ -59,7 +59,7 @@ def full_series(trajectory: Trajectory, problem, x_star: Array) -> MetricsSeries
         avg_regret=cum_regret / np.arange(1, T + 1),
         cum_vio=cum_vio,
         avg_vio_max=cum_vio.max(axis=1) / np.arange(1, T + 1),
-        lambda_norm=np.linalg.norm(trajectory.lambdas[:T], axis=1))
+        lambda_norm=np.linalg.norm(trajectory.lambdas, axis=1))
 
 
 def psi_kappas(constants: ProblemConstants):

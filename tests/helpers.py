@@ -67,7 +67,8 @@ def sample_in(feasible_set, rng, count):
 
 
 def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
-    """Undelayed schedule: oracle t anchors and updates round t directly.
+    """Undelayed schedule: oracle t anchors and updates round t directly,
+    for the rounds t = 0..T-2 whose feedback informs decision t + 1.
 
     An independent loop, not the package's delayed-feedback driver, so that
     comparing the two at tau = 0 checks the delayed schedule's indexing.
@@ -75,12 +76,12 @@ def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
     if cfg.tau != 0:
         raise ValueError("the undelayed schedule requires tau = 0")
     T = cfg.T
-    xs = np.empty((T + 1, problem.n))
+    xs = np.empty((T, problem.n))
     xs[0] = project(problem.set, np.zeros(problem.n)) if cfg.x0 is None \
         else cfg.x0
-    lambdas = np.zeros((T + 1, problem.p))
+    lambdas = np.zeros((T, problem.p))
 
-    for t in range(T):
+    for t in range(T - 1):
         oracle = problem.rounds[t]
         anchor = xs[t]
         iota = problem.strong_convexity(t) \
@@ -94,7 +95,7 @@ def run_malm_no_delay(problem, cfg: MalmConfig) -> Trajectory:
         xs[t + 1] = x_next
         lambdas[t + 1] = multiplier_update(lambdas[t], model, x_next, cfg.sigma)
 
-    return Trajectory(xs=xs[:T].copy(), lambdas=lambdas, tau=0)
+    return Trajectory(xs=xs, lambdas=lambdas, tau=0)
 
 
 def psi_bound(constants, sigma, alpha, tau, s):

@@ -145,3 +145,21 @@ def test_fista_raises_as_the_reference_does_when_it_stalls():
         errors.append((str(info.value), info.value.residual,
                        info.value.iterations))
     assert errors[0] == errors[1]
+
+
+def test_fista_takes_no_gradient_twice_on_one_array():
+    # The first iteration's y is x0 and a restart's y is x+, whose
+    # gradients the initial residual and the backtracking test already took.
+    prob = generate_nra(10, 10, 60, seed=0)
+    lagrangian_grad, cons, l0 = _stacked_parts(prob)
+    lam = np.linspace(0.0, 50.0, prob.p)
+    seen = []
+
+    def pen_grad(y):
+        seen.append(y)
+        return lagrangian_grad(y, np.maximum(lam + 10.0 * cons(y), 0.0))
+
+    _, res, it = fista(project(prob.set, np.zeros(prob.n)), pen_grad,
+                       lambda z, step: project(prob.set, z), 1e-7, 200_000, l0)
+    assert res <= 1e-7 and it > 20
+    assert all(a is not b for a, b in zip(seen, seen[1:]))

@@ -115,7 +115,7 @@ def test_run_baseline_schedule_and_feasibility(algo, tau):
     traj = run_baseline(problem, paper_baseline_config(algo, 40, tau=tau))
     x0 = project(problem.set, np.zeros(problem.n))
     assert traj.xs.shape == (40, problem.n)
-    assert traj.lambdas.shape == (tau + 41, problem.p)
+    assert traj.lambdas.shape == (40, problem.p)
     assert traj.tau == tau
     for t in range(tau + 1):
         assert np.array_equal(traj.xs[t], x0)

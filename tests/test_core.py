@@ -185,22 +185,62 @@ def test_convergence_error_fields():
     assert err.residual == 0.5 and err.iterations == 9 and err.round_index == 3
 
 
-def test_run_schedule_names_the_failing_round():
-    problem = SimpleNamespace(n=1, p=1, rounds=tuple(range(6)))
+LINE = Box(np.full(1, -10.0), np.full(1, 10.0))
 
-    def step(t, oracle, xs, lambdas):
+
+class RecordedRounds:
+    """Rounds 0..len-1 as ints, recording each index read."""
+
+    def __init__(self, count):
+        self.count, self.read = count, []
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, s):
+        self.read.append(s)
+        return s
+
+
+@pytest.mark.parametrize("T,tau", [(6, 0), (6, 2), (7, 3), (6, 5)])
+def test_run_schedule_hands_each_step_its_rows(T, tau):
+    rounds = RecordedRounds(T)
+    calls = []
+
+    def step(s, oracle, x, lam, x_old, lam_old):
+        calls.append((s, oracle, *(v.copy() for v in (x, lam, x_old, lam_old))))
+        return x + 1.0, lam + 1.0
+
+    traj = run_schedule(SimpleNamespace(n=1, p=1, set=LINE, rounds=rounds),
+                        T=T, tau=tau, x0=np.zeros(1), step=step)
+    assert traj.xs.shape == traj.lambdas.shape == (T, 1) and traj.tau == tau
+    # decision t + 1 is step s's, so row t holds max(0, t - tau)
+    assert traj.lambdas[:, 0].tolist() == [max(0, t - tau) for t in range(T)]
+    # T - tau - 1 steps for rounds 0..T-tau-2 in order (none at tau = T - 1),
+    # each handed row t = s + tau and row s; later rounds are never read
+    assert [c[0] for c in calls] == [c[1] for c in calls] \
+        == rounds.read == list(range(T - tau - 1))
+    for s, _, x, lam, x_old, lam_old in calls:
+        assert x == traj.xs[s + tau] and lam == traj.lambdas[s + tau]
+        assert x_old == traj.xs[s] and lam_old == traj.lambdas[s]
+
+
+def test_run_schedule_names_the_failing_round():
+    problem = SimpleNamespace(n=1, p=1, set=LINE, rounds=tuple(range(6)))
+
+    def step(s, oracle, x, lam, x_old, lam_old):
         if oracle == 2:
             raise ConvergenceError("stalled")
-        return xs[t] + 1.0, lambdas[t]
+        return x + 1.0, lam
 
     with pytest.raises(ConvergenceError) as exc:
         run_schedule(problem, T=5, tau=1, x0=np.zeros(1), step=step)
     assert exc.value.round_index == 2
 
-    traj = run_schedule(SimpleNamespace(n=1, p=1, rounds=(0, 1, 3, 4)), T=4,
-                        tau=1, x0=np.zeros(1), step=step)
+    traj = run_schedule(SimpleNamespace(n=1, p=1, set=LINE, rounds=(0, 1, 3, 4)),
+                        T=4, tau=1, x0=np.zeros(1), step=step)
     assert traj.xs[:, 0].tolist() == [0.0, 0.0, 1.0, 2.0]
-    assert traj.lambdas.shape == (6, 1) and traj.tau == 1
+    assert traj.lambdas.shape == (4, 1) and traj.tau == 1
 
 
 def test_run_schedule_refuses_a_horizon_past_the_instance():
@@ -216,6 +256,20 @@ def test_run_schedule_refuses_an_x0_that_is_not_an_n_vector():
     # a scalar would broadcast to [7, 7, 7, 7], outside the R = 5 ball
     with pytest.raises(ValueError, match=r"x0 has shape \(\), expected \(4,\)"):
         run_malm(problem, MalmConfig(alpha=1.0, sigma=1.0, T=5, x0=np.array(7.0)))
+
+
+def test_run_schedule_refuses_an_x0_outside_the_feasible_set():
+    ball = generate_oqcqp(4, 2, 5.0, 20, seed=0)  # radius 5, ||x0|| = 14
+    with pytest.raises(ValueError, match="x0 lies 9.000e\\+00 outside"):
+        run_malm(ball, MalmConfig(alpha=1.0, sigma=1.0, T=5,
+                                  x0=np.full(4, 7.0)))
+    box = SimpleNamespace(n=1, p=1, set=LINE, rounds=(0,))
+    with pytest.raises(ValueError, match="x0 lies 1.000e-06 outside"):
+        run_schedule(box, T=1, tau=0, x0=np.array([10.000001]), step=None)
+    # points of the sets, on their boundaries too, are played
+    for problem, x0 in ((ball, np.full(4, 2.5)), (box, np.array([-10.0]))):
+        traj = run_schedule(problem, T=1, tau=0, x0=x0, step=None)
+        assert np.array_equal(traj.xs[0], x0)
 
 
 def oracle_of_kind(g_kind, p=1):

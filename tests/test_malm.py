@@ -300,7 +300,7 @@ def test_run_malm_initialization_and_feasibility():
     traj = run_malm(problem, cfg)
     x0 = project(problem.set, np.zeros(4))
     assert traj.xs.shape == (30, 4)
-    assert traj.lambdas.shape == (3 + 30 + 1, 2)
+    assert traj.lambdas.shape == (30, 2)
     for t in range(4):
         assert np.array_equal(traj.xs[t], x0)
     assert np.all(traj.lambdas >= 0)
@@ -655,7 +655,7 @@ def _truncated_inner_models(monkeypatch):
     problem = generate_olr(5, 10, 20, 10.0, seed=0)
     run_malm(problem, MalmConfig(alpha=0.05, sigma=20 ** -0.5, T=20,
                                  model_kind=TRUNCATED))
-    assert len(rounds) == 20
+    assert len(rounds) == 19  # rounds 0..T-2 inform a scored decision
     assert all(len(inner) > 2 for inner in rounds)  # no end of (0, 1) is optimal
     return rounds
 
@@ -918,7 +918,7 @@ def test_l1_subproblem_is_one_certified_gradient_solve(monkeypatch):
     problem = generate_olr(4, 5, 15, 2.0, seed=1)
     solves.clear()
     run_malm(problem, MalmConfig(alpha=2.0, sigma=0.5, T=15))
-    assert len(solves) == 15
+    assert len(solves) == 14
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -4,12 +4,12 @@ Usage::
 
     python tools/same_csv.py REF
 
-Runs the standard byte-identity runs (the presets cut short, a delay
-grid, seven INI model runs, one INI run that sets every key, one seed the
-CLI refuses as infeasible and one algorithm it refuses on a problem)
-twice: on this checkout, uncommitted edits included, and on REF, checked
-out in a temporary ``git worktree``.  Each
-run is ``PYTHONPATH=<tree>/src python -m ocobench ...`` in a scratch
+Runs the standard byte-identity runs (the presets cut short, two delay
+grids, one of them up to tau = T - 1, seven INI model runs, one INI run
+that sets every key, one seed the CLI refuses as infeasible and one
+algorithm it refuses on a problem) twice: on this checkout, uncommitted
+edits included, and on REF, checked out in a temporary ``git worktree``.
+Each run is ``PYTHONPATH=<tree>/src python -m ocobench ...`` in a scratch
 directory.  A run is the same in both trees when its exit codes match and
 either both exit 0 with CSVs that ``cmp`` finds identical, or both print
 the same stderr.  The runs that differ are printed, each with its exit
@@ -65,6 +65,9 @@ RUNS = (
     ("olr-paper", ["--preset", "olr-paper", "--T", "2000", "--seed", "0,1"]),
     ("olr-grid", ["--problem", "olr", "--T", "200", "--tau", "0,3",
                   "--algo", "malm,ny,czp"]),
+    # At tau = T - 1 = 59 every decision is blind.
+    ("oqcqp-delay-edge", ["--problem", "oqcqp", "--T", "60", "--tau", "0,20,59",
+                          "--algo", "malm,czp,ny"]),
     # Seed 1 has a negative Slater margin: the comparator refuses it, exit 3.
     ("nra-infeasible", ["--problem", "nra", "--T", "40", "--seed", "1"]),
     # MOSP needs affine constraints; oqcqp's are quadratic, exit 2.
