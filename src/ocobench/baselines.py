@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Array, FeasibleSet, RoundOracle, Trajectory,
-                   UnsupportedProblemError, _check_integer, project,
+                   UnsupportedProblemError, _check_horizon, project,
                    run_schedule)
 
 
@@ -47,12 +47,7 @@ class BaselineConfig:
     def __post_init__(self):
         if self.algo not in _SCHEDULES:
             raise ValueError(f"unknown baseline {self.algo!r}")
-        _check_integer("T", self.T)
-        _check_integer("tau", self.tau)
-        if self.T <= self.tau:
-            raise ValueError("time horizon T must exceed the delay tau")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        _check_horizon(self.T, (self.tau,))
         if self.algo in _UNDELAYED and self.tau != 0:
             raise UnsupportedProblemError(
                 f"{self.algo} has no delayed variant (tau = {self.tau})")

@@ -51,6 +51,21 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_horizon(T, taus, grid: bool = False) -> None:
+    """Refuse a horizon T or delays that are not integers, a negative delay,
+    and a delay that T does not exceed.  The messages name the one delay
+    ``tau``, or with ``grid`` an experiment's delays."""
+    _check_integer("T", T)
+    for tau in taus:
+        _check_integer("delay" if grid else "tau", tau)
+    if min(taus) < 0:
+        raise ValueError("delays must be nonnegative" if grid
+                         else "tau must be nonnegative")
+    if T <= max(taus):
+        raise ValueError("time horizon T must exceed "
+                         + ("every delay" if grid else "the delay tau"))
+
+
 def _check_vector(x: Array, n: int, name: str = "point") -> Array:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
@@ -265,6 +280,11 @@ class Trajectory:
     xs: Array
     lambdas: Array
     tau: int = 0
+
+    def __post_init__(self):
+        if len(self.lambdas) != len(self.xs):
+            raise ValueError(f"lambdas has {len(self.lambdas)} rows for "
+                             f"{len(self.xs)} decisions")
 
     @property
     def T(self) -> int:

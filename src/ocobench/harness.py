@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import BaselineConfig, run_baseline
 from .core import (ConvergenceError, InfeasibleProblemError, Trajectory,
-                   UnsupportedProblemError, _check_integer)
+                   UnsupportedProblemError, _check_horizon, _check_integer)
 from .malm import MalmConfig, run_malm
 from .metrics import MetricsSeries, full_series
 from .models import LINEARIZED, MODEL_KINDS, PLAIN
@@ -90,18 +90,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        for name, values in (("T", (self.T,)), ("delay", self.taus),
-                             ("seed", self.seeds)):
-            for value in values:
-                _check_integer(name, value)
-        if any(seed < 0 for seed in self.seeds):
-            raise ValueError("seeds must be nonnegative")
         if not self.taus:
             raise ValueError("need at least one delay value")
-        if any(tau < 0 for tau in self.taus):
-            raise ValueError("delays must be nonnegative")
-        if self.T <= max(self.taus):
-            raise ValueError("time horizon T must exceed every delay")
+        _check_horizon(self.T, self.taus, grid=True)
+        for seed in self.seeds:
+            _check_integer("seed", seed)
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError("seeds must be nonnegative")
         for name in ("algos", "taus", "seeds"):
             entries = getattr(self, name)
             if len(set(entries)) < len(entries):

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._apg import fista
 from .core import (Array, Box, FeasibleSet, Trajectory,
-                   UnsupportedProblemError, _check_integer, _l1_threshold,
+                   UnsupportedProblemError, _check_horizon, _l1_threshold,
                    project, run_schedule)
 from .models import (LINEARIZED, MODEL_KINDS, PLAIN, QUADRATIC_LINEARIZED,
                      TRUNCATED, ModelAt, make_model)
@@ -53,12 +53,7 @@ class MalmConfig:
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)!r}")
-        _check_integer("T", self.T)
-        _check_integer("tau", self.tau)
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
-        if self.T <= self.tau:
-            raise ValueError("time horizon T must exceed the delay tau")
+        _check_horizon(self.T, (self.tau,))
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
 

@@ -41,19 +41,15 @@ def full_series(trajectory: Trajectory, problem, x_star: Array) -> MetricsSeries
     trajectory : Trajectory
         Decisions x_0..x_{T-1} matched to rounds 0..T-1.
     problem : ProblemInstance
-        Supplies the round losses and constraints.
+        Supplies the round losses and constraints through ``values``.
     x_star : ndarray
         Fixed comparator decision.
     """
     T = trajectory.T
-    regret = np.empty(T)
-    vio = np.empty((T, problem.p))
-    for t in range(T):
-        oracle = problem.rounds[t]
-        regret[t] = oracle.eval_f(trajectory.xs[t]) - oracle.eval_f(x_star)
-        vio[t] = oracle.eval_g(trajectory.xs[t])
-    cum_regret = np.cumsum(regret)
-    cum_vio = np.cumsum(vio, axis=0)
+    f, g = problem.values(trajectory.xs)
+    f_star, _ = problem.values(np.broadcast_to(x_star, trajectory.xs.shape))
+    cum_regret = np.cumsum(f - f_star)
+    cum_vio = np.cumsum(g, axis=0)
     return MetricsSeries(
         cum_regret=cum_regret,
         avg_regret=cum_regret / np.arange(1, T + 1),

@@ -10,7 +10,7 @@ same oracles bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,9 +27,10 @@ class ProblemInstance:
 
     ``data`` keeps the raw generated arrays (matrices, walks, margins) so the
     offline comparator and the tests can work with the numbers directly
-    instead of probing the closures.  The dimension n is the set's, p and T
-    are the rounds'; no rounds, or rounds whose n or p disagree, raise
-    ValueError.
+    instead of probing the closures.  ``stacked``, when given, maps an
+    (m, n) stack of points to the values ``values`` returns, computed from
+    the generated arrays.  The dimension n is the set's, p and T are the
+    rounds'; no rounds, or rounds whose n or p disagree, raise ValueError.
     """
 
     kind: str
@@ -38,6 +39,7 @@ class ProblemInstance:
     constants: Optional[ProblemConstants]
     seed: int
     data: dict = field(default_factory=dict)
+    stacked: Optional[Callable[[Array], tuple]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.rounds:
@@ -67,6 +69,19 @@ class ProblemInstance:
             return 0.0
         low = hess.min() if hess.ndim == 1 else np.linalg.eigvalsh(hess)[0]
         return max(float(low), 0.0)
+
+    def values(self, xs: Array) -> tuple:
+        """(f (m,), g (m, p)): f_t(xs[t]) and g_t(xs[t]) for the first
+        m = len(xs) rounds, bit for bit what the round oracles return; from
+        the stacked arrays when the generator gave them, else round by round."""
+        if self.stacked is not None:
+            return self.stacked(xs)
+        f = np.empty(len(xs))
+        g = np.empty((len(xs), self.p))
+        for t, x in enumerate(xs):
+            f[t] = self.rounds[t].eval_f(x)
+            g[t] = self.rounds[t].eval_g(x)
+        return f, g
 
 
 def _rngs(seed: int, count: int) -> list:
@@ -200,6 +215,11 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
     rounds = tuple(_diag_quadratic_round(q_t, b_t, A)
                    for q_t, b_t in zip(q_all, b_all))
 
+    def stacked(xs):
+        m = len(xs)
+        f = (q_all[:m, None, :] @ (xs * xs)[:, :, None])[:, 0, 0]
+        return f, (A[None] @ xs[:, :, None])[..., 0] + b_all[:m]
+
     D = float(np.linalg.norm(xbar))
     q_max = np.concatenate([c, price.max(axis=0)])
     kappa_f = float(np.linalg.norm(2.0 * q_max * xbar))
@@ -225,7 +245,8 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
     return ProblemInstance(
         kind="nra", set=feasible_set, rounds=rounds, constants=constants,
         seed=seed, data={"A": A, "b": b_all, "q": q_all, "zbar": zbar,
-                         "ybar": ybar, "c": c, "price": price})
+                         "ybar": ybar, "c": c, "price": price},
+        stacked=stacked)
 
 
 def _logistic_round(Z_t: Array, a_t: float, n: int) -> RoundOracle:
@@ -299,6 +320,11 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     rounds = tuple(_logistic_round(Z_t, float(a_t), n)
                    for Z_t, a_t in zip(Z_all, a))
 
+    def stacked(xs):
+        m = len(xs)
+        f = np.logaddexp(0.0, -(Z_all[:m] @ xs[:, :, None])[..., 0]).sum(1)
+        return f, (np.abs(xs).sum(1) - a[:m])[:, None]
+
     D = 2.0 * M * float(np.sqrt(n))
     kappa_f = float(np.linalg.norm(u_all, axis=2).sum(axis=1).max())
     kappa_g = float(np.sqrt(n))
@@ -310,7 +336,7 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
 
     return ProblemInstance(
         kind="olr", set=feasible_set, rounds=rounds, constants=constants,
-        seed=seed, data={"u": u_all, "labels": labels, "a": a})
+        seed=seed, data={"u": u_all, "labels": labels, "a": a}, stacked=stacked)
 
 
 def _quadratic_round(A_t: Array, b_t: Array, C_t: Array, d_t: Array,
@@ -402,6 +428,14 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
     rounds = tuple(_quadratic_round(*parts)
                    for parts in zip(A_all, b_all, C_all, d_all, e_all))
 
+    def stacked(xs):
+        m, col = len(xs), xs[:, :, None]
+        f = 0.5 * (xs[:, None, :] @ (A_all[:m] @ col))[:, 0, 0] \
+            + (b_all[:m, None, :] @ col)[:, 0, 0]
+        g = 0.5 * ((C_all[:m] @ xs[:, None, :, None])[..., 0] @ col)[..., 0] \
+            + (d_all[:m] @ col)[..., 0] + e_all[:m]
+        return f, g
+
     D = 2.0 * R
     A_eigs = np.linalg.eigvalsh(A_all)
     kappa_f = float((A_eigs[:, -1] * R + np.linalg.norm(b_all, axis=1)).max())
@@ -415,4 +449,5 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
     return ProblemInstance(
         kind="oqcqp", set=feasible_set, rounds=rounds, constants=constants,
         seed=seed, data={"A": A_all, "b": b_all, "C": C_all, "d": d_all,
-                         "e": e_all, "h": h, "xhat": xhat})
+                         "e": e_all, "h": h, "xhat": xhat},
+        stacked=stacked)

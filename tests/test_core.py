@@ -176,8 +176,14 @@ def test_box_validation():
 
 
 def test_trajectory_T():
-    traj = Trajectory(xs=np.zeros((7, 2)), lambdas=np.zeros((8, 1)))
+    traj = Trajectory(xs=np.zeros((7, 2)), lambdas=np.zeros((7, 1)))
     assert traj.T == 7
+
+
+def test_trajectory_refuses_a_multiplier_row_count_other_than_T():
+    for rows in (6, 8):
+        with pytest.raises(ValueError, match=f"lambdas has {rows} rows for 7"):
+            Trajectory(xs=np.zeros((7, 2)), lambdas=np.zeros((rows, 1)))
 
 
 def test_convergence_error_fields():

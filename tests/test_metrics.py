@@ -26,7 +26,7 @@ def constant_g_round(g_values):
 def test_regret_series_hand_case():
     rounds = [affine_round([1.0], 0.0, [[1.0]], [0.0])] * 2
     prob = generic_problem(rounds, SEG, 1)
-    traj = Trajectory(xs=np.array([[2.0], [1.5]]), lambdas=np.zeros((3, 1)))
+    traj = Trajectory(xs=np.array([[2.0], [1.5]]), lambdas=np.zeros((2, 1)))
     out = full_series(traj, prob, np.array([1.0]))
     assert np.allclose(out.cum_regret, [1.0, 1.5])
     assert np.allclose(out.avg_regret, [1.0, 0.75])
@@ -36,7 +36,7 @@ def test_regret_is_zero_on_the_comparator():
     rounds = [affine_round([2.0], 1.0, [[1.0]], [0.0])] * 4
     prob = generic_problem(rounds, SEG, 1)
     xs = np.full((4, 1), 0.7)
-    traj = Trajectory(xs=xs, lambdas=np.zeros((5, 1)))
+    traj = Trajectory(xs=xs, lambdas=np.zeros((4, 1)))
     out = full_series(traj, prob, np.array([0.7]))
     assert np.array_equal(out.cum_regret, np.zeros(4))
 
@@ -44,7 +44,7 @@ def test_regret_is_zero_on_the_comparator():
 def test_violation_series_hand_case():
     rounds = [constant_g_round([1.0, -1.0]), constant_g_round([-3.0, 2.0])]
     prob = generic_problem(rounds, SEG, 1)
-    traj = Trajectory(xs=np.zeros((2, 1)), lambdas=np.zeros((3, 2)))
+    traj = Trajectory(xs=np.zeros((2, 1)), lambdas=np.zeros((2, 2)))
     out = full_series(traj, prob, np.zeros(1))
     assert np.allclose(out.cum_vio, [[1.0, -1.0], [-2.0, 1.0]])
     assert np.allclose(out.avg_vio_max, [1.0, 0.5])
@@ -55,7 +55,7 @@ def test_violation_series_identities_on_random_data():
     per = rng.normal(size=(12, 3))
     rounds = [constant_g_round(g) for g in per]
     prob = generic_problem(rounds, SEG, 1)
-    traj = Trajectory(xs=np.zeros((12, 1)), lambdas=np.zeros((13, 3)))
+    traj = Trajectory(xs=np.zeros((12, 1)), lambdas=np.zeros((12, 3)))
     out = full_series(traj, prob, np.zeros(1))
     cum = np.cumsum(per, axis=0)
     assert np.allclose(out.cum_vio, cum, atol=1e-12)
@@ -66,7 +66,7 @@ def test_violation_series_identities_on_random_data():
 def test_always_feasible_play_has_no_violation():
     rounds = [constant_g_round([-1.0])] * 6
     prob = generic_problem(rounds, SEG, 1)
-    traj = Trajectory(xs=np.zeros((6, 1)), lambdas=np.zeros((7, 1)))
+    traj = Trajectory(xs=np.zeros((6, 1)), lambdas=np.zeros((6, 1)))
     out = full_series(traj, prob, np.zeros(1))
     assert np.all(out.cum_vio < 0)
     assert np.all(out.avg_vio_max <= 0)
@@ -79,7 +79,7 @@ def test_full_series_matches_direct_recomputation():
     out = full_series(traj, prob, x_star)
     per = np.array([prob.rounds[t].eval_f(traj.xs[t])
                     - prob.rounds[t].eval_f(x_star) for t in range(25)])
-    assert np.allclose(out.cum_regret, np.cumsum(per), atol=1e-12)
+    assert np.array_equal(out.cum_regret, np.cumsum(per))
     assert out.lambda_norm.shape == (25,)
     assert np.array_equal(out.lambda_norm,
                           np.linalg.norm(traj.lambdas[:25], axis=1))
@@ -144,7 +144,7 @@ def test_multiplier_bound_check_on_real_and_fabricated_runs():
     cfg = MalmConfig(alpha=np.sqrt(30.0), sigma=1.0 / np.sqrt(30.0), T=30)
     traj = run_malm(prob, cfg)
     assert multiplier_bound_holds(traj, prob.constants, cfg.sigma, cfg.alpha)
-    runaway = Trajectory(xs=traj.xs, lambdas=np.full((31, 2), 1e15))
+    runaway = Trajectory(xs=traj.xs, lambdas=np.full((30, 2), 1e15))
     assert not multiplier_bound_holds(runaway, prob.constants,
                                       cfg.sigma, cfg.alpha)
 
