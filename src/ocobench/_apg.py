@@ -22,6 +22,10 @@ def fista(x0: Array,
           raise_on_fail: bool = True) -> Tuple[Array, float, int]:
     """Minimize s(x) + h(x) where ``smooth_grad`` is grad s and ``prox`` handles h.
 
+    The callbacks are called exactly as ``smooth_grad(x)`` and ``prox(z, step)``,
+    the shapes ``bench/tracing.py`` wraps.  FISTA writes only into arrays it
+    created itself, never into what a callback returned.
+
     Parameters
     ----------
     x0 : ndarray
@@ -73,15 +77,15 @@ def fista(x0: Array,
         while True:
             x_new = prox(y - gy / L, 1.0 / L)
             d = x_new - y
-            dd = float(d @ d)
+            dd = float(d.dot(d))
             if dd == 0.0:
                 gnew = gy
                 break
             gnew = smooth_grad(x_new)
             # The allowance is >= 0: needed only when curv > L ||d||^2.
-            curv = float((gnew - gy) @ d)
+            curv = float((gnew - gy).dot(d))
             if curv <= L * dd or curv <= L * dd + 1e-15 * (
-                    1.0 + float(np.abs(gy) @ np.abs(d))):
+                    1.0 + float(np.abs(gy).dot(np.abs(d)))):
                 break
             L *= 2.0
             if not np.isfinite(L) or L > 1e30:
@@ -89,14 +93,16 @@ def fista(x0: Array,
                     "backtracking failed: curvature not bounded at any step",
                     residual=np.inf, iterations=it)
 
-        # Gradient-based adaptive restart of the momentum.
+        # Gradient-based adaptive restart when (y - x+).step = -d.step > 0.
         step = x_new - x
-        if float((y - x_new) @ step) > 0.0:
+        if float(d.dot(step)) < 0.0:
             t_momentum = 1.0
             y, gy = x_new, gnew
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            y, gy = x_new + ((t_momentum - 1.0) / t_next) * step, None
+            step *= (t_momentum - 1.0) / t_next
+            step += x_new
+            y, gy = step, None
             t_momentum = t_next
         x = x_new
 

@@ -58,8 +58,9 @@ def project_l1_box(point: Array, a: float, M: float) -> Array:
 
 
 def _stacked_parts(problem: ProblemInstance):
-    """(lagrangian_grad, cons, l0): (x, w) -> grad sum_t f_t(x) + J(x)^T w,
-    the stacked constraints cons(x) <= 0 and a Lipschitz guess.
+    """(lagrangian_grad, hinged_grad, cons, l0): (x, w) -> grad sum_t f_t(x)
+    + J(x)^T w; (x, lam, rho) -> that at w = [lam + rho cons(x)]_+, in one
+    pass; the stacked constraints cons(x) <= 0; and a Lipschitz guess.
 
     Any kind but ``nra`` and ``oqcqp`` stacks its rounds' oracles, assuming
     smooth losses and constraints, as the hand-built test instances have.
@@ -70,13 +71,21 @@ def _stacked_parts(problem: ProblemInstance):
         b_max = data["b"].max(axis=0)
         two_q, A_t = 2.0 * data["q"].sum(axis=0), A.T
 
+        # .dot is the same gemv as @ at a third of the call cost.
         def lagrangian_grad(x, w):
-            return two_q * x + A_t @ w
+            return two_q * x + A_t.dot(w)
+
+        def hinged_grad(x, lam, rho):
+            w = A.dot(x)
+            w += b_max
+            w *= rho
+            w += lam
+            return A_t.dot(np.maximum(w, 0.0, out=w)) + two_q * x
 
         def cons(x):
-            return A @ x + b_max
+            return A.dot(x) + b_max
 
-        return lagrangian_grad, cons, float(two_q.max()) + 1.0
+        return lagrangian_grad, hinged_grad, cons, float(two_q.max()) + 1.0
 
     if problem.kind == "oqcqp":
         A_bar = data["A"].sum(axis=0)
@@ -84,14 +93,22 @@ def _stacked_parts(problem: ProblemInstance):
         C_all, d_all, e_all = (data[k] for k in ("C", "d", "e"))
         T, p = e_all.shape
 
-        def lagrangian_grad(x, w):
-            return A_bar @ x + b_bar \
-                + np.einsum("tp,tpn->n", w.reshape(T, p), C_all @ x + d_all)
+        # Cx = C_all @ x is taken once per gradient; lagrangian_grad adds d_all into it.
+        def cons(x, Cx=None):
+            Cx = C_all @ x if Cx is None else Cx
+            return (0.5 * (Cx @ x) + d_all @ x + e_all).ravel()
 
-        def cons(x):
-            return (0.5 * ((C_all @ x) @ x) + d_all @ x + e_all).ravel()
+        def lagrangian_grad(x, w, Cx=None):
+            Cx = C_all @ x if Cx is None else Cx
+            Cx += d_all
+            return A_bar @ x + b_bar + np.einsum("tp,tpn->n", w.reshape(T, p), Cx)
 
-        return lagrangian_grad, cons, float(np.linalg.eigvalsh(A_bar)[-1]) + 1.0
+        def hinged_grad(x, lam, rho):
+            Cx = C_all @ x
+            return lagrangian_grad(x, np.maximum(lam + rho * cons(x, Cx), 0.0), Cx)
+
+        return (lagrangian_grad, hinged_grad, cons,
+                float(np.linalg.eigvalsh(A_bar)[-1]) + 1.0)
 
     rounds = problem.rounds
 
@@ -104,10 +121,13 @@ def _stacked_parts(problem: ProblemInstance):
             at += o.p
         return loss + coupling
 
+    def hinged_grad(x, lam, rho):
+        return lagrangian_grad(x, np.maximum(lam + rho * cons(x), 0.0))
+
     def cons(x):
         return np.concatenate([o.eval_g(x) for o in rounds])
 
-    return lagrangian_grad, cons, 1.0
+    return lagrangian_grad, hinged_grad, cons, 1.0
 
 
 def _al_loop(problem: ProblemInstance, tol: float) -> Array:
@@ -123,7 +143,7 @@ def _al_loop(problem: ProblemInstance, tol: float) -> Array:
     the hinged penalty gradient is too noisy for that; feasibility is
     rechecked.
     """
-    lagrangian_grad, cons, l0 = _stacked_parts(problem)
+    lagrangian_grad, hinged_grad, cons, l0 = _stacked_parts(problem)
     label = f"{problem.kind} comparator (seed {problem.seed})"
     x = project(problem.set, np.zeros(problem.n))
     lam = np.zeros_like(cons(x))
@@ -134,11 +154,8 @@ def _al_loop(problem: ProblemInstance, tol: float) -> Array:
         return _project(z)
 
     for _ in range(_MAX_OUTER):
-        def pen_grad(y, _lam=lam, _rho=rho):
-            return lagrangian_grad(y, np.maximum(_lam + _rho * cons(y), 0.0))
-
         inner_tol = max(tol, min(1e-3, 0.1 * viol_prev))
-        x, res, _ = fista(x, pen_grad, prox, tol=inner_tol,
+        x, res, _ = fista(x, lambda y: hinged_grad(y, lam, rho), prox, tol=inner_tol,
                           max_iters=200_000, l0=l0, raise_on_fail=False)
         gv = cons(x)
         viol = float(np.maximum(gv, 0.0).max(initial=0.0))
@@ -178,7 +195,8 @@ def _solve_olr(problem: ProblemInstance, tol: float) -> Array:
         .reshape(-1, problem.n)
 
     def grad(x):
-        return -(Z.T @ expit(-(Z @ x)))
+        # Z @ -x is -(Z @ x) exactly: negation commutes with the product.
+        return -(Z.T @ expit(Z @ -x))
 
     def prox(z, step):
         return project_l1_box(z, a_min, M)

@@ -1,9 +1,11 @@
 """``_apg.fista`` against a frozen copy of its earlier loop.
 
 The loop was made cheaper per iteration (lazy backtracking allowance, one
-step difference, scalar square roots, no defensive copies).  Every change
-keeps the floating-point operations and decisions, so the iterates, the
-residual and the iteration count must be bit-identical to the copy below.
+step difference, scalar square roots, no defensive copies, 1-D ``.dot``
+products, the restart test on the step d and the momentum point built in
+place).  Every change keeps the floating-point operations and decisions, so
+the iterates, the residual and the iteration count must be bit-identical to
+the copy below.
 """
 
 import numpy as np
@@ -90,7 +92,7 @@ def assert_same_run(x0, grad, prox, tol, max_iters, l0=1.0):
 
 def test_fista_matches_the_reference_on_an_nra_comparator_penalty():
     prob = generate_nra(10, 10, 60, seed=0)
-    lagrangian_grad, cons, l0 = _stacked_parts(prob)
+    lagrangian_grad, _, cons, l0 = _stacked_parts(prob)
     lam = np.linspace(0.0, 50.0, prob.p)
 
     def pen_grad(y):
@@ -151,7 +153,7 @@ def test_fista_takes_no_gradient_twice_on_one_array():
     # The first iteration's y is x0 and a restart's y is x+, whose
     # gradients the initial residual and the backtracking test already took.
     prob = generate_nra(10, 10, 60, seed=0)
-    lagrangian_grad, cons, l0 = _stacked_parts(prob)
+    lagrangian_grad, _, cons, l0 = _stacked_parts(prob)
     lam = np.linspace(0.0, 50.0, prob.p)
     seen = []
 

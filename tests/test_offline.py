@@ -145,14 +145,35 @@ def _round_sums(problem, x, weights):
     return loss, coupling
 
 
+def _generic_quadratic():
+    rng = np.random.default_rng(7)
+    rounds = [quad_round(t, 2.0 * np.eye(3), rng.normal(size=3),
+                         rng.normal(size=(2, 3)), rng.normal(size=2))
+              for t in range(6)]
+    return generic_problem(rounds, Box(np.full(3, -2.0), np.full(3, 2.0)), 3)
+
+
+def assert_hinged_grad_is_the_composition(parts, y, lam, rho):
+    """hinged_grad(y, lam, rho) is lagrangian_grad at [lam + rho cons(y)]_+
+    bit for bit, and leaves its arguments as they came."""
+    lagrangian_grad, hinged_grad, cons, _ = parts
+    y_in, lam_in = y.copy(), lam.copy()
+    got = hinged_grad(y, lam, rho)
+    assert np.array_equal(y, y_in) and np.array_equal(lam, lam_in)
+    want = lagrangian_grad(y_in, np.maximum(lam_in + rho * cons(y_in), 0.0))
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("make", [lambda: generate_nra(3, 3, 12, seed=14),
-                                  lambda: generate_oqcqp(4, 2, 5.0, 15, seed=0)],
-                         ids=["nra", "oqcqp"])
+                                  lambda: generate_oqcqp(4, 2, 5.0, 15, seed=0),
+                                  _generic_quadratic],
+                         ids=["nra", "oqcqp", "generic"])
 def test_stacked_parts_match_the_rounds_they_stack(make):
     prob = make()
-    lagrangian_grad, cons, _ = _stacked_parts(prob)
-    generic_grad, generic_cons, _ = _stacked_parts(
-        dataclasses.replace(prob, kind="generic"))
+    parts = _stacked_parts(prob)
+    lagrangian_grad, _, cons, _ = parts
+    generic_parts = _stacked_parts(dataclasses.replace(prob, kind="generic"))
+    generic_grad, _, generic_cons, _ = generic_parts
     rng = np.random.default_rng(3)
     for _ in range(4):
         x = rng.uniform(0.0, 2.0, prob.n)
@@ -176,6 +197,12 @@ def test_stacked_parts_match_the_rounds_they_stack(make):
         loss, coupling = _round_sums(prob, x, w_all.reshape(g.shape))
         assert np.array_equal(generic_grad(x, w_all), loss + coupling)
         assert np.array_equal(generic_cons(x), g.ravel())
+        # multipliers of both signs, so that the hinge both cuts and passes
+        for rho in (1.0, 10.0, 1e4):
+            assert_hinged_grad_is_the_composition(
+                parts, x, rng.uniform(-3.0, 3.0, w.size), rho)
+            assert_hinged_grad_is_the_composition(
+                generic_parts, x, rng.uniform(-3.0, 3.0, g.size), rho)
 
 
 def test_comparator_olr_feasible_and_beats_candidates():
