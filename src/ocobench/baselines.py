@@ -69,7 +69,7 @@ def mosp_step(x: Array, lam: Array, oracle: RoundOracle,
         raise UnsupportedProblemError(
             "the saddle-point baseline requires linear constraints")
     x_new = project(feasible_set,
-                    x - alpha * (oracle.subgrad_f(x) + oracle.jac_g(x).T @ lam))
+                    x - alpha * (oracle.subgrad_f(x) + oracle.jac_g(x).T.dot(lam)))
     lam_new = np.maximum(lam + mu * oracle.eval_g(x_new), 0.0)
     return x_new, lam_new
 
@@ -95,15 +95,15 @@ def ny_step(x: Array, lam: Array, oracle: RoundOracle,
     """
     if x_old is None:
         x_new = project(feasible_set,
-                        x - (nu * oracle.subgrad_f(x) + oracle.jac_g(x).T @ lam)
+                        x - (nu * oracle.subgrad_f(x) + oracle.jac_g(x).T.dot(lam))
                         / (2.0 * alpha))
         lam_new = np.maximum(lam + oracle.eval_g(x_new), 0.0)
         return x_new, lam_new
     jac_old = oracle.jac_g(x_old)
     x_new = project(feasible_set,
-                    x - (nu * oracle.subgrad_f(x_old) + jac_old.T @ lam_old)
+                    x - (nu * oracle.subgrad_f(x_old) + jac_old.T.dot(lam_old))
                     / (2.0 * alpha))
-    lam_new = np.maximum(lam + oracle.eval_g(x_old) + jac_old @ (x_new - x_old), 0.0)
+    lam_new = np.maximum(lam + oracle.eval_g(x_old) + jac_old.dot(x_new - x_old), 0.0)
     return x_new, lam_new
 
 
@@ -114,7 +114,7 @@ def czp_step(x: Array, lam: Array, x_old: Array, lam_old: Array,
     ``x_old``/``lam_old`` the decision and multiplier from when it was
     generated."""
     x_new = project(feasible_set,
-                    x - eta * (oracle.subgrad_f(x_old) + oracle.jac_g(x_old).T @ lam_old))
+                    x - eta * (oracle.subgrad_f(x_old) + oracle.jac_g(x_old).T.dot(lam_old)))
     lam_new = np.maximum(lam + eta * (oracle.eval_g(x_old) - delta * eta * lam_old), 0.0)
     return x_new, lam_new
 

@@ -17,7 +17,7 @@ squared-hinge penalty in an exact prox.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -78,20 +78,25 @@ def _value(model: ModelAt, x: Array, lam: Array, shift: Array, alpha: float,
     hinge = np.maximum(shift, 0.0)
     d = x - center
     return (float(model.eval_F(x))
-            + (float(hinge @ hinge) - float(lam @ lam)) / (2.0 * sigma)
-            + 0.5 * alpha * float(d @ d))
+            + (float(hinge.dot(hinge)) - float(lam.dot(lam))) / (2.0 * sigma)
+            + 0.5 * alpha * float(d.dot(d)))
 
 
 def _gradient(model: ModelAt, x: Array, shift: Array, J: Array, alpha: float,
               center: Array) -> Array:
     """Its gradient at x, with model.subgrad_F for F, shift and J = jac_G(x)."""
-    return (np.asarray(model.subgrad_F(x), float) + J.T @ np.maximum(shift, 0.0)
+    return (np.asarray(model.subgrad_F(x), float) + J.T.dot(np.maximum(shift, 0.0))
             + alpha * (x - center))
 
 
-def multiplier_update(lam: Array, model: ModelAt, x_next: Array, sigma: float) -> Array:
-    """Componentwise [lam + sigma G(x_next)]_+."""
-    return np.maximum(np.asarray(lam, float) + sigma * model.eval_G(x_next), 0.0)
+def multiplier_update(lam: Array, model: ModelAt, x_next: Array, sigma: float,
+                      shift: Optional[Array] = None) -> Array:
+    """Componentwise [lam + sigma G(x_next)]_+.  ``shift``, when given, is
+    lam + sigma G(x_next) as the subproblem solve evaluated it, so G is not
+    evaluated again."""
+    if shift is None:
+        shift = np.asarray(lam, float) + sigma * model.eval_G(x_next)
+    return np.maximum(shift, 0.0)
 
 
 def closed_form_linearized_p1(a: Array, b: Array, gamma: float,
@@ -106,12 +111,12 @@ def closed_form_linearized_p1(a: Array, b: Array, gamma: float,
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if alpha * gamma <= float(a @ b):
+    if alpha * gamma <= float(a.dot(b)):
         xbar = -a / alpha
     else:
         w = a + sigma * gamma * b
-        denom = alpha * (alpha + sigma * float(b @ b))
-        xbar = -w / alpha + (sigma * float(b @ w) / denom) * b
+        denom = alpha * (alpha + sigma * float(b.dot(b)))
+        xbar = -w / alpha + (sigma * float(b.dot(w)) / denom) * b
     return project(feasible_set, xbar)
 
 
@@ -130,7 +135,7 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     from scipy.optimize import brentq  # only the truncated model needs it
 
     inner_cfg = replace(cfg, tol=0.25 * cfg.tol)
-    anchor, f_anchor, u = model.anchor, model.f_anchor, model.u
+    anchor, f_anchor, u = model.anchor, model.f_at_anchor, model.u
     solved = {}
 
     def solve_at(mu: float):
@@ -196,7 +201,8 @@ _ROUNDING = 1e-14
 
 def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
                   cfg: MalmConfig, feasible_set: FeasibleSet, x_start: Array,
-                  hess_F: Array, hess_G: Optional[Array]):
+                  hess_F: Array, hess_G: Optional[Array],
+                  shift_at: Callable[[Array], Array]):
     """Newton method for a subproblem whose F and G are quadratics.
 
     With s = [lam + sigma G(x)]_+, J = jac_G(x) and S the rows where s > 0,
@@ -208,10 +214,11 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     gradient pushes against (Bertsekas, SIAM J. Control Optim. 1982), scales
     them by B's diagonal and searches the projection arc; on a Euclidean
     ball the steps stay inside.  The line search is Armijo on the subproblem
-    objective, from the projection of ``x_start``, at one G(x) per point and
-    one J per iterate.  Returns the last point and its projected-gradient
-    residual, above tol when the step cap is reached, no decrease is found
-    or a trial point leaves the ball.
+    objective, from the projection of ``x_start``, at one G(x) per point,
+    through ``shift_at(x)`` = lam + sigma G(x), and one J per iterate.
+    Returns the last point and its projected-gradient residual, above tol
+    when the step cap is reached, no decrease is found or a trial point
+    leaves the ball; a certified point is the last one ``shift_at`` saw.
     """
     alpha, sigma, tol = cfg.alpha, cfg.sigma, cfg.tol
     box = isinstance(feasible_set, Box)
@@ -222,7 +229,7 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
         base = base + alpha * np.eye(x_start.size)
 
     def evaluate(x: Array) -> tuple:
-        shift = lam + sigma * model.eval_G(x)
+        shift = shift_at(x)
         return _value(model, x, lam, shift, alpha, sigma, prox_center), shift
 
     x = project(feasible_set, x_start)
@@ -272,7 +279,8 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
 
 
 def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
-                     cfg: MalmConfig, feasible_set: FeasibleSet) -> Array:
+                     cfg: MalmConfig, feasible_set: FeasibleSet,
+                     record: Optional[dict] = None) -> Array:
     """Minimize the augmented Lagrangian plus proximal term over the set.
 
     The truncated model goes to its dual root search, whose inner problems
@@ -286,12 +294,32 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     on a box or inside a ball; and FISTA on the pair, warm-started from the
     point the path before it could not certify.  The result satisfies the
     pair's proximal-gradient residual bound cfg.tol.
+
+    ``record``, a dict when given, gets the path that returned the point
+    under "path" ("closed_form", "newton", "fista" or "truncated") and,
+    when that path evaluated it at the returned point x, the shift
+    lam + sigma G(x) under "shift", which ``multiplier_update`` takes.
     """
     prox_center = np.asarray(prox_center, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    record = {} if record is None else record
     if model.kind == TRUNCATED:
+        record["path"] = TRUNCATED
         return _solve_truncated(model, prox_center, lam, cfg, feasible_set)
     x = prox_center
+    seen_x = seen_shift = None  # the last point shift_at evaluated, its shift
+
+    def shift_at(x: Array) -> Array:
+        nonlocal seen_x, seen_shift
+        seen_x, seen_shift = x, lam + cfg.sigma * model.eval_G(x)
+        return seen_shift
+
+    def done(x: Array, path: str) -> Array:
+        record["path"] = path
+        if x is seen_x:
+            record["shift"] = seen_shift
+        return x
+
     l1 = model.kind == PLAIN and model.oracle.g_kind == "l1"
     if l1:
         if not isinstance(feasible_set, Box):
@@ -303,8 +331,8 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
             "plain model requires a smooth g_t (or the l1 structure)")
     else:
         def grad(x: Array) -> Array:
-            return _gradient(model, x, lam + cfg.sigma * model.eval_G(x),
-                             model.jac_G(x), cfg.alpha, prox_center)
+            return _gradient(model, x, shift_at(x), model.jac_G(x), cfg.alpha,
+                             prox_center)
 
         def prox(z: Array, step: float) -> Array:
             return project(feasible_set, z)
@@ -313,24 +341,24 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
         a = model.u - cfg.alpha * prox_center
         b = model.V[0]
         gamma = (lam[0] / cfg.sigma + model.g_anchor[0]
-                 - float(model.V[0] @ model.anchor))
+                 - float(model.V[0].dot(model.anchor)))
         x = closed_form_linearized_p1(a, b, gamma, cfg.alpha, cfg.sigma,
                                       feasible_set)
         if np.linalg.norm(x - prox(x - grad(x), 1.0)) <= cfg.tol:
-            return x
+            return done(x, "closed_form")
 
     structure = model.quadratic_structure()
     if structure is not None:
         x, res = _solve_newton(model, prox_center, lam, cfg, feasible_set, x,
-                               *structure)
+                               *structure, shift_at)
         if res <= cfg.tol:
-            return x
+            return done(x, "newton")
 
     jac = 0.0 if l1 else model.jac_G(prox_center)  # the l1 prox holds G
     l0 = cfg.alpha + model.iota + cfg.sigma * float(np.sum(jac * jac)) + 1.0
     x, _, _ = fista(x, grad, prox, tol=cfg.tol, max_iters=_FISTA_MAX_ITERS,
                     l0=l0)
-    return x
+    return done(x, "fista")
 
 
 def run_malm(problem, cfg: MalmConfig) -> Trajectory:
@@ -340,13 +368,16 @@ def run_malm(problem, cfg: MalmConfig) -> Trajectory:
     When round s's oracle arrives, the model is anchored at x_s, the
     decision played in round s, which is also the prox center; the
     subproblem takes the multiplier held now, and the multiplier is updated
-    with the model value at the new decision.
+    with the model value at the new decision, through the shift the solve
+    evaluated there when it hands one back.
     """
     def step(s, oracle, x, lam, x_old, lam_old):
         iota = problem.strong_convexity(s) \
             if cfg.model_kind == QUADRATIC_LINEARIZED else 0.0
         model = make_model(oracle, x_old, cfg.model_kind, iota=iota)
-        x_next = solve_subproblem(model, x_old, lam, cfg, problem.set)
-        return x_next, multiplier_update(lam, model, x_next, cfg.sigma)
+        solved = {}
+        x_next = solve_subproblem(model, x_old, lam, cfg, problem.set, solved)
+        return x_next, multiplier_update(lam, model, x_next, cfg.sigma,
+                                         solved.get("shift"))
 
     return run_schedule(problem, cfg.T, cfg.tau, step, cfg.x0)

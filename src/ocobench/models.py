@@ -9,6 +9,7 @@ generic methods, so ``make_model`` captures those at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,9 +32,10 @@ class ModelAt:
     hold the captured values and subgradients at the anchor (V rows are the
     constraint subgradients), and ``iota`` is the curvature of the quadratic
     variant (0 for the others), so F(x) = f_anchor + <u, d> + (iota/2)||d||^2
-    with d = x - anchor, which the truncated model hinges at zero.  For
-    the plain model those fields stay None and the methods pass straight
-    through to the oracle.
+    with d = x - anchor, which the truncated model hinges at zero.  A
+    ``f_anchor`` of None is f_t(anchor), taken on the first read of
+    ``f_at_anchor``.  For the plain model those fields stay None and the
+    methods pass straight through to the oracle.
     """
 
     kind: str
@@ -45,11 +47,20 @@ class ModelAt:
     V: Optional[Array] = None
     iota: float = 0.0
 
+    @cached_property
+    def f_at_anchor(self) -> float:
+        """f_t at the anchor: ``f_anchor`` when given, else the oracle's
+        value, taken on the first read.  F's value reads it; the closed form
+        and the linearized gradients do not."""
+        return float(self.oracle.eval_f(self.anchor)) if self.f_anchor is None \
+            else self.f_anchor
+
     def eval_F(self, x: Array) -> float:
         if self.kind == PLAIN:
             return float(self.oracle.eval_f(x))
         d = np.asarray(x, float) - self.anchor
-        value = self.f_anchor + float(self.u @ d) + 0.5 * self.iota * float(d @ d)
+        value = (self.f_at_anchor + float(self.u.dot(d))
+                 + 0.5 * self.iota * float(d.dot(d)))
         return max(value, 0.0) if self.kind == TRUNCATED else value
 
     def subgrad_F(self, x: Array) -> Array:
@@ -62,7 +73,7 @@ class ModelAt:
     def eval_G(self, x: Array) -> Array:
         if self.kind == PLAIN:
             return np.asarray(self.oracle.eval_g(x), dtype=float)
-        return self.g_anchor + self.V @ (np.asarray(x, float) - self.anchor)
+        return self.g_anchor + self.V.dot(np.asarray(x, float) - self.anchor)
 
     def jac_G(self, x: Array) -> Array:
         if self.kind == PLAIN:
@@ -95,7 +106,8 @@ def make_model(oracle: RoundOracle, anchor: Array, kind: str,
     """The model of ``kind`` for the round ``oracle``, anchored at ``anchor``.
 
     ``plain`` is F = f_t, G = g_t (the anchor plays no role).  The others
-    capture the oracle's values and subgradients at the anchor:
+    capture the oracle's subgradients and g_t's value at the anchor, and
+    f_t's value there when first read:
     ``linearized`` is the tangent planes of f_t and g_t,
     ``quadratic_linearized`` adds the curvature ``iota`` of an
     iota-strongly-convex loss, and ``truncated`` hinges the tangent plane
@@ -112,7 +124,6 @@ def make_model(oracle: RoundOracle, anchor: Array, kind: str,
     elif not 0 <= iota < np.inf:
         raise ValueError(f"iota must be nonnegative and finite, got {iota!r}")
     return ModelAt(kind=kind, anchor=anchor, oracle=oracle,
-                   f_anchor=float(oracle.eval_f(anchor)),
                    u=np.asarray(oracle.subgrad_f(anchor), dtype=float),
                    g_anchor=np.asarray(oracle.eval_g(anchor), dtype=float),
                    V=np.asarray(oracle.jac_g(anchor), dtype=float),

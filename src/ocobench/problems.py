@@ -249,14 +249,12 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
         stacked=stacked)
 
 
-def _logistic_round(Z_t: Array, a_t: float, n: int) -> RoundOracle:
-    from scipy.special import expit
-
+def _logistic_round(Z_t: Array, a_t: float, n: int, expit) -> RoundOracle:
     def eval_f(x):
-        return float(np.logaddexp(0.0, -(Z_t @ x)).sum())
+        return float(np.logaddexp(0.0, -Z_t.dot(x)).sum())
 
     def subgrad_f(x):
-        return -(Z_t.T @ expit(-(Z_t @ x)))
+        return -Z_t.T.dot(expit(-Z_t.dot(x)))
 
     def eval_g(x):
         return np.array([np.abs(x).sum() - a_t])
@@ -315,9 +313,11 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     for t in range(1, T):
         a[t] = max(a[t - 1] + a_steps[t - 1], 0.0)
 
+    from scipy.special import expit  # only olr needs scipy
+
     Z_all = labels[:, :, None] * u_all
     feasible_set = Box(np.full(n, -M), np.full(n, M))
-    rounds = tuple(_logistic_round(Z_t, float(a_t), n)
+    rounds = tuple(_logistic_round(Z_t, float(a_t), n, expit)
                    for Z_t, a_t in zip(Z_all, a))
 
     def stacked(xs):

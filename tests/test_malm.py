@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ocobench.malm as malm_module
-from ocobench import (LINEARIZED, PLAIN, QUADRATIC_LINEARIZED, TRUNCATED, Box,
-                      ConvergenceError, EuclideanBall, MalmConfig,
-                      RoundOracle, UnsupportedProblemError,
+from ocobench import (LINEARIZED, PLAIN, PRESETS, QUADRATIC_LINEARIZED,
+                      TRUNCATED, Box, ConvergenceError, EuclideanBall,
+                      MalmConfig, ModelAt, RoundOracle, UnsupportedProblemError,
                       closed_form_linearized_p1, generate_nra, generate_olr,
                       generate_oqcqp, make_model,
                       multiplier_update, project, run_malm, solve_comparator,
                       solve_subproblem, subproblem_objective)
 from ocobench._apg import fista
+from ocobench.harness import generate_problem, run_cell
 from ocobench.malm import _plain_l1_parts
 
 from helpers import (affine_round, contains, generic_problem, quad_round,
@@ -927,3 +928,64 @@ def test_ball_subproblems_match_a_tight_gradient_solve(case):
     model, center, lam, cfg, feasible = case
     x = _matches_tight_gradient_solve(*case)
     _no_sampled_point_is_better(model, x, lam, cfg, feasible, center)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(closed_form_subproblems(), newton_subproblems(),
+                 ball_subproblems(), truncated_subproblems(), l1_subproblems()))
+def test_handed_back_shift_gives_the_same_multiplier_bits(case):
+    # the closed form and Newton always end on a point whose shift they
+    # took; FISTA does when its last gradient was taken at its point
+    model, center, lam, cfg, feasible = case
+    record = {}
+    x = solve_subproblem(model, center, lam, cfg, feasible, record)
+    assert np.array_equal(x, solve_subproblem(model, center, lam, cfg, feasible))
+    path = record["path"]
+    assert path in ("closed_form", "newton", "fista", TRUNCATED)
+    if path in ("closed_form", "newton"):
+        assert "shift" in record
+    if path == TRUNCATED or model.kind == PLAIN and model.oracle.g_kind == "l1":
+        assert "shift" not in record
+    if "shift" in record:
+        assert np.array_equal(multiplier_update(lam, model, x, cfg.sigma,
+                                                record["shift"]),
+                              multiplier_update(lam, model, x, cfg.sigma))
+
+
+# (preset, T, seeds): grids on which every MALM round takes the closed form
+# (olr) or Newton (nra, oqcqp with its five delays)
+@pytest.mark.parametrize("preset, T, seeds", [
+    ("olr-paper", 2000, (0,)),
+    ("nra-paper", 150, (0,)),
+    ("oqcqp-paper", 120, (0, 1, 2, 3)),
+], ids=["olr", "nra", "oqcqp"])
+def test_malm_evaluates_g_once_fewer_per_round_with_the_shift(monkeypatch,
+                                                              preset, T, seeds):
+    if preset == "olr-paper":
+        pytest.importorskip("scipy")
+    config = replace(PRESETS[preset], T=T, seeds=seeds, algos=("malm",))
+    calls = Counter()
+    eval_G = ModelAt.eval_G
+
+    def counted(self, x):
+        calls["eval_G"] += 1
+        return eval_G(self, x)
+
+    def run():
+        calls.clear()
+        trajectories = [run_cell(config, generate_problem(config, seed),
+                                 "malm", tau)
+                        for seed in seeds for tau in config.taus]
+        return trajectories, calls["eval_G"]
+
+    monkeypatch.setattr(ModelAt, "eval_G", counted)
+    handed_back, with_shift = run()
+    update = malm_module.multiplier_update
+    monkeypatch.setattr(malm_module, "multiplier_update",
+                        lambda lam, model, x, sigma, shift=None:
+                        update(lam, model, x, sigma))
+    evaluated, without_shift = run()
+    rounds = len(seeds) * sum(T - tau - 1 for tau in config.taus)
+    assert without_shift - with_shift == rounds
+    for a, b in zip(handed_back, evaluated):
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.lambdas, b.lambdas)
