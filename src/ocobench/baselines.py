@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Array, FeasibleSet, RoundOracle, Trajectory,
-                   UnsupportedProblemError, _check_horizon, project,
-                   run_schedule)
+                   UnsupportedProblemError, _check_horizon, run_schedule)
 
 
 # Published (primal, dual) stepsizes per algorithm, in the order its step
@@ -68,8 +67,8 @@ def mosp_step(x: Array, lam: Array, oracle: RoundOracle,
     if oracle.g_kind != "affine":
         raise UnsupportedProblemError(
             "the saddle-point baseline requires linear constraints")
-    x_new = project(feasible_set,
-                    x - alpha * (oracle.subgrad_f(x) + oracle.jac_g(x).T.dot(lam)))
+    x_new = feasible_set.project(
+        x - alpha * (oracle.subgrad_f(x) + oracle.jac_g(x).T.dot(lam)))
     lam_new = np.maximum(lam + mu * oracle.eval_g(x_new), 0.0)
     return x_new, lam_new
 
@@ -94,15 +93,15 @@ def ny_step(x: Array, lam: Array, oracle: RoundOracle,
     around it.
     """
     if x_old is None:
-        x_new = project(feasible_set,
-                        x - (nu * oracle.subgrad_f(x) + oracle.jac_g(x).T.dot(lam))
-                        / (2.0 * alpha))
+        x_new = feasible_set.project(
+            x - (nu * oracle.subgrad_f(x) + oracle.jac_g(x).T.dot(lam))
+            / (2.0 * alpha))
         lam_new = np.maximum(lam + oracle.eval_g(x_new), 0.0)
         return x_new, lam_new
     jac_old = oracle.jac_g(x_old)
-    x_new = project(feasible_set,
-                    x - (nu * oracle.subgrad_f(x_old) + jac_old.T.dot(lam_old))
-                    / (2.0 * alpha))
+    x_new = feasible_set.project(
+        x - (nu * oracle.subgrad_f(x_old) + jac_old.T.dot(lam_old))
+        / (2.0 * alpha))
     lam_new = np.maximum(lam + oracle.eval_g(x_old) + jac_old.dot(x_new - x_old), 0.0)
     return x_new, lam_new
 
@@ -113,8 +112,8 @@ def czp_step(x: Array, lam: Array, x_old: Array, lam_old: Array,
     """Delayed variant of the CL step; ``oracle`` is the round received now,
     ``x_old``/``lam_old`` the decision and multiplier from when it was
     generated."""
-    x_new = project(feasible_set,
-                    x - eta * (oracle.subgrad_f(x_old) + oracle.jac_g(x_old).T.dot(lam_old)))
+    x_new = feasible_set.project(
+        x - eta * (oracle.subgrad_f(x_old) + oracle.jac_g(x_old).T.dot(lam_old)))
     lam_new = np.maximum(lam + eta * (oracle.eval_g(x_old) - delta * eta * lam_old), 0.0)
     return x_new, lam_new
 

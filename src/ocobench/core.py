@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -117,7 +118,7 @@ class EuclideanBall:
 
     def project(self, x: Array) -> Array:
         """The nearest point of the ball to a float n-vector (unchecked)."""
-        nrm = float(np.linalg.norm(x))
+        nrm = math.sqrt(float(x.dot(x)))
         return x.copy() if nrm <= self.radius else x * (self.radius / nrm)
 
 

@@ -16,6 +16,7 @@ squared-hinge penalty in an exact prox.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -121,7 +122,8 @@ def closed_form_linearized_p1(a: Array, b: Array, gamma: float,
 
 
 def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
-                     cfg: MalmConfig, feasible_set: FeasibleSet) -> Array:
+                     cfg: MalmConfig, feasible_set: FeasibleSet,
+                     record: dict) -> Array:
     """Handle the hinged objective [f + <u, x-a>]_+ through its scalar dual.
 
     [w]_+ = max_{0 <= mu <= 1} mu w, so for each fixed mu the inner problem
@@ -130,7 +132,9 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     derivative equal to the hinge argument at the inner solution, whose root
     Brent's method locates; no mu is solved twice.  The inner certificate
     uses mu * u, an epsilon-subgradient selection of the hinge at the
-    returned point, so it also certifies the truncated objective.
+    returned point, so it also certifies the truncated objective.  The inner
+    models share G with ``model``, so the returned point's shift, when its
+    inner solve handed one back, goes to ``record``.
     """
     from scipy.optimize import brentq  # only the truncated model needs it
 
@@ -141,20 +145,25 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     def solve_at(mu: float):
         if mu not in solved:
             scaled = replace(model, kind=LINEARIZED, f_anchor=mu * f_anchor, u=mu * u)
-            x = solve_subproblem(scaled, prox_center, lam, inner_cfg, feasible_set)
-            solved[mu] = x, f_anchor + float(u @ (x - anchor))
+            inner = {}
+            x = solve_subproblem(scaled, prox_center, lam, inner_cfg, feasible_set,
+                                 inner)
+            solved[mu] = x, f_anchor + float(u @ (x - anchor)), inner.get("shift")
         return solved[mu]
 
-    x, h = solve_at(0.0)
-    if h <= 0.0:
+    def done(mu: float) -> Array:
+        x, _, shift = solved[mu]
+        if shift is not None:
+            record["shift"] = shift
         return x
-    x, h = solve_at(1.0)
-    if h >= 0.0:
-        return x
-    width = min(cfg.tol / (4.0 * (1.0 + float(np.linalg.norm(u)))), 1e-12)
-    mu = brentq(lambda m: solve_at(m)[1], 0.0, 1.0, xtol=width, maxiter=200,
-                disp=False)
-    return solved[mu][0]
+
+    if solve_at(0.0)[1] <= 0.0:
+        return done(0.0)
+    if solve_at(1.0)[1] >= 0.0:
+        return done(1.0)
+    width = min(cfg.tol / (4.0 * (1.0 + math.sqrt(float(u.dot(u))))), 1e-12)
+    return done(brentq(lambda m: solve_at(m)[1], 0.0, 1.0, xtol=width,
+                       maxiter=200, disp=False))
 
 
 def _plain_l1_parts(model: ModelAt, prox_center: Array, lam: Array,
@@ -238,7 +247,8 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     while True:
         J = model.jac_G(x)
         g = _gradient(model, x, shift, J, alpha, prox_center)
-        res = float(np.linalg.norm(x - project(feasible_set, x - g)))
+        r = x - feasible_set.project(x - g)
+        res = math.sqrt(float(r.dot(r)))
         if res <= tol or steps == _NEWTON_MAX_STEPS:
             return x, res
         steps += 1
@@ -266,8 +276,8 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
         while True:
             x_new = x - step * direction
             if box:
-                x_new = project(feasible_set, x_new)
-            elif np.linalg.norm(x_new) > feasible_set.radius:
+                x_new = feasible_set.project(x_new)
+            elif math.sqrt(float(x_new.dot(x_new))) > feasible_set.radius:
                 return x, res
             value_new, shift_new = evaluate(x_new)
             if value_new <= value + _ARMIJO * float(g @ (x_new - x)) + rounding:
@@ -297,7 +307,8 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
 
     ``record``, a dict when given, gets the path that returned the point
     under "path" ("closed_form", "newton", "fista" or "truncated") and,
-    when that path evaluated it at the returned point x, the shift
+    when that path (for the truncated model, the inner solve that returned
+    the point) evaluated it at the returned point x, the shift
     lam + sigma G(x) under "shift", which ``multiplier_update`` takes.
     """
     prox_center = np.asarray(prox_center, dtype=float)
@@ -305,7 +316,7 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     record = {} if record is None else record
     if model.kind == TRUNCATED:
         record["path"] = TRUNCATED
-        return _solve_truncated(model, prox_center, lam, cfg, feasible_set)
+        return _solve_truncated(model, prox_center, lam, cfg, feasible_set, record)
     x = prox_center
     seen_x = seen_shift = None  # the last point shift_at evaluated, its shift
 
@@ -335,7 +346,7 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
                              prox_center)
 
         def prox(z: Array, step: float) -> Array:
-            return project(feasible_set, z)
+            return feasible_set.project(z)
 
     if model.kind == LINEARIZED and model.oracle.p == 1:
         a = model.u - cfg.alpha * prox_center
@@ -344,7 +355,8 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
                  - float(model.V[0].dot(model.anchor)))
         x = closed_form_linearized_p1(a, b, gamma, cfg.alpha, cfg.sigma,
                                       feasible_set)
-        if np.linalg.norm(x - prox(x - grad(x), 1.0)) <= cfg.tol:
+        r = x - prox(x - grad(x), 1.0)
+        if math.sqrt(float(r.dot(r))) <= cfg.tol:
             return done(x, "closed_form")
 
     structure = model.quadratic_structure()

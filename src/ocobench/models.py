@@ -68,6 +68,8 @@ class ModelAt:
             return np.asarray(self.oracle.subgrad_f(x), dtype=float)
         if self.kind == TRUNCATED and not self.eval_F(x) > 0.0:
             return np.zeros_like(self.u)
+        if self.iota == 0.0:
+            return self.u  # shared with the model: callers only read it
         return self.u + self.iota * (np.asarray(x, float) - self.anchor)
 
     def eval_G(self, x: Array) -> Array:

@@ -336,7 +336,8 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
 
     return ProblemInstance(
         kind="olr", set=feasible_set, rounds=rounds, constants=constants,
-        seed=seed, data={"u": u_all, "labels": labels, "a": a}, stacked=stacked)
+        seed=seed, data={"u": u_all, "labels": labels, "a": a, "Z": Z_all},
+        stacked=stacked)
 
 
 def _quadratic_round(A_t: Array, b_t: Array, C_t: Array, d_t: Array,

@@ -7,6 +7,12 @@ FISTA dropped temporaries.  Every change keeps the floating-point
 operations and their operands, so x* must be bit-identical to the copy
 below, which runs on ``test_apg.reference_fista``.  Any moved float would
 move every regret column of every run, the benchmark's references included.
+
+The ``olr`` comparator moved x* on purpose: it takes Newton steps while they
+stay inside the l1 ball and the box, and hands over to FISTA where one
+leaves it.  Where x* is interior it is held to 1e-9 of the frozen solver's
+and to a certified residual; where the first step leaves the set, FISTA
+starts at 0 as before and must return the frozen bits.
 """
 
 import dataclasses
@@ -16,6 +22,7 @@ import pytest
 
 from ocobench import (ConvergenceError, InfeasibleProblemError, generate_nra,
                       generate_olr, generate_oqcqp, project, solve_comparator)
+from ocobench import offline
 from ocobench.offline import project_l1_box
 
 from test_apg import reference_fista
@@ -152,8 +159,96 @@ def test_comparator_floats_match_the_frozen_solver(make):
                           reference_al_loop(prob, 1e-7))
 
 
+def olr_residual(problem, x):
+    """The projected-gradient residual ||x - P(x - grad sum_t f_t(x))|| over
+    the l1 ball of the smallest budget intersected with the box."""
+    from scipy.special import expit
+
+    Z = (problem.data["labels"][:, :, None] * problem.data["u"]) \
+        .reshape(-1, problem.n)
+    grad = -(Z.T @ expit(-(Z @ x)))
+    r = x - project_l1_box(x - grad, float(problem.data["a"].min()),
+                           float(problem.set.upper[0]))
+    return float(np.linalg.norm(r))
+
+
+def summed_loss(problem, x):
+    return float(problem.values(np.broadcast_to(x, (problem.T, problem.n)))[0].sum())
+
+
+def fista_starts(monkeypatch):
+    """The starting points of every ``offline.fista`` call from now on."""
+    starts = []
+    fista = offline.fista
+
+    def spy(x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return fista(x0, *args, **kwargs)
+
+    monkeypatch.setattr(offline, "fista", spy)
+    return starts
+
+
 def test_olr_comparator_floats_match_the_frozen_solver():
+    # Newton moves x* on purpose: within 1e-9 of the frozen FISTA solution,
+    # with the same summed loss and a certified residual
     pytest.importorskip("scipy")
     prob = generate_olr(5, 10, 2000, 10.0, seed=0)
-    assert np.array_equal(solve_comparator(prob, 1e-7),
-                          reference_solve_olr(prob, 1e-7))
+    x, ref = solve_comparator(prob, 1e-7), reference_solve_olr(prob, 1e-7)
+    assert np.max(np.abs(x - ref)) <= 1e-9
+    assert summed_loss(prob, x) == pytest.approx(summed_loss(prob, ref), rel=1e-9)
+    assert olr_residual(prob, x) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_olr_comparator_on_the_preset_shape_takes_no_fista_step(monkeypatch, seed):
+    # x* lies inside the l1 ball there, so Newton certifies it
+    pytest.importorskip("scipy")
+    starts = fista_starts(monkeypatch)
+    prob = generate_olr(5, 10, 2000, 10.0, seed=seed)
+    x = solve_comparator(prob, 1e-7)
+    assert starts == []
+    assert olr_residual(prob, x) <= 1e-7
+
+
+@pytest.mark.parametrize("args", [
+    (4, 5, 40, 2.0, 0), (4, 5, 40, 2.0, 1), (4, 5, 40, 2.0, 2),
+    (5, 10, 2000, 0.01, 0),
+], ids=["a0", "a1", "a2", "box"])
+def test_olr_comparator_hands_a_binding_budget_to_fista(monkeypatch, args):
+    # the first Newton step leaves the set, so FISTA starts at 0 as the
+    # frozen solver does, and returns its bits
+    pytest.importorskip("scipy")
+    starts = fista_starts(monkeypatch)
+    prob = generate_olr(*args)
+    x = solve_comparator(prob, 1e-7)
+    assert len(starts) == 1 and np.array_equal(starts[0], np.zeros(prob.n))
+    assert olr_residual(prob, x) <= 1e-7
+    assert np.array_equal(x, reference_solve_olr(prob, 1e-7))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_olr_comparator_falls_back_on_a_rank_deficient_hessian(monkeypatch, seed):
+    # two samples in five dimensions: H has rank 2, so the Newton step is
+    # refused (LinAlgError) or leaves the set, and FISTA certifies the point
+    pytest.importorskip("scipy")
+    starts = fista_starts(monkeypatch)
+    prob = generate_olr(5, 1, 2, 1.0, seed=seed)
+    x = solve_comparator(prob, 1e-7)
+    assert len(starts) == 1
+    assert olr_residual(prob, x) <= 1e-7
+    assert np.max(np.abs(x - reference_solve_olr(prob, 1e-7))) <= 1e-6
+
+
+def test_olr_comparator_warm_starts_fista_at_the_last_newton_point(monkeypatch):
+    # with the step cap at one, FISTA starts from the Newton point inside
+    # the set and certifies the same x*
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(offline, "_OLR_NEWTON_STEPS", 1)
+    starts = fista_starts(monkeypatch)
+    prob = generate_olr(5, 10, 2000, 10.0, seed=0)
+    x = solve_comparator(prob, 1e-7)
+    assert len(starts) == 1 and np.any(starts[0] != 0.0)
+    assert np.abs(starts[0]).sum() <= float(prob.data["a"].min())
+    assert olr_residual(prob, x) <= 1e-7
+    assert np.max(np.abs(x - reference_solve_olr(prob, 1e-7))) <= 1e-9

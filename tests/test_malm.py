@@ -935,7 +935,8 @@ def test_ball_subproblems_match_a_tight_gradient_solve(case):
                  ball_subproblems(), truncated_subproblems(), l1_subproblems()))
 def test_handed_back_shift_gives_the_same_multiplier_bits(case):
     # the closed form and Newton always end on a point whose shift they
-    # took; FISTA does when its last gradient was taken at its point
+    # took; FISTA does when its last gradient was taken at its point, and
+    # the truncated model when the inner solve that returned its point did
     model, center, lam, cfg, feasible = case
     record = {}
     x = solve_subproblem(model, center, lam, cfg, feasible, record)
@@ -944,7 +945,7 @@ def test_handed_back_shift_gives_the_same_multiplier_bits(case):
     assert path in ("closed_form", "newton", "fista", TRUNCATED)
     if path in ("closed_form", "newton"):
         assert "shift" in record
-    if path == TRUNCATED or model.kind == PLAIN and model.oracle.g_kind == "l1":
+    if model.kind == PLAIN and model.oracle.g_kind == "l1":
         assert "shift" not in record
     if "shift" in record:
         assert np.array_equal(multiplier_update(lam, model, x, cfg.sigma,
@@ -952,18 +953,25 @@ def test_handed_back_shift_gives_the_same_multiplier_bits(case):
                               multiplier_update(lam, model, x, cfg.sigma))
 
 
-# (preset, T, seeds): grids on which every MALM round takes the closed form
-# (olr) or Newton (nra, oqcqp with its five delays)
-@pytest.mark.parametrize("preset, T, seeds", [
-    ("olr-paper", 2000, (0,)),
-    ("nra-paper", 150, (0,)),
-    ("oqcqp-paper", 120, (0, 1, 2, 3)),
-], ids=["olr", "nra", "oqcqp"])
-def test_malm_evaluates_g_once_fewer_per_round_with_the_shift(monkeypatch,
-                                                              preset, T, seeds):
-    if preset == "olr-paper":
+# (preset, T, seeds, overrides): grids on which every MALM round takes the
+# closed form (olr) or Newton (nra, oqcqp with its five delays), and
+# truncated runs whose inner solves take them and hand back their shift
+_TRUNCATED = {"malm_model": TRUNCATED, "malm_alpha": None, "malm_sigma": None}
+
+
+@pytest.mark.parametrize("preset, T, seeds, overrides", [
+    ("olr-paper", 2000, (0,), {}),
+    ("nra-paper", 150, (0,), {}),
+    ("oqcqp-paper", 120, (0, 1, 2, 3), {}),
+    ("olr-paper", 300, (0,), dict(_TRUNCATED, malm_alpha=0.05)),
+    ("nra-paper", 120, (0,), _TRUNCATED),
+], ids=["olr", "nra", "oqcqp", "olr-truncated", "nra-truncated"])
+def test_malm_evaluates_g_once_fewer_per_round_with_the_shift(monkeypatch, preset,
+                                                              T, seeds, overrides):
+    if preset == "olr-paper" or overrides:
         pytest.importorskip("scipy")
-    config = replace(PRESETS[preset], T=T, seeds=seeds, algos=("malm",))
+    config = replace(PRESETS[preset], T=T, seeds=seeds, algos=("malm",),
+                     **overrides)
     calls = Counter()
     eval_G = ModelAt.eval_G
 
@@ -989,3 +997,4 @@ def test_malm_evaluates_g_once_fewer_per_round_with_the_shift(monkeypatch,
     assert without_shift - with_shift == rounds
     for a, b in zip(handed_back, evaluated):
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.lambdas, b.lambdas)
+
