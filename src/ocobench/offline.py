@@ -3,10 +3,11 @@ every round's constraints over the feasible set.
 
 The regression problem's constraints reduce to an l1 ball intersected with
 the sup-norm box, solved by Newton steps while they stay inside it and by
-projected gradient once one leaves it.  Every other family goes through one
-augmented-Lagrangian loop (method of multipliers) over its stacked
-constraints, of which the network problem's aggregate exactly to
-A x <= -max_t b_t.
+projected gradient once one leaves it; its sigmoid is the rounds' own,
+from the C library's ``exp``, so no family here needs scipy.  Every other
+family goes through one augmented-Lagrangian loop (method of multipliers)
+over its stacked constraints, of which the network problem's aggregate
+exactly to A x <= -max_t b_t.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from ._apg import fista
 from .core import (Array, ConvergenceError, InfeasibleProblemError,
                    _l1_threshold, project)
-from .problems import ProblemInstance
+from .problems import ProblemInstance, _expit_neg
 
 _MAX_OUTER = 100
 _RHO_CAP = 1e13
@@ -201,22 +202,19 @@ def _solve_olr(problem: ProblemInstance, tol: float) -> Array:
     that leaves the set, a singular H or the step cap hands the last point
     inside the set to FISTA, which certifies the same residual.
     """
-    from scipy.special import expit
-
     a_min = float(problem.data["a"].min())
     M = float(problem.set.upper[0])
     Z = problem.data["Z"].reshape(-1, problem.n)
 
     def grad(x):
-        # Z @ -x is -(Z @ x) exactly: negation commutes with the product.
-        return -(Z.T @ expit(Z @ -x))
+        return -(Z.T @ np.array(_expit_neg((Z @ x).tolist())))
 
     def prox(z, step):
         return project_l1_box(z, a_min, M)
 
     x = np.zeros(problem.n)
     for _ in range(_OLR_NEWTON_STEPS):
-        s = expit(Z @ -x)
+        s = np.array(_expit_neg((Z @ x).tolist()))
         g = -(Z.T @ s)
         r = x - prox(x - g, 1.0)
         if math.sqrt(float(r.dot(r))) <= tol:

@@ -9,6 +9,7 @@ same oracles bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -249,12 +250,30 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
         stacked=stacked)
 
 
-def _logistic_round(Z_t: Array, a_t: float, n: int, expit) -> RoundOracle:
+def _sigmoid_neg(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(v))
+    except OverflowError:  # C's exp returns inf here, and 1 / (1 + inf) is 0
+        return 0.0
+
+
+def _expit_neg(u: list) -> list:
+    """1 / (1 + exp(v)) for each float v of ``u``: ``scipy.special.expit(-u)``
+    bit for bit, since ``math.exp`` is the C library's ``exp`` that scipy
+    calls (numpy's own SIMD ``exp`` is not).  The second pass runs only
+    where an ``exp`` overflows."""
+    try:
+        return [1.0 / (1.0 + math.exp(v)) for v in u]
+    except OverflowError:
+        return [_sigmoid_neg(v) for v in u]
+
+
+def _logistic_round(Z_t: Array, a_t: float, n: int) -> RoundOracle:
     def eval_f(x):
         return float(np.logaddexp(0.0, -Z_t.dot(x)).sum())
 
     def subgrad_f(x):
-        return -Z_t.T.dot(expit(-Z_t.dot(x)))
+        return -Z_t.T.dot(_expit_neg(Z_t.dot(x).tolist()))
 
     def eval_g(x):
         return np.array([np.abs(x).sum() - a_t])
@@ -313,11 +332,9 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     for t in range(1, T):
         a[t] = max(a[t - 1] + a_steps[t - 1], 0.0)
 
-    from scipy.special import expit  # only olr needs scipy
-
     Z_all = labels[:, :, None] * u_all
     feasible_set = Box(np.full(n, -M), np.full(n, M))
-    rounds = tuple(_logistic_round(Z_t, float(a_t), n, expit)
+    rounds = tuple(_logistic_round(Z_t, float(a_t), n)
                    for Z_t, a_t in zip(Z_all, a))
 
     def stacked(xs):

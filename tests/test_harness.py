@@ -183,21 +183,31 @@ def test_cli_smoke_preset_succeeds(tmp_path):
     assert len(rows) == 100 * 2
 
 
-def test_cli_smoke_run_never_imports_scipy(tmp_path):
-    # scipy serves only olr and the truncated model, so an oqcqp run should
-    # not pay for its import
+def scipy_modules_after(args, cwd):
+    """Exit code and the scipy modules loaded after ``main(args)`` in a child."""
     script = ("import sys\nfrom ocobench.cli import main\n"
-              "code = main(['--preset', 'smoke', '--out', 'smoke.csv'])\n"
+              f"code = main({args!r})\n"
               "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    res = run_python(["-c", script], tmp_path)
+    res = run_python(["-c", script], cwd)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "0 []"
+    return res.stdout.splitlines()[-1]
 
 
-def test_cli_nra_run_needs_no_scipy(tmp_path):
-    # the Slater-margin LP is solved in the package, so an nra run works
-    # where any scipy import fails, and writes the same bytes
-    args = ["--problem", "nra", "--T", "40", "--seed", "0"]
+def test_cli_smoke_run_never_imports_scipy(tmp_path):
+    # scipy serves only the truncated model, so an oqcqp run should not pay
+    # for its import
+    assert scipy_modules_after(["--preset", "smoke", "--out", "smoke.csv"],
+                               tmp_path) == "0 []"
+
+
+def test_cli_linearized_olr_run_never_imports_scipy(tmp_path):
+    # the sigmoid comes from math.exp, in the rounds and in the comparator
+    assert scipy_modules_after(["--preset", "olr-paper", "--T", "200",
+                                "--out", "olr.csv"], tmp_path) == "0 []"
+
+
+def assert_runs_without_scipy(args, tmp_path):
+    """``args`` exits 0 where any scipy import fails, with the same bytes."""
     script = ("import sys\nsys.modules['scipy'] = None\n"
               "from ocobench.cli import main\n"
               f"sys.exit(main({args + ['--out', 'blocked.csv']!r}))")
@@ -207,6 +217,19 @@ def test_cli_nra_run_needs_no_scipy(tmp_path):
     assert free.returncode == 0, free.stderr
     assert (tmp_path / "blocked.csv").read_bytes() \
         == (tmp_path / "free.csv").read_bytes()
+
+
+def test_cli_nra_run_needs_no_scipy(tmp_path):
+    # the Slater-margin LP is solved in the package
+    assert_runs_without_scipy(["--problem", "nra", "--T", "40", "--seed", "0"],
+                              tmp_path)
+
+
+def test_cli_olr_run_needs_no_scipy(tmp_path):
+    # the rounds' gradients and the comparator's Newton steps and FISTA
+    # share the package's sigmoid
+    assert_runs_without_scipy(["--preset", "olr-paper", "--T", "300",
+                               "--seed", "0"], tmp_path)
 
 
 def test_cli_rejects_unknown_preset(tmp_path):

@@ -1,12 +1,17 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ocobench.problems as problems
 from ocobench import (Box, ConvergenceError, EuclideanBall,
                       ProblemArgumentError, generate_nra, generate_olr,
                       generate_oqcqp)
 from ocobench.cli import main
-from ocobench.problems import _slater_margin
+from ocobench.problems import _expit_neg, _slater_margin
 
 from helpers import affine_round, contains, generic_problem, sample_in
 
@@ -182,6 +187,40 @@ def test_olr_budget_walk_and_flags():
     assert np.array_equal(prob.set.lower, np.full(4, -2.0))
     assert np.array_equal(prob.set.upper, np.full(4, 2.0))
     assert prob.constants.eps0 == pytest.approx(a.min())
+
+
+def assert_expit_neg_is_scipys(u):
+    expit = pytest.importorskip("scipy.special").expit
+    got = np.array(_expit_neg(list(u)))
+    assert np.array_equal(got, expit(-np.array(u, dtype=float)), equal_nan=True)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_expit_neg_is_scipys_expit_bit_for_bit(u):
+    assert_expit_neg_is_scipys(u)
+
+
+def test_expit_neg_is_scipys_expit_at_the_edges():
+    # math.exp raises from the first double past log(max float) on, where
+    # C's exp returns inf; near -745 it underflows through the subnormals
+    top = math.log(sys.float_info.max)
+    near_top = [top]
+    for _ in range(3):
+        near_top += [np.nextafter(near_top[-1], np.inf),
+                     np.nextafter(near_top[0], -np.inf)]
+    with pytest.raises(OverflowError):
+        math.exp(max(near_top))
+    tiny = 5e-324
+    edges = [np.inf, -np.inf, np.nan, 0.0, -0.0, tiny, -tiny,
+             sys.float_info.min, -sys.float_info.min,
+             np.nextafter(sys.float_info.min, 0.0), 709.0, -709.0,
+             *near_top, *(-v for v in near_top),
+             *np.linspace(-746.0, -744.0, 401), *np.linspace(744.0, 746.0, 5)]
+    for v in edges:
+        assert_expit_neg_is_scipys([v])
+    # one overflow mid-list sends every entry through the second pass
+    assert_expit_neg_is_scipys(edges)
+    assert_expit_neg_is_scipys(np.random.default_rng(0).normal(0.0, 30.0, 10_000))
 
 
 def test_oqcqp_slater_pins_and_psd_drift():

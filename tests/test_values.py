@@ -2,8 +2,7 @@
 
 The stacked forms must reproduce the per-round floats bit for bit, at every
 preset algorithm's decisions and at the comparator, because the CSVs are
-scored from them.  The nra and oqcqp cases need no scipy; olr's generator
-does, so its cases skip without it.
+scored from them.  No case needs scipy.
 """
 
 import dataclasses
@@ -40,8 +39,6 @@ def assert_same_values(problem, xs):
 
 def preset_cells(family, seed):
     preset, T, _ = FAMILIES[family]
-    if family == "olr":
-        pytest.importorskip("scipy")
     base = PRESETS[preset]
     problem = generate_problem(dataclasses.replace(base, T=T, taus=(0,)), seed)
     cells = []

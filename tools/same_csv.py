@@ -14,7 +14,9 @@ directory.  A run is the same in both trees when its exit codes match and
 either both exit 0 with CSVs that ``cmp`` finds identical, or both print
 the same stderr.  The runs that differ are printed, each with its exit
 codes and stderr, or, when both exit 0, with the largest absolute change
-of each numeric CSV column and the row counts if they differ.  The exit
+of each numeric CSV column, next to its largest change on the cells' final
+rows (the values the benchmark checks), and the row counts if they differ.
+The exit
 code is 1 if any run differs, else 0.  A refactor that must not move any
 number should pass it against its parent commit.
 """
@@ -96,18 +98,25 @@ def run_all(tree: str, work: str) -> dict:
 
 def column_moves(here_csv: str, ref_csv: str) -> list:
     """Lines giving the largest absolute change of each numeric column
-    between two CSVs, row by row, and their row counts if they differ."""
+    between two CSVs, row by row, and at the final rows of the cells, and
+    their row counts if they differ.  A cell counts t up from 1, so its final
+    row is the CSV's last or the one before a t of 1."""
     with open(here_csv, newline="") as here_fh, open(ref_csv, newline="") as ref_fh:
         here, ref = list(csv.DictReader(here_fh)), list(csv.DictReader(ref_fh))
     lines = [] if len(here) == len(ref) else [
         f"rows: {len(here)} here, {len(ref)} in REF"]
+    pairs = list(zip(here, ref))
+    final = [i for i in range(len(pairs))
+             if i + 1 == len(pairs) or here[i + 1].get("t") == "1"]
     for column in (here[0] if here else ()):
         try:
-            move = max(abs(float(row[column]) - float(ref_row[column]))
-                       for row, ref_row in zip(here, ref))
+            moves = [abs(float(row[column]) - float(ref_row[column]))
+                     for row, ref_row in pairs]
+            last = max(moves[i] for i in final)
         except (KeyError, ValueError):  # not numeric, not in REF, or no rows
             continue
-        lines.append(f"{column}: largest change {move:.3g}")
+        lines.append(f"{column}: largest change {max(moves):.3g}, "
+                     f"final rows {last:.3g}")
     return lines
 
 
