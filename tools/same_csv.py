@@ -16,9 +16,8 @@ the same stderr.  The runs that differ are printed, each with its exit
 codes and stderr, or, when both exit 0, with the largest absolute change
 of each numeric CSV column, next to its largest change on the cells' final
 rows (the values the benchmark checks), and the row counts if they differ.
-The exit
-code is 1 if any run differs, else 0.  A refactor that must not move any
-number should pass it against its parent commit.
+The exit code is 1 if any run differs, else 0.  A refactor that must not
+move any number should pass it against its parent commit.
 """
 
 from __future__ import annotations
