@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -122,19 +122,18 @@ def closed_form_linearized_p1(a: Array, b: Array, gamma: float,
 
 
 def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
-                     cfg: MalmConfig, feasible_set: FeasibleSet,
-                     record: dict) -> Array:
+                     cfg: MalmConfig, feasible_set: FeasibleSet):
     """Handle the hinged objective [f + <u, x-a>]_+ through its scalar dual.
 
     [w]_+ = max_{0 <= mu <= 1} mu w, so for each fixed mu the inner problem
     is the linearized model with the tangent plane of f scaled by mu, which
-    solve_subproblem certifies at tol/4.  The dual function is concave with
+    ``_solve_model`` certifies at tol/4.  The dual function is concave with
     derivative equal to the hinge argument at the inner solution, whose root
     Brent's method locates; no mu is solved twice.  The inner certificate
     uses mu * u, an epsilon-subgradient selection of the hinge at the
     returned point, so it also certifies the truncated objective.  The inner
-    models share G with ``model``, so the returned point's shift, when its
-    inner solve handed one back, goes to ``record``.
+    models share G with ``model``, so the root's inner solve returns the
+    shift at the returned point too.
     """
     from scipy.optimize import brentq  # only the truncated model needs it
 
@@ -142,28 +141,23 @@ def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
     anchor, f_anchor, u = model.anchor, model.f_at_anchor, model.u
     solved = {}
 
-    def solve_at(mu: float):
+    def slope(mu: float) -> float:
         if mu not in solved:
             scaled = replace(model, kind=LINEARIZED, f_anchor=mu * f_anchor, u=mu * u)
-            inner = {}
-            x = solve_subproblem(scaled, prox_center, lam, inner_cfg, feasible_set,
-                                 inner)
-            solved[mu] = x, f_anchor + float(u @ (x - anchor)), inner.get("shift")
-        return solved[mu]
+            x, _, shift = _solve_model(scaled, prox_center, lam, inner_cfg,
+                                       feasible_set)
+            solved[mu] = x, shift, f_anchor + float(u @ (x - anchor))
+        return solved[mu][2]
 
-    def done(mu: float) -> Array:
-        x, _, shift = solved[mu]
-        if shift is not None:
-            record["shift"] = shift
-        return x
-
-    if solve_at(0.0)[1] <= 0.0:
-        return done(0.0)
-    if solve_at(1.0)[1] >= 0.0:
-        return done(1.0)
-    width = min(cfg.tol / (4.0 * (1.0 + math.sqrt(float(u.dot(u))))), 1e-12)
-    return done(brentq(lambda m: solve_at(m)[1], 0.0, 1.0, xtol=width,
-                       maxiter=200, disp=False))
+    if slope(0.0) <= 0.0:
+        mu = 0.0
+    elif slope(1.0) >= 0.0:
+        mu = 1.0
+    else:
+        width = min(cfg.tol / (4.0 * (1.0 + math.sqrt(float(u.dot(u))))), 1e-12)
+        mu = brentq(slope, 0.0, 1.0, xtol=width, maxiter=200, disp=False)
+    x, shift, _ = solved[mu]
+    return x, TRUNCATED, shift
 
 
 def _plain_l1_parts(model: ModelAt, prox_center: Array, lam: Array,
@@ -210,8 +204,7 @@ _ROUNDING = 1e-14
 
 def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
                   cfg: MalmConfig, feasible_set: FeasibleSet, x_start: Array,
-                  hess_F: Array, hess_G: Optional[Array],
-                  shift_at: Callable[[Array], Array]):
+                  hess_F: Array, hess_G: Optional[Array]):
     """Newton method for a subproblem whose F and G are quadratics.
 
     With s = [lam + sigma G(x)]_+, J = jac_G(x) and S the rows where s > 0,
@@ -224,10 +217,10 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     them by B's diagonal and searches the projection arc; on a Euclidean
     ball the steps stay inside.  The line search is Armijo on the subproblem
     objective, from the projection of ``x_start``, at one G(x) per point,
-    through ``shift_at(x)`` = lam + sigma G(x), and one J per iterate.
-    Returns the last point and its projected-gradient residual, above tol
-    when the step cap is reached, no decrease is found or a trial point
-    leaves the ball; a certified point is the last one ``shift_at`` saw.
+    through the shift lam + sigma G(x), and one J per iterate.  Returns the
+    last point, its projected-gradient residual, above tol when the step cap
+    is reached, no decrease is found or a trial point leaves the ball, and
+    its shift.
     """
     alpha, sigma, tol = cfg.alpha, cfg.sigma, cfg.tol
     box = isinstance(feasible_set, Box)
@@ -238,7 +231,7 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
         base = base + alpha * np.eye(x_start.size)
 
     def evaluate(x: Array) -> tuple:
-        shift = shift_at(x)
+        shift = lam + sigma * model.eval_G(x)
         return _value(model, x, lam, shift, alpha, sigma, prox_center), shift
 
     x = project(feasible_set, x_start)
@@ -250,7 +243,7 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
         r = x - feasible_set.project(x - g)
         res = math.sqrt(float(r.dot(r)))
         if res <= tol or steps == _NEWTON_MAX_STEPS:
-            return x, res
+            return x, res, shift
         steps += 1
         hinged = shift > 0.0
         free = ~(((x <= feasible_set.lower + tol) & (g > 0.0))
@@ -278,13 +271,13 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
             if box:
                 x_new = feasible_set.project(x_new)
             elif math.sqrt(float(x_new.dot(x_new))) > feasible_set.radius:
-                return x, res
+                return x, res, shift
             value_new, shift_new = evaluate(x_new)
             if value_new <= value + _ARMIJO * float(g @ (x_new - x)) + rounding:
                 break
             step *= 0.5
             if step < _MIN_STEP:
-                return x, res
+                return x, res, shift
         x, value, shift = x_new, value_new, shift_new
 
 
@@ -293,44 +286,37 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
                      record: Optional[dict] = None) -> Array:
     """Minimize the augmented Lagrangian plus proximal term over the set.
 
-    The truncated model goes to its dual root search, whose inner problems
-    come back here as linearized models.  Any other model gets one gradient
-    and prox pair, the whole objective's gradient with the projection or,
-    for the plain model with an l1 constraint, that of f plus the prox term
-    with the penalty and the box in an exact prox.  It starts at the prox
-    center and tries, in order: the closed form for a single affine
-    constraint under the linearized model; the Newton method when F and G
-    are quadratics of constant Hessians (``ModelAt.quadratic_structure``),
-    on a box or inside a ball; and FISTA on the pair, warm-started from the
-    point the path before it could not certify.  The result satisfies the
-    pair's proximal-gradient residual bound cfg.tol.
-
-    ``record``, a dict when given, gets the path that returned the point
-    under "path" ("closed_form", "newton", "fista" or "truncated") and,
-    when that path (for the truncated model, the inner solve that returned
-    the point) evaluated it at the returned point x, the shift
+    The truncated model goes to its dual root search, any other model to
+    ``_solve_model``; either certifies the point x at cfg.tol.  ``record``,
+    a dict when given, gets the path that returned x under "path"
+    ("closed_form", "newton", "fista" or "truncated") and the shift
     lam + sigma G(x) under "shift", which ``multiplier_update`` takes.
     """
     prox_center = np.asarray(prox_center, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    record = {} if record is None else record
-    if model.kind == TRUNCATED:
-        record["path"] = TRUNCATED
-        return _solve_truncated(model, prox_center, lam, cfg, feasible_set, record)
-    x = prox_center
-    seen_x = seen_shift = None  # the last point shift_at evaluated, its shift
+    solve = _solve_truncated if model.kind == TRUNCATED else _solve_model
+    x, path, shift = solve(model, prox_center, lam, cfg, feasible_set)
+    if record is not None:
+        record["path"], record["shift"] = path, shift
+    return x
 
-    def shift_at(x: Array) -> Array:
-        nonlocal seen_x, seen_shift
-        seen_x, seen_shift = x, lam + cfg.sigma * model.eval_G(x)
-        return seen_shift
 
-    def done(x: Array, path: str) -> Array:
-        record["path"] = path
-        if x is seen_x:
-            record["shift"] = seen_shift
-        return x
+def _solve_model(model: ModelAt, prox_center: Array, lam: Array,
+                 cfg: MalmConfig, feasible_set: FeasibleSet):
+    """Solve the subproblem of any model but the truncated one.
 
+    One gradient and prox pair: the whole objective's gradient with the
+    projection or, for the plain model with an l1 constraint, that of f plus
+    the prox term with the penalty and the box in an exact prox.  From the
+    prox center it tries, in order: the closed form for a single affine
+    constraint under the linearized model; the Newton method when F and G
+    are quadratics of constant Hessians (``ModelAt.quadratic_structure``),
+    on a box or inside a ball; and FISTA on the pair, warm-started from the
+    point the path before it could not certify.  Returns the point x, whose
+    residual for the pair is at most cfg.tol, the path and the shift
+    lam + sigma G(x) that its certificate took (FISTA's is evaluated at x).
+    """
+    sigma = cfg.sigma
     l1 = model.kind == PLAIN and model.oracle.g_kind == "l1"
     if l1:
         if not isinstance(feasible_set, Box):
@@ -342,35 +328,37 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
             "plain model requires a smooth g_t (or the l1 structure)")
     else:
         def grad(x: Array) -> Array:
-            return _gradient(model, x, shift_at(x), model.jac_G(x), cfg.alpha,
-                             prox_center)
+            return _gradient(model, x, lam + sigma * model.eval_G(x),
+                             model.jac_G(x), cfg.alpha, prox_center)
 
         def prox(z: Array, step: float) -> Array:
             return feasible_set.project(z)
 
+    x = prox_center
     if model.kind == LINEARIZED and model.oracle.p == 1:
         a = model.u - cfg.alpha * prox_center
         b = model.V[0]
-        gamma = (lam[0] / cfg.sigma + model.g_anchor[0]
+        gamma = (lam[0] / sigma + model.g_anchor[0]
                  - float(model.V[0].dot(model.anchor)))
-        x = closed_form_linearized_p1(a, b, gamma, cfg.alpha, cfg.sigma,
-                                      feasible_set)
-        r = x - prox(x - grad(x), 1.0)
+        x = closed_form_linearized_p1(a, b, gamma, cfg.alpha, sigma, feasible_set)
+        shift = lam + sigma * model.eval_G(x)
+        r = x - feasible_set.project(x - _gradient(model, x, shift, model.jac_G(x),
+                                                   cfg.alpha, prox_center))
         if math.sqrt(float(r.dot(r))) <= cfg.tol:
-            return done(x, "closed_form")
+            return x, "closed_form", shift
 
     structure = model.quadratic_structure()
     if structure is not None:
-        x, res = _solve_newton(model, prox_center, lam, cfg, feasible_set, x,
-                               *structure, shift_at)
+        x, res, shift = _solve_newton(model, prox_center, lam, cfg, feasible_set,
+                                      x, *structure)
         if res <= cfg.tol:
-            return done(x, "newton")
+            return x, "newton", shift
 
     jac = 0.0 if l1 else model.jac_G(prox_center)  # the l1 prox holds G
-    l0 = cfg.alpha + model.iota + cfg.sigma * float(np.sum(jac * jac)) + 1.0
+    l0 = cfg.alpha + model.iota + sigma * float(np.sum(jac * jac)) + 1.0
     x, _, _ = fista(x, grad, prox, tol=cfg.tol, max_iters=_FISTA_MAX_ITERS,
                     l0=l0)
-    return done(x, "fista")
+    return x, "fista", lam + sigma * model.eval_G(x)
 
 
 def run_malm(problem, cfg: MalmConfig) -> Trajectory:
@@ -381,7 +369,7 @@ def run_malm(problem, cfg: MalmConfig) -> Trajectory:
     decision played in round s, which is also the prox center; the
     subproblem takes the multiplier held now, and the multiplier is updated
     with the model value at the new decision, through the shift the solve
-    evaluated there when it hands one back.
+    returns there.
     """
     def step(s, oracle, x, lam, x_old, lam_old):
         iota = problem.strong_convexity(s) \
@@ -390,6 +378,6 @@ def run_malm(problem, cfg: MalmConfig) -> Trajectory:
         solved = {}
         x_next = solve_subproblem(model, x_old, lam, cfg, problem.set, solved)
         return x_next, multiplier_update(lam, model, x_next, cfg.sigma,
-                                         solved.get("shift"))
+                                         solved["shift"])
 
     return run_schedule(problem, cfg.T, cfg.tau, step, cfg.x0)

@@ -214,7 +214,8 @@ def _solve_olr(problem: ProblemInstance, tol: float) -> Array:
 
     x = np.zeros(problem.n)
     for _ in range(_OLR_NEWTON_STEPS):
-        s = np.array(_expit_neg((Z @ x).tolist()))
+        # at x = 0 every entry of Z x is +-0, whose sigmoid is exactly 0.5
+        s = np.array(_expit_neg((Z @ x).tolist())) if x.any() else np.full(len(Z), 0.5)
         g = -(Z.T @ s)
         r = x - prox(x - g, 1.0)
         if math.sqrt(float(r.dot(r))) <= tol:

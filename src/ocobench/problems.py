@@ -85,6 +85,15 @@ class ProblemInstance:
         return f, g
 
 
+def _check_counts(seed: int, **counts) -> None:
+    """Refuse a count below 1, a negative seed or either one not an integer."""
+    for name, value in (*counts.items(), ("seed", seed)):
+        least = 0 if name == "seed" else 1
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ProblemArgumentError(
+                f"{name} must be an integer >= {least}, got {name} = {value!r}")
+
+
 def _rngs(seed: int, count: int) -> list:
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.default_rng(c) for c in children]
@@ -187,8 +196,7 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
         half the seeds admit no single decision feasible for every round).
         An LP solve its certificates do not confirm raises ConvergenceError.
     """
-    if J < 1 or K < 1 or T < 1:
-        raise ProblemArgumentError(f"J, K and T must be at least 1, got T = {T!r}")
+    _check_counts(seed, J=J, K=K, T=T)
     rng_zbar, rng_ybar, rng_price, rng_request = _rngs(seed, 4)
 
     E, p = J * K + K, J + K
@@ -313,9 +321,9 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     ProblemInstance
         With p = 1; the origin is the Slater point and eps0 = min_t a_t.
     """
-    if n < 1 or k < 1 or T < 1 or not 0.0 < M < np.inf:
-        raise ProblemArgumentError(
-            f"need n, k, T >= 1 and a finite M > 0, got T = {T!r}, M = {M!r}")
+    _check_counts(seed, n=n, k=k, T=T)
+    if not 0.0 < M < np.inf:
+        raise ProblemArgumentError(f"need a finite M > 0, got M = {M!r}")
     rng_u_init, rng_u_steps, rng_labels, rng_a_steps = _rngs(seed, 4)
 
     # Walk steps at paper round t are U[-1/(2t), 1/(2t)]; the first stored
@@ -413,9 +421,9 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
         Smooth in both loss and constraints; ``strong_convexity(t)`` is the
         smallest eigenvalue of A_t.
     """
-    if n < 1 or p < 1 or T < 1 or not 0.0 < R < np.inf:
-        raise ProblemArgumentError(
-            f"need n, p, T >= 1 and a finite R > 0, got T = {T!r}, R = {R!r}")
+    _check_counts(seed, n=n, p=p, T=T)
+    if not 0.0 < R < np.inf:
+        raise ProblemArgumentError(f"need a finite R > 0, got R = {R!r}")
     (rng_A, rng_C, rng_b_init, rng_b_steps, rng_d_init, rng_d_steps,
      rng_h, rng_xhat) = _rngs(seed, 8)
 

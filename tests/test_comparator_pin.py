@@ -12,10 +12,13 @@ The ``olr`` comparator moved x* on purpose: it takes Newton steps while they
 stay inside the l1 ball and the box, and hands over to FISTA where one
 leaves it.  Where x* is interior it is held to 1e-9 of the frozen solver's
 and to a certified residual; where the first step leaves the set, FISTA
-starts at 0 as before and must return the frozen bits.
+starts at 0 as before and must return the frozen bits.  A frozen copy of
+that Newton-first solver pins its first step, which fills the sigmoid at
+x = 0 with 0.5 instead of evaluating it, to the same bits.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +26,9 @@ import pytest
 from ocobench import (ConvergenceError, InfeasibleProblemError, generate_nra,
                       generate_olr, generate_oqcqp, project, solve_comparator)
 from ocobench import offline
+from ocobench._apg import fista
 from ocobench.offline import project_l1_box
+from ocobench.problems import _expit_neg
 
 from test_apg import reference_fista
 
@@ -238,6 +243,53 @@ def test_olr_comparator_falls_back_on_a_rank_deficient_hessian(monkeypatch, seed
     assert len(starts) == 1
     assert olr_residual(prob, x) <= 1e-7
     assert np.max(np.abs(x - reference_solve_olr(prob, 1e-7))) <= 1e-6
+
+
+def reference_newton_solve_olr(problem, tol):
+    """The earlier Newton-first ``offline._solve_olr``, with its step cap
+    inlined: it evaluates the sigmoid at x = 0 too."""
+    a_min = float(problem.data["a"].min())
+    M = float(problem.set.upper[0])
+    Z = problem.data["Z"].reshape(-1, problem.n)
+
+    def grad(x):
+        return -(Z.T @ np.array(_expit_neg((Z @ x).tolist())))
+
+    def prox(z, step):
+        return project_l1_box(z, a_min, M)
+
+    x = np.zeros(problem.n)
+    for _ in range(10):
+        s = np.array(_expit_neg((Z @ x).tolist()))
+        g = -(Z.T @ s)
+        r = x - prox(x - g, 1.0)
+        if math.sqrt(float(r.dot(r))) <= tol:
+            return x
+        w = 1.0 - s
+        w *= s
+        H = np.array([Z.T @ (w * z) for z in Z.T])
+        try:
+            x_new = x - np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            break
+        abs_x = np.abs(x_new)
+        if not (abs_x.sum() <= a_min and abs_x.max() <= M):
+            break
+        x = x_new
+    x, _, _ = fista(x, grad, prox, tol=tol, max_iters=500_000, l0=1.0)
+    return x
+
+
+@pytest.mark.parametrize("args", [
+    (5, 10, 2000, 10.0, 0), (5, 10, 2000, 10.0, 5), (5, 10, 2000, 10.0, 13),
+    (4, 5, 40, 2.0, 0),
+], ids=["pool0", "pool5", "pool13", "binding"])
+def test_olr_comparator_at_zero_matches_the_sigmoid_step(args):
+    # the first Newton step fills the sigmoid with 0.5 instead of evaluating
+    # it at x = 0; every float stays, through the FISTA hand-over too
+    prob = generate_olr(*args)
+    assert np.array_equal(solve_comparator(prob, 1e-7),
+                          reference_newton_solve_olr(prob, 1e-7))
 
 
 def test_olr_comparator_warm_starts_fista_at_the_last_newton_point(monkeypatch):

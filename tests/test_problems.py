@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -327,6 +328,30 @@ def test_generator_validation():
         generate_olr(4, 5, 0, 2.0, seed=0)
     with pytest.raises(ProblemArgumentError, match="T = 0"):
         generate_oqcqp(4, 2, 1.0, 0, seed=0)
+
+
+# each generator with valid arguments, in order
+_GENERATORS = {
+    "nra": (generate_nra, (2, 3, 5, 0)),
+    "olr": (generate_olr, (4, 5, 5, 2.0, 0)),
+    "oqcqp": (generate_oqcqp, (4, 2, 1.0, 5, 0)),
+}
+
+
+@pytest.mark.parametrize("kind, position, name, value", [
+    ("nra", 0, "J", 2.5), ("nra", 2, "T", 5.0), ("nra", 1, "K", np.float64(3)),
+    ("olr", 2, "T", 5.0), ("olr", 1, "k", 0),
+    ("oqcqp", 1, "p", 1.5), ("oqcqp", 3, "T", "5"),
+    *((kind, -1, "seed", seed) for kind in ("nra", "olr", "oqcqp")
+      for seed in (0.5, -1, np.float64(1.0))),
+])
+def test_generators_refuse_a_non_integer_count_or_seed(kind, position, name,
+                                                       value):
+    generate, args = _GENERATORS[kind]
+    args = list(args)
+    args[position] = value
+    with pytest.raises(ProblemArgumentError, match=re.escape(f"{name} = {value!r}")):
+        generate(*args)
 
 
 def test_nra_feasible_set_is_capacity_box():
