@@ -5,7 +5,8 @@ current Lagrangian followed by a hinged dual step.  Each step takes the
 decision x and multiplier lam (and, delayed, those of the received round)
 and returns the next pair.  ``oracle.jac_g(x)`` is the p x n matrix whose
 rows are the constraint (sub)gradients, so its transpose times lam is the
-primal coupling term.
+primal coupling term.  The steps take (S, n) and (S, p) rows of a group's
+round as well (see ``core.run_schedule``), each row with its own bits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (Array, FeasibleSet, RoundOracle, Trajectory,
-                   UnsupportedProblemError, _check_horizon, run_schedule)
+                   UnsupportedProblemError, _check_horizon, _matvec, _rmatvec,
+                   run_schedule)
 
 
 # Published (primal, dual) stepsizes per algorithm, in the order its step
@@ -68,7 +70,7 @@ def mosp_step(x: Array, lam: Array, oracle: RoundOracle,
         raise UnsupportedProblemError(
             "the saddle-point baseline requires linear constraints")
     x_new = feasible_set.project(
-        x - alpha * (oracle.subgrad_f(x) + oracle.jac_g(x).T.dot(lam)))
+        x - alpha * (oracle.subgrad_f(x) + _rmatvec(oracle.jac_g(x), lam)))
     lam_new = np.maximum(lam + mu * oracle.eval_g(x_new), 0.0)
     return x_new, lam_new
 
@@ -94,15 +96,16 @@ def ny_step(x: Array, lam: Array, oracle: RoundOracle,
     """
     if x_old is None:
         x_new = feasible_set.project(
-            x - (nu * oracle.subgrad_f(x) + oracle.jac_g(x).T.dot(lam))
+            x - (nu * oracle.subgrad_f(x) + _rmatvec(oracle.jac_g(x), lam))
             / (2.0 * alpha))
         lam_new = np.maximum(lam + oracle.eval_g(x_new), 0.0)
         return x_new, lam_new
     jac_old = oracle.jac_g(x_old)
     x_new = feasible_set.project(
-        x - (nu * oracle.subgrad_f(x_old) + jac_old.T.dot(lam_old))
+        x - (nu * oracle.subgrad_f(x_old) + _rmatvec(jac_old, lam_old))
         / (2.0 * alpha))
-    lam_new = np.maximum(lam + oracle.eval_g(x_old) + jac_old.dot(x_new - x_old), 0.0)
+    lam_new = np.maximum(lam + oracle.eval_g(x_old) + _matvec(jac_old, x_new - x_old),
+                         0.0)
     return x_new, lam_new
 
 
@@ -113,7 +116,7 @@ def czp_step(x: Array, lam: Array, x_old: Array, lam_old: Array,
     ``x_old``/``lam_old`` the decision and multiplier from when it was
     generated."""
     x_new = feasible_set.project(
-        x - eta * (oracle.subgrad_f(x_old) + oracle.jac_g(x_old).T.dot(lam_old)))
+        x - eta * (oracle.subgrad_f(x_old) + _rmatvec(oracle.jac_g(x_old), lam_old)))
     lam_new = np.maximum(lam + eta * (oracle.eval_g(x_old) - delta * eta * lam_old), 0.0)
     return x_new, lam_new
 

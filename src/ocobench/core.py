@@ -67,6 +67,23 @@ def _check_horizon(T, taus, grid: bool = False) -> None:
                          + ("every delay" if grid else "the delay tau"))
 
 
+# Products of one vector, or of (S, n) rows by (S, k, n) matrices: numpy's
+# batched matmul gives each row the bits of its 1-D .dot (einsum does not).
+def _matvec(M: Array, x: Array) -> Array:
+    """M.dot(x), or (S, k) for (S, k, n) matrices and (S, n) rows."""
+    return M.dot(x) if x.ndim == 1 else (M @ x[..., None])[..., 0]
+
+
+def _rmatvec(M: Array, y: Array) -> Array:
+    """M.T.dot(y), or (S, n) for (S, k, n) matrices and (S, k) rows."""
+    return M.T.dot(y) if y.ndim == 1 else (y[..., None, :] @ M)[..., 0, :]
+
+
+def _dot(a: Array, b: Array):
+    """float(a.dot(b)), or the (S,) row-wise products of (S, n) rows."""
+    return float(a.dot(b)) if a.ndim == 1 else (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
 def _check_vector(x: Array, n: int, name: str = "point") -> Array:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
@@ -293,7 +310,7 @@ class Trajectory:
 
 
 def run_schedule(problem, T: int, tau: int, step,
-                 x0: Optional[Array] = None) -> Trajectory:
+                 x0: Optional[Array] = None):
     """Drive an online algorithm over the delayed-feedback schedule.
 
     Decision t may use feedback up to round t - tau - 1: the first tau + 1
@@ -304,7 +321,10 @@ def run_schedule(problem, T: int, tau: int, step,
     feedback could only inform decisions past the horizon and is never
     read.  A ConvergenceError from the step gets the round index s.  A T
     past the instance's last round, or an ``x0`` that is not an n-vector of
-    the feasible set, raises ValueError up front.
+    the feasible set, raises ValueError up front.  A group of S instances
+    (``problems.InstanceGroup``) steps in lockstep from ``x0``, on (S, n)
+    and (S, p) rows and round s of the whole group, and gives one
+    Trajectory per instance.
     """
     if T > len(problem.rounds):
         raise ValueError(f"T = {T} exceeds the instance's "
@@ -314,9 +334,10 @@ def run_schedule(problem, T: int, tau: int, step,
     gap = float(np.linalg.norm(project(problem.set, x0) - x0))
     if gap > 1e-12 * max(1.0, float(np.linalg.norm(x0))):
         raise ValueError(f"x0 lies {gap:.3e} outside the feasible set")
-    xs = np.empty((T, problem.n))
+    rows = (len(problem.instances),) if hasattr(problem, "instances") else ()
+    xs = np.empty((T, *rows, problem.n))
     xs[: tau + 1] = x0
-    lambdas = np.zeros((T, problem.p))
+    lambdas = np.zeros((T, *rows, problem.p))
     for t in range(tau, T - 1):
         s = t - tau
         try:
@@ -325,4 +346,7 @@ def run_schedule(problem, T: int, tau: int, step,
         except ConvergenceError as err:
             err.round_index = s
             raise
+    if rows:
+        return tuple(Trajectory(xs=xs[:, i].copy(), lambdas=lambdas[:, i].copy(),
+                                tau=tau) for i in range(rows[0]))
     return Trajectory(xs=xs, lambdas=lambdas, tau=tau)

@@ -24,7 +24,7 @@ from .metrics import MetricsSeries, full_series
 from .models import LINEARIZED, MODEL_KINDS, PLAIN
 from .offline import solve_comparator
 from .problems import (ProblemInstance, generate_nra, generate_olr,
-                       generate_oqcqp)
+                       generate_oqcqp, group_instances)
 
 # Each problem's generator and its arguments other than T and seed, with
 # their defaults.  An argument is converted by its default's type, so an
@@ -156,7 +156,8 @@ def malm_config_for(config: ExperimentConfig, tau: int) -> MalmConfig:
 
 def run_cell(config: ExperimentConfig, problem: ProblemInstance,
              algo: str, tau: int) -> Trajectory:
-    """Run one (algorithm, delay) cell on an instantiated problem."""
+    """Run one (algorithm, delay) cell on an instantiated problem, or on a
+    group of them (``problems.group_instances``), one Trajectory each."""
     if algo == "malm":
         return run_malm(problem, malm_config_for(config, tau))
     return run_baseline(problem, BaselineConfig(algo, config.T, tau))
@@ -168,6 +169,9 @@ def csv_header(p: int) -> list:
             + [f"vio_{i}" for i in range(1, p + 1)] + ["lambda_norm"])
 
 
+_ROWS_PER_WRITE = 1000  # a cell's text is built this many rows at a time
+
+
 def _write_rows(fh, config: ExperimentConfig, algo: str, seed: int,
                 tau: int, series: MetricsSeries) -> None:
     values = np.column_stack([series.cum_regret, series.avg_regret,
@@ -175,7 +179,9 @@ def _write_rows(fh, config: ExperimentConfig, algo: str, seed: int,
                               series.lambda_norm])
     row = (f"{config.problem},{algo},{seed},{tau},%d,"
            + ",".join(["%.17g"] * values.shape[1]) + "\r\n")
-    fh.write("".join(row % (t, *v) for t, v in enumerate(values.tolist(), 1)))
+    for start in range(0, len(values), _ROWS_PER_WRITE):
+        chunk = values[start:start + _ROWS_PER_WRITE].tolist()
+        fh.write("".join(row % (t, *v) for t, v in enumerate(chunk, start + 1)))
 
 
 def run_experiment(config: ExperimentConfig) -> str:
@@ -229,13 +235,32 @@ def _write_grid(config: ExperimentConfig, path: str) -> None:
                 raise UnsupportedProblemError(f"mosp requires linear constraints; "
                                               f"{config.problem} has others")
             comparators[seed] = solve_comparator(problem, config.tol_comparator)
+    # One seed steps faster alone than as a group of one.
+    group = group_instances([problems[seed] for seed in config.seeds]) \
+        if len(config.seeds) > 1 else None
     with open(path, "x", newline="") as fh:
         fh.write(",".join(csv_header(problems[config.seeds[0]].p)) + "\r\n")
         for tau in config.taus:
             for algo in config.algos:
-                for seed in config.seeds:
-                    with _naming_cell(problem=config.problem, algo=algo,
-                                      seed=seed, tau=tau):
-                        traj = run_cell(config, problems[seed], algo, tau)
+                for seed, traj in zip(config.seeds, _run_seeds(
+                        config, problems, group, algo, tau)):
                     series = full_series(traj, problems[seed], comparators[seed])
                     _write_rows(fh, config, algo, seed, tau, series)
+
+
+def _run_seeds(config: ExperimentConfig, problems: dict, group, algo: str,
+               tau: int):
+    """Each seed's (algo, tau) trajectory in turn, from one lockstep run of
+    the group when there is one; else, or after a numeric failure there,
+    each seed runs alone, so a failure names the first cell it reaches."""
+    trajs = (None,) * len(config.seeds)
+    if group is not None:
+        try:
+            trajs = run_cell(config, group, algo, tau)
+        except (ConvergenceError, InfeasibleProblemError):
+            pass
+    for seed, traj in zip(config.seeds, trajs):
+        if traj is None:
+            with _naming_cell(problem=config.problem, algo=algo, seed=seed, tau=tau):
+                traj = run_cell(config, problems[seed], algo, tau)
+        yield traj

@@ -24,8 +24,8 @@ import numpy as np
 
 from ._apg import fista
 from .core import (Array, Box, FeasibleSet, Trajectory,
-                   UnsupportedProblemError, _check_horizon, _l1_threshold,
-                   project, run_schedule)
+                   UnsupportedProblemError, _check_horizon, _dot,
+                   _l1_threshold, _rmatvec, project, run_schedule)
 from .models import (LINEARIZED, MODEL_KINDS, PLAIN, QUADRATIC_LINEARIZED,
                      TRUNCATED, ModelAt, make_model)
 
@@ -86,7 +86,7 @@ def _value(model: ModelAt, x: Array, lam: Array, shift: Array, alpha: float,
 def _gradient(model: ModelAt, x: Array, shift: Array, J: Array, alpha: float,
               center: Array) -> Array:
     """Its gradient at x, with model.subgrad_F for F, shift and J = jac_G(x)."""
-    return (np.asarray(model.subgrad_F(x), float) + J.T.dot(np.maximum(shift, 0.0))
+    return (np.asarray(model.subgrad_F(x), float) + _rmatvec(J, np.maximum(shift, 0.0))
             + alpha * (x - center))
 
 
@@ -108,17 +108,21 @@ def closed_form_linearized_p1(a: Array, b: Array, gamma: float,
     If the hinge is inactive at the unconstrained minimizer -a/alpha, that
     point is optimal.  Otherwise the active quadratic gives the linear system
     (alpha I + sigma b b^T) x = -(a + sigma gamma b), solved by the rank-one
-    inverse update.
+    inverse update.  (S, n) rows of a and b with S values gamma give the S
+    points, each with its own bits.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if alpha * gamma <= float(a.dot(b)):
-        xbar = -a / alpha
-    else:
-        w = a + sigma * gamma * b
-        denom = alpha * (alpha + sigma * float(b.dot(b)))
-        xbar = -w / alpha + (sigma * float(b.dot(w)) / denom) * b
-    return project(feasible_set, xbar)
+    rows = a.ndim == 2
+    column = (lambda v: v[:, None]) if rows else (lambda v: v)
+    inactive = alpha * gamma <= _dot(a, b)
+    xbar = -a / alpha
+    if not (inactive.all() if rows else inactive):
+        w = a + column(sigma * gamma) * b
+        denom = alpha * (alpha + sigma * _dot(b, b))
+        active = -w / alpha + column(sigma * _dot(b, w) / denom) * b
+        xbar = np.where(inactive[:, None], xbar, active) if rows else active
+    return feasible_set.project(xbar) if rows else project(feasible_set, xbar)
 
 
 def _solve_truncated(model: ModelAt, prox_center: Array, lam: Array,
@@ -290,7 +294,9 @@ def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
     ``_solve_model``; either certifies the point x at cfg.tol.  ``record``,
     a dict when given, gets the path that returned x under "path"
     ("closed_form", "newton", "fista" or "truncated") and the shift
-    lam + sigma G(x) under "shift", which ``multiplier_update`` takes.
+    lam + sigma G(x) under "shift", which ``multiplier_update`` takes.  The
+    linearized model of a group's round (p = 1) takes (S, n) and (S, 1)
+    rows and gives S rows, with one path per row.
     """
     prox_center = np.asarray(prox_center, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -315,6 +321,8 @@ def _solve_model(model: ModelAt, prox_center: Array, lam: Array,
     point the path before it could not certify.  Returns the point x, whose
     residual for the pair is at most cfg.tol, the path and the shift
     lam + sigma G(x) that its certificate took (FISTA's is evaluated at x).
+    A group's rows take the closed form together; a row that misses its
+    certificate is solved alone, on its instance's own model.
     """
     sigma = cfg.sigma
     l1 = model.kind == PLAIN and model.oracle.g_kind == "l1"
@@ -336,15 +344,22 @@ def _solve_model(model: ModelAt, prox_center: Array, lam: Array,
 
     x = prox_center
     if model.kind == LINEARIZED and model.oracle.p == 1:
-        a = model.u - cfg.alpha * prox_center
-        b = model.V[0]
-        gamma = (lam[0] / sigma + model.g_anchor[0]
-                 - float(model.V[0].dot(model.anchor)))
-        x = closed_form_linearized_p1(a, b, gamma, cfg.alpha, sigma, feasible_set)
+        b = model.V[..., 0, :]
+        gamma = lam.T[0] / sigma + model.g_anchor.T[0] - _dot(b, model.anchor)
+        x = closed_form_linearized_p1(model.u - cfg.alpha * prox_center, b, gamma,
+                                      cfg.alpha, sigma, feasible_set)
         shift = lam + sigma * model.eval_G(x)
         r = x - feasible_set.project(x - _gradient(model, x, shift, model.jac_G(x),
                                                    cfg.alpha, prox_center))
-        if math.sqrt(float(r.dot(r))) <= cfg.tol:
+        certified = np.sqrt(_dot(r, r)) <= cfg.tol
+        if x.ndim == 2:
+            paths = ["closed_form"] * len(x)
+            for i in np.flatnonzero(~certified):
+                alone = make_model(model.oracle.rows[i], model.anchor[i], model.kind)
+                x[i], paths[i], shift[i] = _solve_model(alone, prox_center[i], lam[i],
+                                                        cfg, feasible_set)
+            return x, tuple(paths), shift
+        if certified:
             return x, "closed_form", shift
 
     structure = model.quadratic_structure()
@@ -369,8 +384,13 @@ def run_malm(problem, cfg: MalmConfig) -> Trajectory:
     decision played in round s, which is also the prox center; the
     subproblem takes the multiplier held now, and the multiplier is updated
     with the model value at the new decision, through the shift the solve
-    returns there.
+    returns there.  A group of instances (one Trajectory each) steps in
+    lockstep under the linearized model, and each instance runs alone under
+    any other.
     """
+    if hasattr(problem, "instances") and cfg.model_kind != LINEARIZED:
+        return tuple(run_malm(instance, cfg) for instance in problem.instances)
+
     def step(s, oracle, x, lam, x_old, lam_old):
         iota = problem.strong_convexity(s) \
             if cfg.model_kind == QUADRATIC_LINEARIZED else 0.0

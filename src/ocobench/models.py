@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, RoundOracle
+from .core import Array, RoundOracle, _matvec
 
 PLAIN = "plain"
 LINEARIZED = "linearized"
@@ -35,7 +35,8 @@ class ModelAt:
     with d = x - anchor, which the truncated model hinges at zero.  A
     ``f_anchor`` of None is f_t(anchor), taken on the first read of
     ``f_at_anchor``.  For the plain model those fields stay None and the
-    methods pass straight through to the oracle.
+    methods pass straight through to the oracle.  The linearized model of
+    round t of a ``problems.InstanceGroup`` stacks each field per instance.
     """
 
     kind: str
@@ -75,7 +76,7 @@ class ModelAt:
     def eval_G(self, x: Array) -> Array:
         if self.kind == PLAIN:
             return np.asarray(self.oracle.eval_g(x), dtype=float)
-        return self.g_anchor + self.V.dot(np.asarray(x, float) - self.anchor)
+        return self.g_anchor + _matvec(self.V, np.asarray(x, float) - self.anchor)
 
     def jac_G(self, x: Array) -> Array:
         if self.kind == PLAIN:

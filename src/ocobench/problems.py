@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (Array, Box, ConvergenceError, EuclideanBall, FeasibleSet,
                    ProblemArgumentError, ProblemConstants, RoundOracle,
-                   project_psd)
+                   _matvec, _rmatvec, project_psd)
 
 _SLATER_MAX_PIVOTS = 2000  # Bland's rule cannot cycle; this caps a troubled solve
 
@@ -105,7 +106,8 @@ def _walk(first: Array, steps: Array) -> Array:
     return np.concatenate([first[None], first + np.cumsum(steps, axis=0)])
 
 
-def _diag_quadratic_round(q_t: Array, b_t: Array, A: Array) -> RoundOracle:
+def _diag_quadratic_round(q_t: Array, b_t: Array, A: Array,
+                          hess_t: Array) -> RoundOracle:
     p, n = A.shape
 
     def eval_f(x):
@@ -122,7 +124,7 @@ def _diag_quadratic_round(q_t: Array, b_t: Array, A: Array) -> RoundOracle:
 
     return RoundOracle(n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
                        eval_g=eval_g, jac_g=jac_g, g_kind="affine",
-                       hess_f=2.0 * q_t)
+                       hess_f=hess_t)
 
 
 def _slater_margin(A: Array, b_max: Array, upper: Array):
@@ -221,8 +223,9 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
     xbar = np.concatenate([zbar, ybar])
     feasible_set = Box(np.zeros(E), xbar)
 
-    rounds = tuple(_diag_quadratic_round(q_t, b_t, A)
-                   for q_t, b_t in zip(q_all, b_all))
+    # Each round's hess_f 2 q_t is a row of one array, not a copy of its own.
+    rounds = tuple(_diag_quadratic_round(q_t, b_t, A, hess_t)
+                   for q_t, b_t, hess_t in zip(q_all, b_all, 2.0 * q_all))
 
     def stacked(xs):
         m = len(xs)
@@ -276,21 +279,80 @@ def _expit_neg(u: list) -> list:
         return [_sigmoid_neg(v) for v in u]
 
 
+def _logistic_grad(Z_t: Array, x: Array) -> Array:
+    """The logistic loss's gradient -Z_t^T sigmoid(-Z_t x) at x, or at each
+    of (S, n) rows with (S, k, n) features."""
+    z = _matvec(Z_t, x)
+    return -_rmatvec(Z_t, np.array(_expit_neg(z.ravel().tolist())).reshape(z.shape))
+
+
+def _l1_excess(a_t, x: Array) -> Array:
+    """g(x) = ||x||_1 - a_t as a (1,) vector, or (S, 1) for (S, n) rows."""
+    return (np.abs(x).sum(-1) - a_t)[..., None]
+
+
+def _l1_jac(x: Array) -> Array:
+    """g's (1, n) subgradient sign(x), or (S, 1, n) for (S, n) rows."""
+    return np.sign(x)[..., None, :]
+
+
 def _logistic_round(Z_t: Array, a_t: float, n: int) -> RoundOracle:
     def eval_f(x):
         return float(np.logaddexp(0.0, -Z_t.dot(x)).sum())
 
-    def subgrad_f(x):
-        return -Z_t.T.dot(_expit_neg(Z_t.dot(x).tolist()))
+    return RoundOracle(n=n, p=1, eval_f=eval_f,
+                       subgrad_f=partial(_logistic_grad, Z_t),
+                       eval_g=partial(_l1_excess, a_t), jac_g=_l1_jac, g_kind="l1")
 
-    def eval_g(x):
-        return np.array([np.abs(x).sum() - a_t])
 
-    def jac_g(x):
-        return np.sign(x)[None, :]
+class InstanceGroup:
+    """S generated ``olr`` instances of one shape and box that
+    ``run_schedule`` steps in lockstep, through a stacked copy of their
+    features ``Z`` (T, S, k, n) and budgets ``a`` (T, S)."""
 
-    return RoundOracle(n=n, p=1, eval_f=eval_f, subgrad_f=subgrad_f,
-                       eval_g=eval_g, jac_g=jac_g, g_kind="l1")
+    p = 1
+
+    def __init__(self, instances):
+        self.instances = tuple(instances)
+        self.set, self.n = instances[0].set, instances[0].n
+        self.Z = np.stack([inst.data["Z"] for inst in instances], axis=1)
+        self.a = np.stack([inst.data["a"] for inst in instances], axis=1)
+        self.rounds = tuple(_GroupRound(self, t) for t in range(len(self.a)))
+
+
+class _GroupRound:
+    """Round t of an InstanceGroup: the logistic gradient and the l1
+    constraint on (S, n) rows, and ``rows``, the instances' own oracles."""
+
+    __slots__ = ("group", "t")
+    p, g_kind = 1, "l1"
+    jac_g = staticmethod(_l1_jac)
+
+    def __init__(self, group: InstanceGroup, t: int):
+        self.group, self.t = group, t
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(inst.rounds[self.t] for inst in self.group.instances)
+
+    def subgrad_f(self, x: Array) -> Array:
+        return _logistic_grad(self.group.Z[self.t], x)
+
+    def eval_g(self, x: Array) -> Array:
+        return _l1_excess(self.group.a[self.t], x)
+
+
+def group_instances(instances) -> Optional[InstanceGroup]:
+    """The lockstep group of generated ``olr`` instances of one shape and
+    box; None for any other instances, which step alone."""
+    first = instances[0]
+    if all(inst.kind == "olr" and "Z" in inst.data
+           and inst.data["Z"].shape == first.data["Z"].shape
+           and np.array_equal(inst.set.lower, first.set.lower)
+           and np.array_equal(inst.set.upper, first.set.upper)
+           for inst in instances):
+        return InstanceGroup(instances)
+    return None
 
 
 def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance:

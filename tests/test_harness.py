@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ocobench.harness as harness
 from ocobench import (PRESETS, ExperimentConfig, full_series, run_experiment,
                       solve_comparator)
 from ocobench.cli import (_FLAGS, _build_parser, _file_updates,
@@ -155,6 +156,31 @@ def test_row_bytes_match_a_csv_writer_with_17_digits(p):
         writer.writerow(["oqcqp", "malm", "7", "2", str(t + 1)]
                         + [format(float(v), ".17g") for v in values])
     assert got.getvalue().encode() == want.getvalue().encode()
+
+
+def test_rows_are_written_in_chunks_with_the_bytes_of_one_write(monkeypatch):
+    rng = np.random.default_rng(3)
+    T = 23
+    series = MetricsSeries(cum_regret=rng.normal(size=T),
+                           avg_regret=rng.normal(size=T),
+                           cum_vio=rng.normal(size=(T, 2)),
+                           avg_vio_max=rng.normal(size=T),
+                           lambda_norm=rng.normal(size=T))
+
+    class Writes(io.StringIO):
+        count = 0
+
+        def write(self, text):
+            self.count += 1
+            return super().write(text)
+
+    whole, chunked = Writes(newline=""), Writes(newline="")
+    _write_rows(whole, SMALL, "cl", 3, 0, series)
+    monkeypatch.setattr(harness, "_ROWS_PER_WRITE", 7)
+    _write_rows(chunked, SMALL, "cl", 3, 0, series)
+    assert (whole.count, chunked.count) == (1, 4)
+    assert chunked.getvalue() == whole.getvalue()
+    assert whole.getvalue().count("\r\n") == T
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -84,6 +84,14 @@ def test_nra_loss_equals_its_second_order_expansion():
         assert oracle.eval_f(x) == pytest.approx(expansion, rel=1e-13, abs=1e-10)
 
 
+def test_nra_hessians_are_rows_of_one_array():
+    prob = generate_nra(3, 3, 20, seed=14)
+    hess = prob.rounds[0].hess_f.base
+    assert hess.shape == prob.data["q"].shape
+    assert np.array_equal(hess, 2.0 * prob.data["q"])
+    assert all(oracle.hess_f.base is hess for oracle in prob.rounds)
+
+
 def test_nra_max_offset_decides_universal_feasibility():
     prob = generate_nra(3, 3, 30, seed=14)
     A, b = prob.data["A"], prob.data["b"]

@@ -4,13 +4,13 @@ Usage::
 
     python tools/same_csv.py REF
 
-Runs the standard byte-identity runs (the presets cut short, two delay
-grids, one of them up to tau = T - 1, seven INI model runs, one INI run
-that sets every key, one seed the CLI refuses as infeasible and one
-algorithm it refuses on a problem) twice: on this checkout, uncommitted
-edits included, and on REF, checked out in a temporary ``git worktree``.
-Each run is ``PYTHONPATH=<tree>/src python -m ocobench ...`` in a scratch
-directory.  A run is the same in both trees when its exit codes match and
+Runs the standard byte-identity runs (the presets cut short, three delay
+grids, one of them up to tau = T - 1 and one with three olr seeds stepped
+together, seven INI model runs, one INI run that sets every key, one seed
+the CLI refuses as infeasible and one algorithm it refuses on a problem)
+twice: on this checkout, uncommitted edits included, and on REF, checked
+out in a temporary ``git worktree``.  Each run is
+``PYTHONPATH=<tree>/src python -m ocobench ...`` in a scratch directory.  A run is the same in both trees when its exit codes match and
 either both exit 0 with CSVs that ``cmp`` finds identical, or both print
 the same stderr.  The runs that differ are printed, each with its exit
 codes and stderr, or, when both exit 0, with the largest absolute change
@@ -66,6 +66,9 @@ RUNS = (
     ("olr-paper", ["--preset", "olr-paper", "--T", "2000", "--seed", "0,1"]),
     ("olr-grid", ["--problem", "olr", "--T", "200", "--tau", "0,3",
                   "--algo", "malm,ny,czp"]),
+    # Three seeds per (tau, algo) cell, stepped together, delayed too.
+    ("olr-lockstep", ["--preset", "olr-paper", "--T", "300", "--seed", "0,1,2",
+                      "--tau", "0,4", "--algo", "malm,czp,ny"]),
     # At tau = T - 1 = 59 every decision is blind.
     ("oqcqp-delay-edge", ["--problem", "oqcqp", "--T", "60", "--tau", "0,20,59",
                           "--algo", "malm,czp,ny"]),
