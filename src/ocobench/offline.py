@@ -207,7 +207,7 @@ def _solve_olr(problem: ProblemInstance, tol: float) -> Array:
     Z = problem.data["Z"].reshape(-1, problem.n)
 
     def grad(x):
-        return -(Z.T @ np.array(_expit_neg((Z @ x).tolist())))
+        return -(Z.T @ _expit_neg((Z @ x).tolist()))
 
     def prox(z, step):
         return project_l1_box(z, a_min, M)
@@ -215,7 +215,7 @@ def _solve_olr(problem: ProblemInstance, tol: float) -> Array:
     x = np.zeros(problem.n)
     for _ in range(_OLR_NEWTON_STEPS):
         # at x = 0 every entry of Z x is +-0, whose sigmoid is exactly 0.5
-        s = np.array(_expit_neg((Z @ x).tolist())) if x.any() else np.full(len(Z), 0.5)
+        s = _expit_neg((Z @ x).tolist()) if x.any() else np.full(len(Z), 0.5)
         g = -(Z.T @ s)
         r = x - prox(x - g, 1.0)
         if math.sqrt(float(r.dot(r))) <= tol:

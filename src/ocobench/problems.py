@@ -29,7 +29,7 @@ class ProblemInstance:
 
     ``data`` keeps the raw generated arrays (matrices, walks, margins) so the
     offline comparator and the tests can work with the numbers directly
-    instead of probing the closures.  ``stacked``, when given, maps an
+    instead of probing the rounds.  ``stacked``, when given, maps an
     (m, n) stack of points to the values ``values`` returns, computed from
     the generated arrays.  The dimension n is the set's, p and T are the
     rounds'; no rounds, or rounds whose n or p disagree, raise ValueError.
@@ -268,86 +268,87 @@ def _sigmoid_neg(v: float) -> float:
         return 0.0
 
 
-def _expit_neg(u: list) -> list:
+def _expit_neg(u: list) -> Array:
     """1 / (1 + exp(v)) for each float v of ``u``: ``scipy.special.expit(-u)``
     bit for bit, since ``math.exp`` is the C library's ``exp`` that scipy
     calls (numpy's own SIMD ``exp`` is not).  The second pass runs only
     where an ``exp`` overflows."""
     try:
-        return [1.0 / (1.0 + math.exp(v)) for v in u]
+        return 1.0 / (1.0 + np.fromiter(map(math.exp, u), float, len(u)))
     except OverflowError:
-        return [_sigmoid_neg(v) for v in u]
+        return np.array([_sigmoid_neg(v) for v in u])
 
 
-def _logistic_grad(Z_t: Array, x: Array) -> Array:
-    """The logistic loss's gradient -Z_t^T sigmoid(-Z_t x) at x, or at each
-    of (S, n) rows with (S, k, n) features."""
-    z = _matvec(Z_t, x)
-    return -_rmatvec(Z_t, np.array(_expit_neg(z.ravel().tolist())).reshape(z.shape))
+class _LogisticRound:
+    """Round t of the logistic loss over features ``Z`` (T, k, n) and of the
+    l1 budget ``a`` (T,).  Over a group's stacked (T, S, k, n) and (T, S)
+    it takes (S, n) rows, each with its instance's bits, and ``rows`` holds
+    the instances' own round t (a round of one instance has no ``rows``)."""
 
+    __slots__ = ("Z", "a", "t", "rows")
+    p, g_kind, hess_f, hess_g = 1, "l1", None, None
 
-def _l1_excess(a_t, x: Array) -> Array:
-    """g(x) = ||x||_1 - a_t as a (1,) vector, or (S, 1) for (S, n) rows."""
-    return (np.abs(x).sum(-1) - a_t)[..., None]
+    def __init__(self, Z: Array, a: Array, t: int, rows: Optional[tuple] = None):
+        self.Z, self.a, self.t = Z, a, t
+        if rows is not None:
+            self.rows = rows
 
+    @property
+    def n(self) -> int:
+        return self.Z.shape[-1]
 
-def _l1_jac(x: Array) -> Array:
-    """g's (1, n) subgradient sign(x), or (S, 1, n) for (S, n) rows."""
-    return np.sign(x)[..., None, :]
+    def eval_f(self, x: Array):
+        """f(x) = sum log(1 + exp(-Z_t x)), or (S,) values for (S, n) rows."""
+        f = np.logaddexp(0.0, -_matvec(self.Z[self.t], x)).sum(-1)
+        return float(f) if x.ndim == 1 else f
 
+    def subgrad_f(self, x: Array) -> Array:
+        """The gradient -Z_t^T sigmoid(-Z_t x)."""
+        Z_t = self.Z[self.t]
+        z = _matvec(Z_t, x)
+        return -_rmatvec(Z_t, _expit_neg(z.ravel().tolist()).reshape(z.shape))
 
-def _logistic_round(Z_t: Array, a_t: float, n: int) -> RoundOracle:
-    def eval_f(x):
-        return float(np.logaddexp(0.0, -Z_t.dot(x)).sum())
+    def eval_g(self, x: Array) -> Array:
+        """g(x) = ||x||_1 - a_t as a (1,) vector, or (S, 1)."""
+        return (np.abs(x).sum(-1) - self.a[self.t])[..., None]
 
-    return RoundOracle(n=n, p=1, eval_f=eval_f,
-                       subgrad_f=partial(_logistic_grad, Z_t),
-                       eval_g=partial(_l1_excess, a_t), jac_g=_l1_jac, g_kind="l1")
+    @staticmethod
+    def jac_g(x: Array) -> Array:
+        """g's (1, n) subgradient sign(x), or (S, 1, n)."""
+        return np.sign(x)[..., None, :]
 
 
 class InstanceGroup:
     """S generated ``olr`` instances of one shape and box that
-    ``run_schedule`` steps in lockstep, through a stacked copy of their
-    features ``Z`` (T, S, k, n) and budgets ``a`` (T, S)."""
+    ``run_schedule`` steps in lockstep, through a stacked copy of the
+    features ``Z`` (T, S, k, n) and budgets ``a`` (T, S) their rounds read."""
 
     p = 1
 
     def __init__(self, instances):
         self.instances = tuple(instances)
-        self.set, self.n = instances[0].set, instances[0].n
-        self.Z = np.stack([inst.data["Z"] for inst in instances], axis=1)
-        self.a = np.stack([inst.data["a"] for inst in instances], axis=1)
-        self.rounds = tuple(_GroupRound(self, t) for t in range(len(self.a)))
+        self.set, self.n, T = instances[0].set, instances[0].n, instances[0].T
+        self.Z = np.stack([inst.rounds[0].Z[:T] for inst in instances], axis=1)
+        self.a = np.stack([inst.rounds[0].a[:T] for inst in instances], axis=1)
+        self.rounds = tuple(map(partial(_LogisticRound, self.Z, self.a), range(T),
+                                zip(*(inst.rounds for inst in instances))))
 
 
-class _GroupRound:
-    """Round t of an InstanceGroup: the logistic gradient and the l1
-    constraint on (S, n) rows, and ``rows``, the instances' own oracles."""
-
-    __slots__ = ("group", "t")
-    p, g_kind = 1, "l1"
-    jac_g = staticmethod(_l1_jac)
-
-    def __init__(self, group: InstanceGroup, t: int):
-        self.group, self.t = group, t
-
-    @property
-    def rows(self) -> tuple:
-        return tuple(inst.rounds[self.t] for inst in self.group.instances)
-
-    def subgrad_f(self, x: Array) -> Array:
-        return _logistic_grad(self.group.Z[self.t], x)
-
-    def eval_g(self, x: Array) -> Array:
-        return _l1_excess(self.group.a[self.t], x)
+def _reads_one_pair(rounds) -> bool:
+    """Whether each round t is a _LogisticRound on row t of one (Z, a)."""
+    first = rounds[0]
+    return all(type(r) is _LogisticRound and r.Z is first.Z and r.a is first.a
+               and r.t == t for t, r in enumerate(rounds))
 
 
 def group_instances(instances) -> Optional[InstanceGroup]:
     """The lockstep group of generated ``olr`` instances of one shape and
-    box; None for any other instances, which step alone."""
+    box, each of whose rounds reads one (Z, a) pair; None for any other
+    instances, which step alone."""
     first = instances[0]
-    if all(inst.kind == "olr" and "Z" in inst.data
-           and inst.data["Z"].shape == first.data["Z"].shape
+    if all(inst.kind == "olr" and "Z" in inst.data and _reads_one_pair(inst.rounds)
+           and inst.T == first.T
+           and inst.rounds[0].Z.shape[1:] == first.rounds[0].Z.shape[1:]
            and np.array_equal(inst.set.lower, first.set.lower)
            and np.array_equal(inst.set.upper, first.set.upper)
            for inst in instances):
@@ -404,8 +405,7 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
 
     Z_all = labels[:, :, None] * u_all
     feasible_set = Box(np.full(n, -M), np.full(n, M))
-    rounds = tuple(_logistic_round(Z_t, float(a_t), n)
-                   for Z_t, a_t in zip(Z_all, a))
+    rounds = tuple(map(partial(_LogisticRound, Z_all, a), range(T)))
 
     def stacked(xs):
         m = len(xs)

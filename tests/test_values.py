@@ -10,7 +10,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ocobench import PRESETS, Box, Trajectory, full_series, solve_comparator
+from ocobench import (PRESETS, Box, RoundOracle, Trajectory, full_series,
+                      solve_comparator)
 from ocobench.harness import generate_problem, run_cell
 
 from helpers import affine_round, generic_problem
@@ -66,16 +67,20 @@ def test_stacked_values_match_the_round_oracles(family, seed):
 
 
 def spied(problem, calls):
-    """``problem`` with every round oracle counting its calls by name."""
+    """``problem`` with every round oracle counting its calls by name: each
+    round becomes a ``RoundOracle`` of its n, p, g_kind and Hessians whose
+    four methods count, then call the round's own."""
     def wrap(name, fn):
         def counted(x):
             calls[name] = calls.get(name, 0) + 1
             return fn(x)
         return counted
 
-    rounds = tuple(dataclasses.replace(
-        oracle, **{name: wrap(name, getattr(oracle, name))
-                   for name in ("eval_f", "subgrad_f", "eval_g", "jac_g")})
+    rounds = tuple(RoundOracle(
+        n=oracle.n, p=oracle.p, g_kind=oracle.g_kind, hess_f=oracle.hess_f,
+        hess_g=oracle.hess_g,
+        **{name: wrap(name, getattr(oracle, name))
+           for name in ("eval_f", "subgrad_f", "eval_g", "jac_g")})
         for oracle in problem.rounds)
     return dataclasses.replace(problem, rounds=rounds)
 
