@@ -69,24 +69,24 @@ def subproblem_objective(model: ModelAt, x: Array, lam: Array,
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     lam, x = np.asarray(lam, dtype=float), np.asarray(x, dtype=float)
-    return _value(model, x, lam, lam + sigma * model.eval_G(x), alpha, sigma,
+    return _value(model, x, float(lam.dot(lam)),
+                  np.maximum(lam + sigma * model.eval_G(x), 0.0), alpha, sigma,
                   np.asarray(prox_center, dtype=float))
 
 
-def _value(model: ModelAt, x: Array, lam: Array, shift: Array, alpha: float,
+def _value(model: ModelAt, x: Array, lam_sq: float, hinge: Array, alpha: float,
            sigma: float, center: Array) -> float:
-    """The subproblem objective at x, given shift = lam + sigma G(x)."""
-    hinge = np.maximum(shift, 0.0)
+    """The subproblem objective at x, given lam_sq = ||lam||^2 and the hinge
+    [lam + sigma G(x)]_+."""
     d = x - center
-    return (float(model.eval_F(x))
-            + (float(hinge.dot(hinge)) - float(lam.dot(lam))) / (2.0 * sigma)
+    return (float(model.eval_F(x)) + (float(hinge.dot(hinge)) - lam_sq) / (2.0 * sigma)
             + 0.5 * alpha * float(d.dot(d)))
 
 
-def _gradient(model: ModelAt, x: Array, shift: Array, J: Array, alpha: float,
+def _gradient(model: ModelAt, x: Array, hinge: Array, J: Array, alpha: float,
               center: Array) -> Array:
-    """Its gradient at x, with model.subgrad_F for F, shift and J = jac_G(x)."""
-    return (np.asarray(model.subgrad_F(x), float) + _rmatvec(J, np.maximum(shift, 0.0))
+    """Its gradient at x, with model.subgrad_F for F, the hinge and J = jac_G(x)."""
+    return (np.asarray(model.subgrad_F(x), float) + _rmatvec(J, hinge)
             + alpha * (x - center))
 
 
@@ -219,70 +219,74 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     box, each step fixes the coordinates within tol of a bound their
     gradient pushes against (Bertsekas, SIAM J. Control Optim. 1982), scales
     them by B's diagonal and searches the projection arc; on a Euclidean
-    ball the steps stay inside.  The line search is Armijo on the subproblem
-    objective, from the projection of ``x_start``, at one G(x) per point,
-    through the shift lam + sigma G(x), and one J per iterate.  Returns the
-    last point, its projected-gradient residual, above tol when the step cap
-    is reached, no decrease is found or a trial point leaves the ball, and
-    its shift.
+    ball every coordinate is free and the steps stay inside.  The line
+    search is Armijo on the subproblem objective, from the projection of
+    ``x_start``, at one G(x) per point, through the shift lam + sigma G(x),
+    and one J per iterate.  Returns the last point, its projected-gradient
+    residual, above tol when the step cap is reached, no decrease is found
+    or a trial point leaves the ball, and its shift.
     """
     alpha, sigma, tol = cfg.alpha, cfg.sigma, cfg.tol
-    box = isinstance(feasible_set, Box)
+    eval_G, jac_G, lam_sq = model.eval_G, model.jac_G, float(lam.dot(lam))
+    project, box = feasible_set.project, isinstance(feasible_set, Box)
+    if box:
+        near_lower, near_upper = feasible_set.lower + tol, feasible_set.upper - tol
     if hess_G is None and np.ndim(hess_F) == 1:
-        base, diag = None, hess_F + alpha
+        base, diag, eye = None, hess_F + alpha, np.eye(lam.size) / sigma
     else:
         base = np.diag(hess_F) if np.ndim(hess_F) == 1 else hess_F
         base = base + alpha * np.eye(x_start.size)
 
     def evaluate(x: Array) -> tuple:
-        shift = lam + sigma * model.eval_G(x)
-        return _value(model, x, lam, shift, alpha, sigma, prox_center), shift
+        shift = lam + sigma * eval_G(x)
+        hinge = np.maximum(shift, 0.0)
+        return _value(model, x, lam_sq, hinge, alpha, sigma, prox_center), shift, hinge
 
-    x = project(feasible_set, x_start)
-    value, shift = evaluate(x)
+    x = project(x_start)
+    value, shift, hinge = evaluate(x)
     steps = 0
     while True:
-        J = model.jac_G(x)
-        g = _gradient(model, x, shift, J, alpha, prox_center)
-        r = x - feasible_set.project(x - g)
+        J = jac_G(x)
+        g = _gradient(model, x, hinge, J, alpha, prox_center)
+        r = x - project(x - g)
         res = math.sqrt(float(r.dot(r)))
         if res <= tol or steps == _NEWTON_MAX_STEPS:
             return x, res, shift
         steps += 1
         hinged = shift > 0.0
-        free = ~(((x <= feasible_set.lower + tol) & (g > 0.0))
-                 | ((x >= feasible_set.upper - tol) & (g < 0.0))) \
-            if box else np.ones(x.size, dtype=bool)
+        free = ~(((x <= near_lower) & (g > 0.0)) | ((x >= near_upper) & (g < 0.0))) \
+            if box else slice(None)
+        any_free = not box or free.any()
         # rows picked last keep W C-contiguous: BLAS sums depend on layout
         W = J[:, free][hinged]
         if base is None:
             direction = g / diag
-            if hinged.any() and free.any():
+            if hinged.any() and any_free:
                 r, WD = direction[free], W / diag[free]
-                K = np.eye(W.shape[0]) / sigma + WD @ W.T
-                direction[free] = r - WD.T @ np.linalg.solve(K, W @ r)
+                K = eye[:len(W), :len(W)] + WD.dot(W.T)
+                direction[free] = r - WD.T.dot(np.linalg.solve(K, W.dot(r)))
         else:
             B = base if hess_G is None else \
                 base + (hess_G[hinged].T @ shift[hinged]).T
             direction = g / np.diag(B)
-            if free.any():
+            if any_free:
                 direction[free] = np.linalg.solve(
-                    B[:, free][free] + sigma * (W.T @ W), g[free])
+                    B[:, free][free] + sigma * W.T.dot(W), g[free])
         rounding = _ROUNDING * (1.0 + abs(value))
         step = 1.0
         while True:
             x_new = x - step * direction
             if box:
-                x_new = feasible_set.project(x_new)
+                x_new = project(x_new)
             elif math.sqrt(float(x_new.dot(x_new))) > feasible_set.radius:
                 return x, res, shift
-            value_new, shift_new = evaluate(x_new)
-            if value_new <= value + _ARMIJO * float(g @ (x_new - x)) + rounding:
+            value_new, shift_new, hinge_new = evaluate(x_new)
+            if value_new <= value + _ARMIJO * float(g.dot(x_new - x)) + rounding:
                 break
             step *= 0.5
             if step < _MIN_STEP:
                 return x, res, shift
-        x, value, shift = x_new, value_new, shift_new
+        x, value, shift, hinge = x_new, value_new, shift_new, hinge_new
 
 
 def solve_subproblem(model: ModelAt, prox_center: Array, lam: Array,
@@ -336,7 +340,7 @@ def _solve_model(model: ModelAt, prox_center: Array, lam: Array,
             "plain model requires a smooth g_t (or the l1 structure)")
     else:
         def grad(x: Array) -> Array:
-            return _gradient(model, x, lam + sigma * model.eval_G(x),
+            return _gradient(model, x, np.maximum(lam + sigma * model.eval_G(x), 0.0),
                              model.jac_G(x), cfg.alpha, prox_center)
 
         def prox(z: Array, step: float) -> Array:
@@ -349,8 +353,8 @@ def _solve_model(model: ModelAt, prox_center: Array, lam: Array,
         x = closed_form_linearized_p1(model.u - cfg.alpha * prox_center, b, gamma,
                                       cfg.alpha, sigma, feasible_set)
         shift = lam + sigma * model.eval_G(x)
-        r = x - feasible_set.project(x - _gradient(model, x, shift, model.jac_G(x),
-                                                   cfg.alpha, prox_center))
+        r = x - feasible_set.project(x - _gradient(
+            model, x, np.maximum(shift, 0.0), model.jac_G(x), cfg.alpha, prox_center))
         certified = np.sqrt(_dot(r, r)) <= cfg.tol
         if x.ndim == 2:
             paths = ["closed_form"] * len(x)

@@ -107,7 +107,7 @@ def _stacked_parts(problem: ProblemInstance):
         def lagrangian_grad(x, w, Cx=None):
             Cx = C_all @ x if Cx is None else Cx
             Cx += d_all
-            return A_bar @ x + b_bar + np.einsum("tp,tpn->n", w.reshape(T, p), Cx)
+            return A_bar.dot(x) + b_bar + np.einsum("tp,tpn->n", w.reshape(T, p), Cx)
 
         def hinged_grad(x, lam, rho):
             Cx = C_all @ x

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from itertools import accumulate
+from typing import Optional
 
 import numpy as np
 
@@ -29,10 +30,12 @@ class ProblemInstance:
 
     ``data`` keeps the raw generated arrays (matrices, walks, margins) so the
     offline comparator and the tests can work with the numbers directly
-    instead of probing the rounds.  ``stacked``, when given, maps an
-    (m, n) stack of points to the values ``values`` returns, computed from
-    the generated arrays.  The dimension n is the set's, p and T are the
-    rounds'; no rounds, or rounds whose n or p disagree, raise ValueError.
+    instead of probing the rounds.  ``stacked``, when given, is the pair
+    (rounds, fn): fn maps an (m, n) stack of points to the values that
+    ``values`` returns for those rounds, from the generated arrays.  The
+    dimension n is the set's, p and T are the rounds'; no rounds, or rounds
+    whose n or p disagree, raise ValueError, and a ``stacked`` that is not a
+    pair raises TypeError.
     """
 
     kind: str
@@ -41,11 +44,14 @@ class ProblemInstance:
     constants: Optional[ProblemConstants]
     seed: int
     data: dict = field(default_factory=dict)
-    stacked: Optional[Callable[[Array], tuple]] = field(default=None, repr=False)
+    stacked: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.rounds:
             raise ValueError("an instance needs at least one round")
+        if self.stacked is not None and not (isinstance(self.stacked, tuple)
+                                             and len(self.stacked) == 2):
+            raise TypeError("stacked must be the pair (rounds, fn)")
         for t, oracle in enumerate(self.rounds):
             if (oracle.n, oracle.p) != (self.n, self.p):
                 raise ValueError(f"round {t} has (n, p) = ({oracle.n}, "
@@ -75,9 +81,10 @@ class ProblemInstance:
     def values(self, xs: Array) -> tuple:
         """(f (m,), g (m, p)): f_t(xs[t]) and g_t(xs[t]) for the first
         m = len(xs) rounds, bit for bit what the round oracles return; from
-        the stacked arrays when the generator gave them, else round by round."""
-        if self.stacked is not None:
-            return self.stacked(xs)
+        the stacked arrays when the generator gave them for these rounds,
+        else round by round (as after ``dataclasses.replace`` swaps them)."""
+        if self.stacked is not None and self.stacked[0] is self.rounds:
+            return self.stacked[1](xs)
         f = np.empty(len(xs))
         g = np.empty((len(xs), self.p))
         for t, x in enumerate(xs):
@@ -111,13 +118,13 @@ def _diag_quadratic_round(q_t: Array, b_t: Array, A: Array,
     p, n = A.shape
 
     def eval_f(x):
-        return float(q_t @ (x * x))
+        return float(q_t.dot(x * x))
 
     def subgrad_f(x):
         return 2.0 * q_t * x
 
     def eval_g(x):
-        return A @ x + b_t
+        return A.dot(x) + b_t
 
     def jac_g(x):
         return A
@@ -258,7 +265,7 @@ def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
         kind="nra", set=feasible_set, rounds=rounds, constants=constants,
         seed=seed, data={"A": A, "b": b_all, "q": q_all, "zbar": zbar,
                          "ybar": ybar, "c": c, "price": price},
-        stacked=stacked)
+        stacked=(rounds, stacked))
 
 
 def _sigmoid_neg(v: float) -> float:
@@ -398,10 +405,9 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
 
     labels = 2.0 * rng_labels.integers(0, 2, (T, k)) - 1.0
     a_steps = rng_a_steps.uniform(-1.0, 1.0, T - 1) * scale
-    a = np.empty(T)
-    a[0] = 1.0
-    for t in range(1, T):
-        a[t] = max(a[t - 1] + a_steps[t - 1], 0.0)
+    # The hinged walk on Python floats: the same sums, in the same order.
+    a = np.fromiter(accumulate(a_steps.tolist(), lambda a_t, step: max(a_t + step, 0.0),
+                               initial=1.0), float, T)
 
     Z_all = labels[:, :, None] * u_all
     feasible_set = Box(np.full(n, -M), np.full(n, M))
@@ -424,7 +430,7 @@ def generate_olr(n: int, k: int, T: int, M: float, seed: int) -> ProblemInstance
     return ProblemInstance(
         kind="olr", set=feasible_set, rounds=rounds, constants=constants,
         seed=seed, data={"u": u_all, "labels": labels, "a": a, "Z": Z_all},
-        stacked=stacked)
+        stacked=(rounds, stacked))
 
 
 def _quadratic_round(A_t: Array, b_t: Array, C_t: Array, d_t: Array,
@@ -433,13 +439,13 @@ def _quadratic_round(A_t: Array, b_t: Array, C_t: Array, d_t: Array,
     p = e_t.shape[0]
 
     def eval_f(x):
-        return float(0.5 * x @ (A_t @ x) + b_t @ x)
+        return float((0.5 * x).dot(A_t.dot(x)) + b_t.dot(x))
 
     def subgrad_f(x):
-        return A_t @ x + b_t
+        return A_t.dot(x) + b_t
 
     def eval_g(x):
-        return 0.5 * ((C_t @ x) @ x) + d_t @ x + e_t
+        return 0.5 * (C_t @ x).dot(x) + d_t.dot(x) + e_t
 
     def jac_g(x):
         return C_t @ x + d_t
@@ -538,4 +544,4 @@ def generate_oqcqp(n: int, p: int, R: float, T: int, seed: int) -> ProblemInstan
         kind="oqcqp", set=feasible_set, rounds=rounds, constants=constants,
         seed=seed, data={"A": A_all, "b": b_all, "C": C_all, "d": d_all,
                          "e": e_all, "h": h, "xhat": xhat},
-        stacked=stacked)
+        stacked=(rounds, stacked))

@@ -198,6 +198,22 @@ def test_olr_budget_walk_and_flags():
     assert prob.constants.eps0 == pytest.approx(a.min())
 
 
+@pytest.mark.parametrize("seed", [0, 1, 13, 299])
+@pytest.mark.parametrize("T", [1, 2, 300, 2000])
+def test_olr_budget_walk_is_the_former_loop_bit_for_bit(seed, T):
+    # The former loop over numpy scalars; seed 299's walk reaches the
+    # hinge at 0 within 300 rounds.
+    scale = 1.0 / (2.0 * np.arange(1, T, dtype=float))
+    a_steps = problems._rngs(seed, 4)[3].uniform(-1.0, 1.0, T - 1) * scale
+    a = np.empty(T)
+    a[0] = 1.0
+    for t in range(1, T):
+        a[t] = max(a[t - 1] + a_steps[t - 1], 0.0)
+    got = generate_olr(2, 1, T, 1.0, seed).data["a"]
+    assert got.dtype == float and got.tobytes() == a.tobytes()
+    assert (a.min() == 0.0) == (seed == 299 and T >= 300)
+
+
 def assert_expit_neg_is_scipys(u):
     expit = pytest.importorskip("scipy.special").expit
     got = np.array(_expit_neg(list(u)))

@@ -6,11 +6,15 @@ the model takes f_t at the anchor only when a path reads F's value, and the
 small products are ``.dot`` calls (the same BLAS kernels as ``@``).  None
 of this may move a float, so the decisions and multipliers of ``run_malm``
 and ``run_baseline`` must be bit-identical to runs of the copies below:
-the earlier model, closed-form and Newton paths, multiplier update, olr
-oracle and baseline steps, with FISTA as ``test_apg.reference_fista``.
+the earlier model, closed-form and Newton paths, multiplier update, olr,
+nra and oqcqp oracles and baseline steps, with FISTA as
+``test_apg.reference_fista``.  The live nra and oqcqp oracles take ``.dot``
+products too, so each of their methods is also checked against the frozen
+ones directly.
 """
 
 import dataclasses
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -294,6 +298,62 @@ def reference_olr_rounds(problem):
                  for Z_t, a_t in zip(Z_all, problem.data["a"]))
 
 
+def reference_nra_rounds(problem):
+    """The earlier ``problems._diag_quadratic_round`` oracles of an nra
+    instance."""
+    def diag_quadratic_round(q_t, b_t, A, hess_t):
+        p, n = A.shape
+
+        def eval_f(x):
+            return float(q_t @ (x * x))
+
+        def subgrad_f(x):
+            return 2.0 * q_t * x
+
+        def eval_g(x):
+            return A @ x + b_t
+
+        def jac_g(x):
+            return A
+
+        return RoundOracle(n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
+                           eval_g=eval_g, jac_g=jac_g, g_kind="affine",
+                           hess_f=hess_t)
+
+    q, b, A = (problem.data[k] for k in ("q", "b", "A"))
+    return tuple(map(diag_quadratic_round, q, b, repeat(A), 2.0 * q))
+
+
+def reference_oqcqp_rounds(problem):
+    """The earlier ``problems._quadratic_round`` oracles of an oqcqp
+    instance."""
+    def quadratic_round(A_t, b_t, C_t, d_t, e_t):
+        n = b_t.shape[0]
+        p = e_t.shape[0]
+
+        def eval_f(x):
+            return float(0.5 * x @ (A_t @ x) + b_t @ x)
+
+        def subgrad_f(x):
+            return A_t @ x + b_t
+
+        def eval_g(x):
+            return 0.5 * ((C_t @ x) @ x) + d_t @ x + e_t
+
+        def jac_g(x):
+            return C_t @ x + d_t
+
+        return RoundOracle(n=n, p=p, eval_f=eval_f, subgrad_f=subgrad_f,
+                           eval_g=eval_g, jac_g=jac_g, hess_f=A_t, hess_g=C_t)
+
+    return tuple(map(quadratic_round,
+                     *(problem.data[k] for k in ("A", "b", "C", "d", "e"))))
+
+
+FROZEN_ROUNDS = {"olr": reference_olr_rounds, "nra": reference_nra_rounds,
+                 "oqcqp": reference_oqcqp_rounds}
+
+
 # family -> (preset, seed, T, delays, MALM models, MALM (alpha, sigma) pairs
 # besides the preset's, baselines by delay).  The extra pairs make the
 # multipliers active, which at the preset's stepsizes they are only on nra.
@@ -314,9 +374,7 @@ def _instance(family):
     config = dataclasses.replace(PRESETS[preset], T=T, taus=taus,
                                  algos=("malm",))
     problem = generate_problem(config, seed)
-    frozen = problem
-    if family == "olr":
-        frozen = dataclasses.replace(problem, rounds=reference_olr_rounds(problem))
+    frozen = dataclasses.replace(problem, rounds=FROZEN_ROUNDS[family](problem))
     return config, problem, frozen
 
 
@@ -350,3 +408,16 @@ def test_baseline_steps_match_the_frozen_steps(family):
                     reference_run_baseline(frozen, BaselineConfig(algo, T, tau)))
               for tau, algos in baselines.items() for algo in algos]
     assert any(active)
+
+
+@pytest.mark.parametrize("family", ["nra", "oqcqp"])
+def test_quadratic_round_oracles_match_the_frozen_oracles(family):
+    _, problem, frozen = _instance(family)
+    rng = np.random.default_rng(5)
+    for round_, ref in zip(problem.rounds, frozen.rounds):
+        # scales 1e-3 to 1e3, with zero entries, and the origin
+        for x in (*(scale * rng.normal(size=problem.n) * (rng.random(problem.n) < 0.7)
+                    for scale in (1e-3, 1.0, 10.0, 1e3)), np.zeros(problem.n)):
+            for name in ("eval_f", "subgrad_f", "eval_g", "jac_g"):
+                got, want = getattr(round_, name)(x), getattr(ref, name)(x)
+                assert type(got) is type(want) and np.array_equal(got, want)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ocobench import (PRESETS, Box, RoundOracle, Trajectory, full_series,
-                      solve_comparator)
+                      generate_olr, solve_comparator)
 from ocobench.harness import generate_problem, run_cell
 
 from helpers import affine_round, generic_problem
@@ -69,7 +69,8 @@ def test_stacked_values_match_the_round_oracles(family, seed):
 def spied(problem, calls):
     """``problem`` with every round oracle counting its calls by name: each
     round becomes a ``RoundOracle`` of its n, p, g_kind and Hessians whose
-    four methods count, then call the round's own."""
+    four methods count, then call the round's own.  A stacked form is kept,
+    for the counting rounds, which give the same values."""
     def wrap(name, fn):
         def counted(x):
             calls[name] = calls.get(name, 0) + 1
@@ -82,7 +83,8 @@ def spied(problem, calls):
         **{name: wrap(name, getattr(oracle, name))
            for name in ("eval_f", "subgrad_f", "eval_g", "jac_g")})
         for oracle in problem.rounds)
-    return dataclasses.replace(problem, rounds=rounds)
+    stacked = problem.stacked and (rounds, problem.stacked[1])
+    return dataclasses.replace(problem, rounds=rounds, stacked=stacked)
 
 
 @pytest.mark.parametrize("family", ["nra", "olr", "oqcqp"])
@@ -117,3 +119,23 @@ def test_a_hand_built_instance_is_scored_round_by_round():
                          problem, np.zeros(1))
     assert np.array_equal(series.cum_regret, np.cumsum(f - 1.0))
     assert np.array_equal(series.cum_vio, np.cumsum(g, axis=0))
+
+
+def test_an_instance_with_swapped_rounds_is_scored_by_its_own_rounds():
+    # Seed 0's instance with seed 1's rounds keeps seed 0's arrays, which
+    # no longer describe its rounds.
+    own, other = (generate_olr(5, 10, 50, 10.0, seed) for seed in (0, 1))
+    mixed = dataclasses.replace(own, rounds=other.rounds)
+    xs = np.full((50, 5), 0.3)
+    f, g = mixed.values(xs)
+    assert np.array_equal(f, other.values(xs)[0])
+    assert np.array_equal(g, other.values(xs)[1])
+    assert_same_values(mixed, xs)
+    assert not np.array_equal(f, own.values(xs)[0])
+
+
+def test_a_stacked_form_that_is_not_a_pair_is_refused():
+    # ``stacked`` is (rounds, fn); a bare fn would fail only when scored.
+    problem = generate_olr(5, 10, 50, 10.0, 0)
+    with pytest.raises(TypeError, match="pair"):
+        dataclasses.replace(problem, stacked=problem.stacked[1])
