@@ -161,6 +161,15 @@ def project(feasible_set: FeasibleSet, point: Array) -> Array:
     return feasible_set.project(_check_vector(point, feasible_set.dim))
 
 
+def _sorted_unique(values: Array) -> Array:
+    """``np.unique`` of a NaN-free 1-D float array by its own in-place sort and
+    adjacent compare, without the ``numpy.ma`` import it makes (numpy 2.4)."""
+    values.sort()
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _l1_threshold(abs_z: Array, floor, cap, a: float, w: float) -> float:
     """The threshold theta >= 0 where sum_i clip(|z_i| - theta, floor_i, cap_i)
     falls to the budget a + w theta (w >= 0).
@@ -173,7 +182,7 @@ def _l1_threshold(abs_z: Array, floor, cap, a: float, w: float) -> float:
     coordinate sits at its floor, clips z to the same point as the last
     breakpoint does, which is returned instead.
     """
-    bps = np.unique(np.concatenate([[0.0], abs_z - cap, abs_z - floor]))
+    bps = _sorted_unique(np.concatenate([[0.0], abs_z - cap, abs_z - floor]))
     bps = bps[bps >= 0.0]
 
     def excess(theta):

@@ -20,7 +20,7 @@ from .baselines import BaselineConfig, run_baseline
 from .core import (ConvergenceError, InfeasibleProblemError, Trajectory,
                    UnsupportedProblemError, _check_horizon, _check_integer)
 from .malm import MalmConfig, run_malm
-from .metrics import MetricsSeries, full_series
+from .metrics import MetricsSeries, _comparator_losses, full_series
 from .models import LINEARIZED, MODEL_KINDS, PLAIN
 from .offline import solve_comparator
 from .problems import (ProblemInstance, generate_nra, generate_olr,
@@ -234,7 +234,8 @@ def _write_grid(config: ExperimentConfig, path: str) -> None:
                                               for r in problem.rounds):
                 raise UnsupportedProblemError(f"mosp requires linear constraints; "
                                               f"{config.problem} has others")
-            comparators[seed] = solve_comparator(problem, config.tol_comparator)
+            x_star = solve_comparator(problem, config.tol_comparator)
+            comparators[seed] = x_star, _comparator_losses(problem, x_star, problem.T)
     # One seed steps faster alone than as a group of one.
     group = group_instances([problems[seed] for seed in config.seeds]) \
         if len(config.seeds) > 1 else None
@@ -244,7 +245,8 @@ def _write_grid(config: ExperimentConfig, path: str) -> None:
             for algo in config.algos:
                 for seed, traj in zip(config.seeds, _run_seeds(
                         config, problems, group, algo, tau)):
-                    series = full_series(traj, problems[seed], comparators[seed])
+                    x_star, f_star = comparators[seed]
+                    series = full_series(traj, problems[seed], x_star, f_star=f_star)
                     _write_rows(fh, config, algo, seed, tau, series)
 
 

@@ -358,10 +358,11 @@ def _solve_model(model: ModelAt, prox_center: Array, lam: Array,
         certified = np.sqrt(_dot(r, r)) <= cfg.tol
         if x.ndim == 2:
             paths = ["closed_form"] * len(x)
-            for i in np.flatnonzero(~certified):
-                alone = make_model(model.oracle.rows[i], model.anchor[i], model.kind)
-                x[i], paths[i], shift[i] = _solve_model(alone, prox_center[i], lam[i],
-                                                        cfg, feasible_set)
+            if not certified.all():
+                for i in np.flatnonzero(~certified):
+                    alone = make_model(model.oracle.rows[i], model.anchor[i], model.kind)
+                    x[i], paths[i], shift[i] = _solve_model(alone, prox_center[i],
+                                                            lam[i], cfg, feasible_set)
             return x, tuple(paths), shift
         if certified:
             return x, "closed_form", shift

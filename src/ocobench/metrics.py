@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +34,8 @@ class MetricsSeries:
     lambda_norm: Array
 
 
-def full_series(trajectory: Trajectory, problem, x_star: Array) -> MetricsSeries:
+def full_series(trajectory: Trajectory, problem, x_star: Array, *,
+                f_star: Optional[Array] = None) -> MetricsSeries:
     """Every metric column of a trajectory against a fixed comparator.
 
     Parameters
@@ -44,10 +46,15 @@ def full_series(trajectory: Trajectory, problem, x_star: Array) -> MetricsSeries
         Supplies the round losses and constraints through ``values``.
     x_star : ndarray
         Fixed comparator decision.
+    f_star : ndarray, optional
+        x_star's losses f_0(x*)..f_{T-1}(x*), as ``_comparator_losses``
+        gives them, for a caller that scores one x_star against several
+        trajectories; computed here when omitted.
     """
     T = trajectory.T
     f, g = problem.values(trajectory.xs)
-    f_star, _ = problem.values(np.broadcast_to(x_star, trajectory.xs.shape))
+    if f_star is None:
+        f_star = _comparator_losses(problem, x_star, T)
     cum_regret = np.cumsum(f - f_star)
     cum_vio = np.cumsum(g, axis=0)
     return MetricsSeries(
@@ -56,6 +63,11 @@ def full_series(trajectory: Trajectory, problem, x_star: Array) -> MetricsSeries
         cum_vio=cum_vio,
         avg_vio_max=cum_vio.max(axis=1) / np.arange(1, T + 1),
         lambda_norm=np.linalg.norm(trajectory.lambdas, axis=1))
+
+
+def _comparator_losses(problem, x_star: Array, T: int) -> Array:
+    """f_t(x*) for rounds 0..T-1, from one ``values`` call."""
+    return problem.values(np.broadcast_to(x_star, (T, problem.n)))[0]
 
 
 def psi_kappas(constants: ProblemConstants):

@@ -96,21 +96,21 @@ def _stacked_parts(problem: ProblemInstance):
     if problem.kind == "oqcqp":
         A_bar = data["A"].sum(axis=0)
         b_bar = data["b"].sum(axis=0)
-        C_all, d_all, e_all = (data[k] for k in ("C", "d", "e"))
-        T, p = e_all.shape
+        # Flat (T p, n) rows, one gemv per product; Cx is shared, d added into it.
+        n = problem.n
+        C, d, e = data["C"].reshape(-1, n), data["d"].reshape(-1, n), data["e"].ravel()
 
-        # Cx = C_all @ x is taken once per gradient; lagrangian_grad adds d_all into it.
         def cons(x, Cx=None):
-            Cx = C_all @ x if Cx is None else Cx
-            return (0.5 * (Cx @ x) + d_all @ x + e_all).ravel()
+            Cx = C.dot(x).reshape(-1, n) if Cx is None else Cx
+            return 0.5 * Cx.dot(x) + d.dot(x) + e
 
         def lagrangian_grad(x, w, Cx=None):
-            Cx = C_all @ x if Cx is None else Cx
-            Cx += d_all
-            return A_bar.dot(x) + b_bar + np.einsum("tp,tpn->n", w.reshape(T, p), Cx)
+            Cx = C.dot(x).reshape(-1, n) if Cx is None else Cx
+            Cx += d
+            return A_bar.dot(x) + b_bar + Cx.T.dot(w)
 
         def hinged_grad(x, lam, rho):
-            Cx = C_all @ x
+            Cx = C.dot(x).reshape(-1, n)
             return lagrangian_grad(x, np.maximum(lam + rho * cons(x, Cx), 0.0), Cx)
 
         return (lagrangian_grad, hinged_grad, cons,

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from ocobench import (BaselineConfig, Box, ConvergenceError, EuclideanBall,
                       MalmConfig, RoundOracle, Trajectory, generate_oqcqp,
                       project, project_psd, run_baseline, run_malm)
-from ocobench.core import run_schedule
+from ocobench.core import _sorted_unique, run_schedule
 
 from helpers import contains
 
@@ -362,3 +362,20 @@ def test_public_api_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(ocobench, name)]
     assert missing == []
+
+
+def test_sorted_unique_gives_the_bits_of_np_unique():
+    # the l1 threshold's breakpoint sets: ties, signed zeros and infinities
+    rng = np.random.default_rng(11)
+    for draw in range(5000):
+        n = int(rng.integers(0, 9))
+        if draw % 2:
+            abs_z = np.abs(rng.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=n))
+        else:
+            abs_z = np.round(np.abs(rng.normal(scale=2.0, size=n)), draw % 3)
+        floor = rng.choice([0.0, -0.0, 0.25, 0.5], size=n)
+        cap = rng.choice([0.5, 1.0, 2.0, np.inf], size=n)
+        values = np.concatenate([[0.0], abs_z - cap, abs_z - floor])
+        want = np.unique(values)
+        assert _sorted_unique(values).tobytes() == want.tobytes()
+    assert _sorted_unique(np.array([])).size == 0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ocobench.harness as harness
+import ocobench.metrics as metrics
 from ocobench import (PRESETS, ExperimentConfig, full_series, run_experiment,
                       solve_comparator)
 from ocobench.cli import (_FLAGS, _build_parser, _file_updates,
@@ -230,6 +231,48 @@ def test_cli_linearized_olr_run_never_imports_scipy(tmp_path):
     # the sigmoid comes from math.exp, in the rounds and in the comparator
     assert scipy_modules_after(["--preset", "olr-paper", "--T", "200",
                                 "--out", "olr.csv"], tmp_path) == "0 []"
+
+
+def test_cli_olr_run_never_imports_numpy_ma(tmp_path):
+    # np.unique loads numpy.ma (numpy 2.4); the l1 threshold dedupes its
+    # breakpoints without it
+    script = ("import sys\nfrom ocobench.cli import main\n"
+              "code = main(['--preset', 'olr-paper', '--T', '300', '--seed', "
+              "'0,1', '--out', 'olr.csv'])\n"
+              "print(code, 'numpy.ma' in sys.modules)")
+    res = run_python(["-c", script], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False"
+
+
+def test_the_grid_scores_each_comparator_once_per_seed(tmp_path, monkeypatch):
+    # every (algo, tau) cell of a seed subtracts the same f_t(x*) floats,
+    # and full_series, which scores x* itself when not handed them, is not
+    # asked to
+    scored = []
+    real = harness._comparator_losses
+
+    def spy(problem, x_star, T):
+        scored.append(problem.seed)
+        return real(problem, x_star, T)
+
+    monkeypatch.setattr(harness, "_comparator_losses", spy)
+    monkeypatch.setattr(metrics, "_comparator_losses", spy)
+    out = tmp_path / "grid.csv"
+    cfg = dataclasses.replace(SMALL, algos=("malm", "czp"), taus=(0, 2),
+                              seeds=(0, 1), out=str(out))
+    run_experiment(cfg)
+    assert scored == [0, 1]
+    _, rows = read_rows(str(out))
+    for seed in (0, 1):
+        problem = generate_problem(cfg, seed)
+        x_star = solve_comparator(problem, cfg.tol_comparator)
+        for algo in cfg.algos:
+            for tau in cfg.taus:
+                series = full_series(run_cell(cfg, problem, algo, tau),
+                                     problem, x_star)
+                cell = [r for r in rows if r[1:4] == [algo, str(seed), str(tau)]]
+                assert [float(r[5]) for r in cell] == series.cum_regret.tolist()
 
 
 def assert_runs_without_scipy(args, tmp_path):
