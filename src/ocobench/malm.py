@@ -224,7 +224,10 @@ def _solve_newton(model: ModelAt, prox_center: Array, lam: Array,
     ``x_start``, at one G(x) per point, through the shift lam + sigma G(x),
     and one J per iterate.  Returns the last point, its projected-gradient
     residual, above tol when the step cap is reached, no decrease is found
-    or a trial point leaves the ball, and its shift.
+    or a trial point leaves the ball, and its shift.  Of ``cfg`` it reads
+    ``alpha``, ``sigma`` and ``tol`` only; alpha = 0, which ``MalmConfig``
+    refuses, is fine where hess_F > 0, as in the ``nra`` comparator's penalty
+    steps (``offline._al_loop``).
     """
     alpha, sigma, tol = cfg.alpha, cfg.sigma, cfg.tol
     eval_G, jac_G, lam_sq = model.eval_G, model.jac_G, float(lam.dot(lam))

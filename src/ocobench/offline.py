@@ -7,19 +7,24 @@ projected gradient once one leaves it; its sigmoid is the rounds' own,
 from the C library's ``exp``, so no family here needs scipy.  Every other
 family goes through one augmented-Lagrangian loop (method of multipliers)
 over its stacked constraints, of which the network problem's aggregate
-exactly to A x <= -max_t b_t.
+exactly to A x <= -max_t b_t; its penalty steps are MALM's plain-model
+subproblem of that aggregated round, which MALM's projected Newton method
+solves.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from ._apg import fista
 from .core import (Array, ConvergenceError, InfeasibleProblemError,
                    _l1_threshold, project)
-from .problems import ProblemInstance, _expit_neg
+from .malm import _solve_newton
+from .models import PLAIN, make_model
+from .problems import ProblemInstance, _diag_quadratic_round, _expit_neg
 
 _MAX_OUTER = 100
 _RHO_CAP = 1e13
@@ -141,7 +146,10 @@ def _al_loop(problem: ProblemInstance, tol: float) -> Array:
     constraints, from the blind start Pi_C(0).
 
     Outer multiplier steps on the hinged penalty, inner accelerated projected
-    gradient; the penalty grows tenfold whenever the worst violation fails to
+    gradient; ``nra``'s inner steps take MALM's projected Newton method first,
+    on the aggregated round (sum_t q_t, A, max_t b_t) at alpha = 0 and
+    sigma = rho, and FISTA from its point when it misses ``inner_tol``.
+    The penalty grows tenfold whenever the worst violation fails to
     halve, and a stalled violation under a huge penalty reports infeasibility.
     Once the multipliers settle and the point is feasible to ``tol``, it is
     polished on the fixed-multiplier Lagrangian, whose gradient carries no
@@ -152,6 +160,13 @@ def _al_loop(problem: ProblemInstance, tol: float) -> Array:
     lagrangian_grad, hinged_grad, cons, l0 = _stacked_parts(problem)
     label = f"{problem.kind} comparator (seed {problem.seed})"
     x = project(problem.set, np.zeros(problem.n))
+    newton = None
+    if problem.kind == "nra":
+        data = problem.data
+        q = data["q"].sum(axis=0)
+        if q.min() > 0.0:  # Newton divides by hess_f = 2q
+            newton = make_model(_diag_quadratic_round(
+                q, data["b"].max(axis=0), data["A"], 2.0 * q), x, PLAIN)
     lam = np.zeros_like(cons(x))
     rho = 1.0
     viol_prev = np.inf
@@ -161,8 +176,16 @@ def _al_loop(problem: ProblemInstance, tol: float) -> Array:
 
     for _ in range(_MAX_OUTER):
         inner_tol = max(tol, min(1e-3, 0.1 * viol_prev))
-        x, res, _ = fista(x, lambda y: hinged_grad(y, lam, rho), prox, tol=inner_tol,
-                          max_iters=200_000, l0=l0, raise_on_fail=False)
+        res = np.inf
+        if newton is not None:
+            # _solve_newton reads only these three of a MalmConfig
+            cfg = SimpleNamespace(alpha=0.0, sigma=rho, tol=inner_tol)
+            x, res, _ = _solve_newton(newton, x, lam, cfg, problem.set, x,
+                                      newton.oracle.hess_f, None)
+        if res > inner_tol:
+            x, res, _ = fista(x, lambda y: hinged_grad(y, lam, rho), prox,
+                              tol=inner_tol, max_iters=200_000, l0=l0,
+                              raise_on_fail=False)
         gv = cons(x)
         viol = float(np.maximum(gv, 0.0).max(initial=0.0))
         lam_new = np.maximum(lam + rho * gv, 0.0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (Array, Box, ConvergenceError, EuclideanBall, FeasibleSet,
                    ProblemArgumentError, ProblemConstants, RoundOracle,
-                   _matvec, _rmatvec, project_psd)
+                   _dot, _matvec, _rmatvec, project_psd)
 
 _SLATER_MAX_PIVOTS = 2000  # Bland's rule cannot cycle; this caps a troubled solve
 
@@ -348,10 +348,26 @@ def _reads_one_pair(rounds) -> bool:
                and r.t == t for t, r in enumerate(rounds))
 
 
+def _rows_keep_their_bits(Z: Array) -> bool:
+    """Whether ``_matvec``, ``_rmatvec`` and ``_dot`` give each row of the
+    stacked (S, k, n) features ``Z``, and of its (S, 1, n) l1 row, the bits
+    of that row's 1-D ``.dot``, at contiguous points made of Z's entries, as
+    the rounds pass them: the batched kernel's summation order is the numpy
+    build's."""
+    x, w = Z[:, 0].copy(), Z[:, -1].copy()
+    pairs = [(_dot(x, w), [float(a.dot(b)) for a, b in zip(x, w)])]
+    for M in (Z, np.sign(Z[:, :1])):
+        y = M[:, :, 0].copy()
+        pairs += [(_matvec(M, x), [m.dot(v) for m, v in zip(M, x)]),
+                  (_rmatvec(M, y), [m.T.dot(v) for m, v in zip(M, y)])]
+    return all(batched.tobytes() == np.array(rows).tobytes() for batched, rows in pairs)
+
+
 def group_instances(instances) -> Optional[InstanceGroup]:
     """The lockstep group of generated ``olr`` instances of one shape and
-    box, each of whose rounds reads one (Z, a) pair; None for any other
-    instances, which step alone."""
+    box, each of whose rounds reads one (Z, a) pair, once the group's first
+    round shows that its stacked products keep each row's bits; None for
+    any other instances, which step alone."""
     first = instances[0]
     if all(inst.kind == "olr" and "Z" in inst.data and _reads_one_pair(inst.rounds)
            and inst.T == first.T
@@ -359,7 +375,9 @@ def group_instances(instances) -> Optional[InstanceGroup]:
            and np.array_equal(inst.set.lower, first.set.lower)
            and np.array_equal(inst.set.upper, first.set.upper)
            for inst in instances):
-        return InstanceGroup(instances)
+        group = InstanceGroup(instances)
+        if _rows_keep_their_bits(group.Z[0]):
+            return group
     return None
 
 

@@ -1,12 +1,16 @@
 """``solve_comparator`` against a frozen copy of its earlier solver.
 
-The comparator gradients were made cheaper (one in-place pass for the
-hinged ``nra`` penalty gradient with ``.dot`` gemvs, a negation moved
-inside the ``olr`` product) and FISTA dropped temporaries.  Those changes
-keep the floating-point operations and their operands, so the ``nra`` and
-generic x* must be bit-identical to the copy below, which runs on
-``test_apg.reference_fista``: a moved float there would move every regret
-column of those runs, the benchmark's references included.
+The comparator gradients were made cheaper (a negation moved inside the
+``olr`` product) and FISTA dropped temporaries.  Those changes keep the
+floating-point operations and their operands, so the generic x* must be
+bit-identical to the copy below, which runs on ``test_apg.reference_fista``:
+a moved float there would move every regret column of those runs.
+
+The ``nra`` comparator takes its penalty steps on MALM's projected Newton
+method, with FISTA from Newton's point only where Newton misses the inner
+tolerance, so x* moves by rounding and by the inner solves' stops alone: it
+is held to 1e-9 of the copy's, within the benchmark's ``cum_regret``
+tolerance, and to the comparator's own certificate, as ``oqcqp`` is below.
 
 The ``oqcqp`` comparator takes its stacked products on flat (T p, n) rows,
 one gemv each, where the copy below takes numpy's batched (T, p, n, n)
@@ -161,20 +165,21 @@ def reference_solve_olr(problem, tol):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: generate_nra(10, 10, 150, seed=0),
     lambda: dataclasses.replace(generate_nra(3, 3, 12, seed=14), kind="generic"),
-], ids=["nra", "generic"])
+], ids=["generic"])
 def test_comparator_floats_match_the_frozen_solver(make):
     prob = make()
     assert np.array_equal(solve_comparator(prob, 1e-7),
                           reference_al_loop(prob, 1e-7))
 
 
-@pytest.mark.parametrize("T, seed", [(120, s) for s in range(5)] + [(1000, 3)])
-def test_oqcqp_comparator_agrees_with_the_frozen_solver_and_certifies(
-        monkeypatch, T, seed):
-    # the flat rows move x* by rounding only; the polish's multipliers are
-    # the w of its lagrangian_grad calls, which nothing else makes
+def assert_agrees_and_certifies(monkeypatch, prob, bound, tol=1e-7):
+    """``solve_comparator(prob, tol)`` within ``bound`` of the frozen solver,
+    with a violation and a fixed-multiplier projected residual within tol.
+
+    The polish's multipliers are the w of its lagrangian_grad calls, which
+    nothing else makes; the certificate is taken on the frozen solver's
+    products.  Returns x*."""
     weights = []
     stacked_parts = offline._stacked_parts
 
@@ -188,14 +193,28 @@ def test_oqcqp_comparator_agrees_with_the_frozen_solver_and_certifies(
         return recording, hinged_grad, cons, l0
 
     monkeypatch.setattr(offline, "_stacked_parts", spy)
-    prob = generate_oqcqp(8, 3, 10.0, T, seed=seed)
-    x = solve_comparator(prob, 1e-7)
-    assert np.max(np.abs(x - reference_al_loop(prob, 1e-7))) <= 1e-10
-    # the certificate, on the frozen solver's batched products
+    x = solve_comparator(prob, tol)
+    assert np.max(np.abs(x - reference_al_loop(prob, tol))) <= bound
     lagrangian_grad, cons, _ = reference_stacked_parts(prob)
-    assert float(cons(x).max()) <= 1e-7
+    assert float(cons(x).max()) <= tol
     r = x - prob.set.project(x - lagrangian_grad(x, weights[-1]))
-    assert float(np.linalg.norm(r)) <= 1e-7
+    assert float(np.linalg.norm(r)) <= tol
+    return x
+
+
+@pytest.mark.parametrize("T, seed", [(120, s) for s in range(5)] + [(1000, 3)])
+def test_oqcqp_comparator_agrees_with_the_frozen_solver_and_certifies(
+        monkeypatch, T, seed):
+    # the flat rows move x* by rounding only
+    assert_agrees_and_certifies(monkeypatch, generate_oqcqp(8, 3, 10.0, T, seed=seed),
+                                1e-10)
+
+
+@pytest.mark.parametrize("T, seed", [(150, 0), (150, 2), (150, 4), (1000, 0)])
+def test_nra_comparator_agrees_with_the_frozen_solver_and_certifies(
+        monkeypatch, T, seed):
+    # Newton's penalty steps stop elsewhere within inner_tol than FISTA's
+    assert_agrees_and_certifies(monkeypatch, generate_nra(10, 10, T, seed=seed), 1e-9)
 
 
 def olr_residual(problem, x):
