@@ -136,26 +136,37 @@ def _diag_quadratic_round(q_t: Array, b_t: Array, A: Array,
 
 def _slater_margin(A: Array, b_max: Array, upper: Array):
     """(x_hat, lam) for max eps s.t. A x + b_max + eps <= 0 over [0, upper]:
-    a bounded-variable primal simplex on e = eps + max(b_max) from the slack
-    basis at x = 0, e = 0, under Bland's least-index rule, inverting the basis
-    once per pivot.  The free e enters first and never leaves, so the row
-    multipliers ``lam`` (clipped at zero) sum to one.  The caller certifies."""
+    a bounded-variable primal simplex on e = eps + max(b_max) under Bland's
+    least-index rule, the x_j indexed by falling upper bound, from the
+    dominance start (e = 0; x_j at its bound if its column of A has no positive
+    entry, else at 0), with B^-1 and the reduced costs in product form until
+    one refactorized basis admits no move.  The free e enters first and never
+    leaves, so ``lam`` (clipped at 0) sums to one.  The caller certifies."""
+    order = sorted(range(len(upper)), key=upper.__getitem__, reverse=True)
+    A, upper = A[:, order], upper[order]  # wide boxes enter first
     p, E = A.shape
     M = np.hstack([A, np.ones((p, 1)), np.eye(p)])  # columns x, e, slacks
     hi = np.r_[upper, np.full(p + 1, np.inf)]  # lower bounds: 0, but e is free
-    v = np.r_[np.zeros(E + 1), b_max.max() - b_max]
+    x0 = np.where((A <= 0.0).all(axis=0) & np.isfinite(upper), upper, 0.0)
+    v = np.r_[x0, 0.0, b_max.max() - b_max - A @ x0]  # A @ x0 <= 0: slacks grow
     basis = np.arange(E + 1, E + 1 + p)
-    B_inv, lam = np.eye(p), np.zeros(p)
+    e_row = np.eye(1, E + 1 + p, E)[0]  # the objective e
+    B_inv, lam, d, exact = np.eye(p), np.zeros(p), e_row.copy(), False
     for _ in range(_SLATER_MAX_PIVOTS):
-        d = -(lam @ M)  # reduced costs of the objective e
-        d[E] += 1.0
-        d[basis] = 0.0
         movable = ((d > 1e-12) & (v < hi)) | ((d < -1e-12) & (v > 0.0))
         j = int(movable.argmax())
         if not movable[j]:
-            break
+            if exact:
+                break
+            B_inv = np.linalg.inv(M[:, basis])  # refactorize once, at the exit
+            lam, exact = B_inv[basis == E][0], True
+            d = e_row - lam @ M  # reduced costs, exact for this basis
+            d[basis] = 0.0
+            continue
+        exact = False
         sign = 1.0 if d[j] > 0.0 else -1.0
-        col = sign * (B_inv @ M[:, j])  # the basic values fall by col per unit
+        a = B_inv @ M[:, j]
+        col = sign * a  # the basic values fall by col per unit
         v_b = v[basis]
         room = np.where(col > 0.0, v_b, hi[basis] - v_b)
         room[basis == E] = np.inf  # the free e never leaves
@@ -170,9 +181,13 @@ def _slater_margin(A: Array, b_max: Array, upper: Array):
         r = min(np.flatnonzero(ratio <= t + 1e-12 * max(1.0, t)), key=basis.__getitem__)
         v[basis[r]] = 0.0 if col[r] > 0.0 else hi[basis[r]]
         basis[r] = j
-        B_inv = np.linalg.inv(M[:, basis])
-        lam = B_inv[basis == E][0]
-    return np.clip(v[:E], 0.0, upper), np.maximum(lam, 0.0)
+        pr = B_inv[r] / a[r]
+        B_inv -= np.outer(a, pr)
+        B_inv[r] = pr
+        d -= d[j] * (pr @ M)
+        d[basis] = 0.0
+    back = sorted(range(E), key=order.__getitem__)  # the caller's column order
+    return np.clip(v[:E], 0.0, upper)[back], np.maximum(lam, 0.0)
 
 
 def generate_nra(J: int, K: int, T: int, seed: int) -> ProblemInstance:
